@@ -2,15 +2,24 @@
 
 For disjoint prime sets T_1..T_m and a counting mode per set (distinct prime
 divisors, or prime-power divisors counted with multiplicity), these routines
-tally the exact number of integers n <= x realizing each count vector.  The
-main path is a segmented multiplicity sieve; a trial-division oracle provides
-an independent slow route for cross-checking at small x.
+tally the exact number of integers n <= x realizing each count vector.
+
+The main path is one segmented kernel.  It sieves set primes p <= sqrt(x)
+(and their powers, in multiplicity mode) directly.  A prime > sqrt(x) divides
+n at most once, and n has at most one.  A cost estimate from the numbers of
+set primes above and below sqrt(x) picks their route: few are sieved directly
+too; many go through a cofactor pass that multiplies out n's sqrt(x)-smooth
+part s, so n // s is 1 or a prime > sqrt(x), and binary searches in the sets'
+sorted large primes find its set.  The same segment loop yields y-smooth
+parts.  A trial-division oracle is an independent slow route for
+cross-checking.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -20,12 +29,17 @@ import numpy as np
 
 from .dist import JointPmf
 from .errors import CapError, DomainError
-from .primesets import PrimeSet
+from .primesets import DEFAULT_SEGMENT_SIZE, PrimeSet, prime_array, segment_bounds
 
 MAX_SETS = 8
 MAX_X = 1 << 40
 ORACLE_MAX_X = 10**6
-DEFAULT_SEGMENT_SIZE = 1 << 20
+
+# One strided pass over a segment takes as long as this many elements of the
+# cofactor pass (2.4-2.9 us against 75-85 ns on a 2-vCPU Xeon VM).  The
+# cofactor lookup runs in blocks of _BLOCK to keep its temporaries small.
+_PASS_COST = 32
+_BLOCK = 1 << 16
 
 # Counters are one byte per (set, n); counts within the caps never reach the
 # saturation value (Omega(n) <= 40 for n <= 2^40), so hitting it means a bug.
@@ -94,27 +108,77 @@ def _validate_request(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> tup
         raise CapError(f"{len(specs)} sets exceed the cap of {MAX_SETS}")
     seen: set[int] = set()
     for spec in specs:
-        for p in spec.primes:
-            # x=1 is exempt: n=1 has no prime factors, so any spec is answerable
-            if p > x > 1:
-                raise DomainError(f"prime {p} exceeds x={x}")
-            if p in seen:
-                raise DomainError(f"sets must be pairwise disjoint; {p} repeats")
-            seen.add(p)
+        ps = spec.primes.primes
+        # x=1 is exempt: n=1 has no prime factors, so any spec is answerable
+        if x > 1 and ps and ps[-1] > x:
+            raise DomainError(f"prime {ps[bisect_right(ps, x)]} exceeds x={x}")
+        if repeats := seen.intersection(ps):
+            raise DomainError(f"sets must be pairwise disjoint; {min(repeats)} repeats")
+        seen.update(ps)
     return specs
 
 
-def _prime_powers(spec: SetSpec, x: int) -> list[int]:
-    """The sieving moduli for one spec: primes, or all prime powers <= x."""
-    if spec.mode is CountMode.DISTINCT:
-        return [p for p in spec.primes]
-    out = []
-    for p in spec.primes:
+def _small_part(seg_lo: int, seg_hi: int, primes: list[int]) -> np.ndarray:
+    """prod p^v_p(n) over the given primes for n in [seg_lo, seg_hi], in the
+    narrowest dtype for seg_hi: each prime power p^a multiplies its multiples by p."""
+    acc = np.ones(seg_hi - seg_lo + 1, dtype=np.min_scalar_type(seg_hi))
+    for p in primes:
         q = p
-        while q <= x:
-            out.append(q)
+        while q <= seg_hi:
+            acc[-seg_lo % q :: q] *= p
             q *= p
-    return out
+    return acc
+
+
+def _count_keys(x: int, specs: tuple[SetSpec, ...], segments: int):
+    """The count kernel: keys(seg_lo, seg_hi) holds each n's count vector,
+    one byte per set, read as one little-endian unsigned integer."""
+    root = math.isqrt(x)
+    width = 1 << max(1, (len(specs) - 1).bit_length())  # key bytes: 2, 4 or 8
+    direct: list[tuple[int, int]] = []  # (modulus, set index) sieved directly
+    large: list[tuple[int, np.ndarray]] = []  # (set index, its primes in (root, x])
+    for i, spec in enumerate(specs):
+        ps = spec.primes.primes
+        cut, stop = bisect_right(ps, root), bisect_right(ps, x)
+        for p in ps[:cut]:
+            q = p
+            while q <= x and (q == p or spec.mode is CountMode.WITH_MULTIPLICITY):
+                direct.append((q, i))
+                q *= p
+        if stop > cut:
+            large.append((i, np.array(ps[cut:stop], dtype=np.min_scalar_type(x))))
+    small = prime_array(1, root).tolist()
+    n_large = sum(primes.size for _, primes in large)
+    if n_large * segments * _PASS_COST <= len(small) * segments * _PASS_COST + x:
+        direct += [(p, i) for i, primes in large for p in primes.tolist()]
+        large = []
+
+    def keys(seg_lo: int, seg_hi: int) -> np.ndarray:
+        n_seg = seg_hi - seg_lo + 1
+        counters = np.zeros((n_seg, width), dtype=np.uint8)
+        for q, i in direct:
+            start = -seg_lo % q
+            if start < n_seg:
+                counters[start::q, i] += 1
+        if large:  # the cofactor pass
+            smooth = _small_part(seg_lo, seg_hi, small)
+            for b in range(0, n_seg, _BLOCK):
+                n = np.arange(seg_lo + b, seg_lo + min(b + _BLOCK, n_seg), dtype=smooth.dtype)
+                cof = n // smooth[b : b + n.size]
+                at = np.flatnonzero(cof > 1)
+                at = at[np.argsort(cof[at])]  # sorted queries search faster
+                for i, primes in large:
+                    idx = np.minimum(np.searchsorted(primes, cof[at]), primes.size - 1)
+                    counters[b + at[primes[idx] == cof[at]], i] += 1
+        return counters.view(f"<u{width}").ravel()
+
+    return keys
+
+
+def _tallies(bounds, keys) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The segment loop: each segment's sorted distinct keys and their tallies."""
+    for seg_lo, seg_hi in bounds:
+        yield (seg_lo, seg_hi, *np.unique(keys(seg_lo, seg_hi), return_counts=True))
 
 
 def iter_segment_counts(
@@ -129,29 +193,13 @@ def iter_segment_counts(
     gives exactly the result of joint_factor_counts.
     """
     specs = _validate_request(x, specs)
-    m = len(specs)
-    moduli = [_prime_powers(spec, x) for spec in specs]
-    for seg_lo in range(1, x + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, x)
-        n_seg = seg_hi - seg_lo + 1
-        counters = np.zeros((m, n_seg), dtype=np.uint8)
-        for i in range(m):
-            row = counters[i]
-            for q in moduli[i]:
-                start = ((seg_lo + q - 1) // q) * q
-                if start <= seg_hi:
-                    row[start - seg_lo :: q] += 1
-        if counters.max(initial=0) >= _SATURATION:
+    bounds = segment_bounds(1, x, segment_size)
+    keys = _count_keys(x, specs, -(-x // segment_size))
+    for seg_lo, seg_hi, values, tallies in _tallies(bounds, keys):
+        digits = values.view(np.uint8).reshape(values.size, -1)[:, : len(specs)]
+        if digits.max(initial=0) >= _SATURATION:
             raise RuntimeError("counter saturation: count exceeded one byte")
-        packed = counters[0].astype(np.uint64)
-        for i in range(1, m):
-            packed |= counters[i].astype(np.uint64) << np.uint64(8 * i)
-        values, tallies = np.unique(packed, return_counts=True)
-        partial: dict[tuple[int, ...], int] = {}
-        for v, c in zip(values.tolist(), tallies.tolist()):
-            key = tuple((v >> (8 * i)) & 0xFF for i in range(m))
-            partial[key] = int(c)
-        yield seg_lo, seg_hi, partial
+        yield seg_lo, seg_hi, dict(zip(map(tuple, digits.tolist()), tallies.tolist()))
 
 
 def joint_factor_counts(
@@ -224,39 +272,43 @@ def joint_pmf_of(counts: JointCounts) -> JointPmf:
     return JointPmf(dims=len(counts.specs), entries=entries, tail_bound=0.0)
 
 
-def smooth_part_distribution(
+def smooth_part_counts(
     x: int,
     y: int,
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> dict[int, int]:
-    """Counts of the y-smooth part of n over n in [1, x].
-
-    The y-smooth part of n is the largest divisor composed only of primes
-    <= y.  Built segment by segment: each prime power q = p^a <= x multiplies
-    the accumulator of its multiples by p, which yields p^{v_p(n)} in total.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct y-smooth parts of n in [1, x], ascending, and how many n
+    have each.  The y-smooth part of n is its largest divisor composed only
+    of primes <= y."""
     if y < 2:
         raise DomainError(f"smoothness bound must be >= 2, got {y}")
     if x < y:
         raise DomainError(f"x must be >= y, got x={x} < y={y}")
     if x > MAX_X:
         raise CapError(f"x={x} exceeds the cap of 2^40")
-    from .primesets import sieve_primes
+    root = math.isqrt(x)
+    primes = prime_array(1, min(y, root)).tolist()
 
-    primes = sieve_primes(y).primes
-    out: dict[int, int] = {}
-    for seg_lo in range(1, x + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, x)
-        smooth = np.ones(seg_hi - seg_lo + 1, dtype=np.uint64)
-        for p in primes:
-            q = p
-            while q <= seg_hi:
-                start = ((seg_lo + q - 1) // q) * q
-                if start <= seg_hi:
-                    smooth[start - seg_lo :: q] *= np.uint64(p)
-                q *= p
-        values, tallies = np.unique(smooth, return_counts=True)
-        for s, c in zip(values.tolist(), tallies.tolist()):
-            out[int(s)] = out.get(int(s), 0) + int(c)
-    return out
+    def keys(seg_lo: int, seg_hi: int) -> np.ndarray:
+        smooth = _small_part(seg_lo, seg_hi, primes)
+        if y > root:  # n is its sqrt(x)-smooth part times a cofactor, 1 or a prime
+            n = np.arange(seg_lo, seg_hi + 1, dtype=smooth.dtype)
+            smooth = np.where(n // smooth <= y, n, smooth)
+        return smooth
+
+    runs = list(_tallies(segment_bounds(1, x, segment_size), keys))
+    values, inverse = np.unique(np.concatenate([r[2] for r in runs]), return_inverse=True)
+    counts = np.bincount(inverse, weights=np.concatenate([r[3] for r in runs]))
+    return values, counts.astype(np.int64)  # float sums of counts < 2^53 are exact
+
+
+def smooth_part_distribution(
+    x: int,
+    y: int,
+    *,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+) -> dict[int, int]:
+    """Counts of the y-smooth part of n over n in [1, x], as a dict."""
+    values, counts = smooth_part_counts(x, y, segment_size=segment_size)
+    return dict(zip(values.tolist(), counts.tolist()))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dist import Pmf, TvResult
 from .errors import DomainError
-from .factorstats import CountMode, smooth_part_distribution
+from .factorstats import CountMode, smooth_part_counts
 from .primesets import PrimeSet, sieve_primes
 
 DEFAULT_TAIL_EPS = 1e-12
@@ -131,14 +131,11 @@ def model_tv_exact(x: int, y: int) -> TvResult:
     unobserved pattern has P_true = 0 and contributes nothing to this side of
     the difference, so the uncertainty is genuinely zero.
     """
-    smooth = smooth_part_distribution(x, y)
+    parts, cnts = smooth_part_counts(x, y)
     primes = sieve_primes(y).primes
     log_c = math.fsum(math.log1p(-1.0 / p) for p in primes)
-    n = float(x)
-    parts = np.array(sorted(smooth.keys()), dtype=float)
-    cnts = np.array([smooth[int(s)] for s in parts.tolist()], dtype=float)
-    p_true = cnts / n
-    p_model = np.exp(log_c - np.log(parts))
+    p_true = cnts / float(x)
+    p_model = np.exp(log_c - np.log(parts.astype(float)))
     gap = p_true - p_model
     value = float(np.sum(gap[gap > 0.0]))
     return TvResult(value=min(value, 1.0), uncertainty=0.0)

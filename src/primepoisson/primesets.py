@@ -1,17 +1,20 @@
 """Prime enumeration, validated prime-set containers, and harmonic sums over primes.
 
-Primes are generated by a segmented sieve of Eratosthenes so memory stays
-bounded by the segment size regardless of the interval endpoints.  Harmonic
-sums use exact compensated summation (math.fsum) over ascending primes.
+One segmented sieve of Eratosthenes serves enumeration, counting and PrimeSet
+validation.  Validation indexes a cached byte table below 2^21; above it, one
+sieve over the members' span when that is cheaper than a Miller-Rabin test
+per member (sparse sets keep Miller-Rabin).  Harmonic sums use math.fsum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 import mpmath
 import numpy as np
@@ -24,21 +27,14 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # a deterministic Miller-Rabin witness set certified for all n < 3.3e24.
 _TABLE_LIMIT = 1 << 21
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# One Miller-Rabin test takes about as long as sieving this many integers.
+_MR_COST = 1000
 
 
 @lru_cache(maxsize=1)
 def _prime_table() -> bytes:
-    return _simple_sieve(_TABLE_LIMIT).tobytes()
-
-
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Boolean array of length limit+1 marking primes up to limit."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
+    _, flags = next(_sieve(-1, _TABLE_LIMIT - 1, _TABLE_LIMIT))  # one segment: 0 .. 2^21 - 1
+    return flags.tobytes()
 
 
 def is_prime(n: int) -> bool:
@@ -47,16 +43,12 @@ def is_prime(n: int) -> bool:
         return n >= 0 and _prime_table()[n] == 1
     if n % 2 == 0:
         return False
-    d = n - 1
-    r = 0
+    d, r = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:  # every base is below n >= _TABLE_LIMIT
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
+        if x in (1, n - 1):
             continue
         for _ in range(r - 1):
             x = x * x % n
@@ -71,25 +63,35 @@ def is_prime(n: int) -> bool:
 class PrimeSet:
     """A strictly increasing tuple of primes with an optional label.
 
-    Every element is checked for primality on construction, so a PrimeSet in
-    hand is always a valid finite set of primes.
+    Every element is checked for primality on every construction (sieve
+    output included), so a PrimeSet in hand is a valid finite set of primes.
     """
 
     primes: tuple[int, ...]
     label: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(int(p) for p in self.primes))
-        prev = 1
-        for p in self.primes:
-            if p <= prev:
-                raise DomainError(f"primes must be strictly increasing, got {p} after {prev}")
-            prev = p
-        table = _prime_table()
-        for p in self.primes:
-            ok = table[p] == 1 if p < _TABLE_LIMIT else is_prime(p)
-            if not ok:
-                raise DomainError(f"{p} is not prime")
+        ps = tuple(map(int, self.primes))
+        object.__setattr__(self, "primes", ps)
+        prev = (1, *ps)
+        if not all(map(operator.lt, prev, ps)):
+            i = next(i for i, (a, b) in enumerate(zip(prev, ps)) if a >= b)
+            raise DomainError(f"primes must be strictly increasing, got {ps[i]} after {prev[i]}")
+        split = bisect_left(ps, _TABLE_LIMIT)
+        small, big = np.array(ps[:split], dtype=np.int64), ps[split:]
+        bad = small[np.frombuffer(_prime_table(), dtype=np.uint8)[small] == 0].tolist()
+        span = big[-1] - big[0] if big else 0
+        segments = span // DEFAULT_SEGMENT_SIZE + 1
+        # a sieve over the span also runs its base primes <= sqrt(max) per segment
+        if big and span + math.isqrt(big[-1]) * (1 + segments) < len(big) * _MR_COST:
+            members = np.array(big, dtype=np.int64)
+            for seg_lo, flags in _sieve(big[0] - 1, big[-1], DEFAULT_SEGMENT_SIZE):
+                i, j = np.searchsorted(members, (seg_lo, seg_lo + flags.size))
+                bad += members[i:j][~flags[members[i:j] - seg_lo]].tolist()
+        else:
+            bad += [p for p in big if not is_prime(p)]
+        if bad:
+            raise DomainError(f"{bad[0]} is not prime")
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -123,12 +125,41 @@ class HarmonicSums:
     h2: float
 
 
+def segment_bounds(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int]]:
+    """Inclusive segments (seg_lo, seg_hi) covering [lo, hi] in ascending order,
+    each at most segment_size long.  The one check of segment_size."""
+    if segment_size < 1:
+        raise DomainError(f"segment_size must be >= 1, got {segment_size}")
+    return ((s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size))
+
+
+def _sieve(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The segmented sieve of Eratosthenes over (lo, hi], lo >= -1: yields
+    (seg_lo, flags) with flags[i] true iff seg_lo + i is prime."""
+    bounds = segment_bounds(lo + 1, hi, segment_size)
+    base = prime_array(1, math.isqrt(hi)).tolist() if hi >= 4 else []
+    for seg_lo, seg_hi in bounds:
+        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
+        flags[: max(0, 2 - seg_lo)] = False  # 0 and 1 are not prime
+        for p in base:
+            start = max(p * p, -(-seg_lo // p) * p)
+            if start <= seg_hi:
+                flags[start - seg_lo :: p] = False
+        yield seg_lo, flags
+
+
+def prime_array(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+    """Primes in (lo, hi] as an ascending int64 array (raw sieve output)."""
+    chunks = [np.flatnonzero(flags) + seg_lo for seg_lo, flags in _sieve(lo, hi, segment_size)]
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+
+
 def sieve_primes(limit: int, *, label: str | None = None,
                  segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
     """All primes p <= limit, ascending.  limit < 2 is a domain error."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    return PrimeSet(_primes_in_range(1, int(limit), segment_size), label=label)
+    return PrimeSet(tuple(prime_array(1, int(limit), segment_size).tolist()), label=label)
 
 
 def primes_in_interval(lo: int, hi: int, *, label: str | None = None,
@@ -138,47 +169,12 @@ def primes_in_interval(lo: int, hi: int, *, label: str | None = None,
         raise DomainError(f"empty interval: hi={hi} < lo={lo}")
     if lo < 2:
         raise DomainError(f"interval lower endpoint must be >= 2, got {lo}")
-    return PrimeSet(_primes_in_range(int(lo), int(hi), segment_size), label=label)
-
-
-def _primes_in_range(lo: int, hi: int, segment_size: int) -> tuple[int, ...]:
-    """Primes in (lo, hi] via a segmented sieve; memory ~ segment_size."""
-    if hi <= lo:
-        return ()
-    root = math.isqrt(hi)
-    base = np.flatnonzero(_simple_sieve(max(root, 2)))
-    chunks = []
-    for seg_lo in range(lo + 1, hi + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, hi)
-        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        if seg_lo == 1:
-            flags[0] = False
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start <= seg_hi:
-                flags[start - seg_lo :: p] = False
-        chunks.append(np.flatnonzero(flags) + seg_lo)
-    return tuple(int(p) for p in np.concatenate(chunks)) if chunks else ()
+    return PrimeSet(tuple(prime_array(int(lo), int(hi), segment_size).tolist()), label=label)
 
 
 def count_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """pi(limit): the number of primes <= limit."""
-    if limit < 2:
-        return 0
-    root = math.isqrt(limit)
-    base = np.flatnonzero(_simple_sieve(max(root, 2)))
-    total = 0
-    for seg_lo in range(2, limit + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, limit)
-        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start <= seg_hi:
-                flags[start - seg_lo :: p] = False
-        total += int(flags.sum())
-    return total
+    return sum(int(np.count_nonzero(flags)) for _, flags in _sieve(1, limit, segment_size))
 
 
 def harmonic_sums(ps: PrimeSet) -> HarmonicSums:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from .dist import (
@@ -346,6 +347,20 @@ class Thm3Config:
     psi: float
 
 
+@lru_cache(maxsize=4)
+def _thm3_table(x: int, tset: PrimeSet) -> tuple[float, int, tuple]:
+    """h(primes <= x), the complement's size and the distinct-count table of
+    (T, complement) as immutable (vector, count) pairs, shared by every
+    (k, psi) cell of one (x, T)."""
+    full = sieve_primes(x)
+    complement = full.difference(tset)
+    if len(complement) == 0:
+        raise DomainError("T must be a proper subset of the primes <= x")
+    specs = (SetSpec(tset, CountMode.DISTINCT), SetSpec(complement, CountMode.DISTINCT))
+    table = tuple(joint_factor_counts(x, specs).counts.items())
+    return harmonic_sums(full).h, len(complement), table
+
+
 def check_thm3(cfg: Thm3Config) -> TheoremReport:
     """Exact conditional deviation probability against exp(-psi^2/3).
 
@@ -363,27 +378,17 @@ def check_thm3(cfg: Thm3Config) -> TheoremReport:
             f"need 1 <= k <= a_param*loglog(x) = {cfg.a_param * loglog:.6f}, got k={cfg.k}"
         )
 
-    full = sieve_primes(cfg.x)
-    complement = full.difference(cfg.tset)
-    if len(complement) == 0:
-        raise DomainError("T must be a proper subset of the primes <= x")
-    h_t = harmonic_sums(cfg.tset).h
-    h_s = harmonic_sums(full).h
-    alpha = h_t / h_s
+    h_s, complement_size, counts = _thm3_table(cfg.x, cfg.tset)
+    alpha = harmonic_sums(cfg.tset).h / h_s
     if not 0.0 <= cfg.psi <= math.sqrt(alpha * cfg.k):
         raise DomainError(
             f"need 0 <= psi <= sqrt(alpha*k) = {math.sqrt(alpha * cfg.k):.6f}, got {cfg.psi}"
         )
 
-    specs = (
-        SetSpec(cfg.tset, CountMode.DISTINCT),
-        SetSpec(complement, CountMode.DISTINCT),
-    )
-    counts = joint_factor_counts(cfg.x, specs)
     threshold = cfg.psi * math.sqrt(alpha * (1.0 - alpha) * cfg.k)
     conditioned = 0
     deviating = 0
-    for (a, b), c in counts.counts.items():
+    for (a, b), c in counts:
         if a + b != cfg.k:
             continue
         conditioned += c
@@ -402,7 +407,7 @@ def check_thm3(cfg: Thm3Config) -> TheoremReport:
         "alpha": alpha,
         "threshold": threshold,
         "t_size": len(cfg.tset),
-        "complement_size": len(complement),
+        "complement_size": complement_size,
         "conditioned_count": conditioned,
         "deviating_count": deviating,
     }

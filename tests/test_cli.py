@@ -92,6 +92,18 @@ def test_exit_code_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seg", ["0", "-5"])
+def test_segment_size_below_one_exits_2_without_traceback(tmp_path, seg):
+    proc = subprocess.run(
+        [sys.executable, "-m", "primepoisson", "counts", "--x", "100", "--set", "list:2",
+         "--segment-size", seg, "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "segment_size must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_exit_code_cap_refusal(tmp_path, capsys):
     code, _ = run(["counts", "--x", "1e13", "--set", "list:2"], tmp_path)
     assert code == 3

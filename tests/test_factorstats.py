@@ -195,3 +195,116 @@ def test_counts_csv_layout(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k_1,count"
     assert lines[1:] == ["0,33", "1,51", "2,16"]
+
+
+# ------------------------------------------------- kernel edge cases vs oracle
+
+
+def _edge_specs(x):
+    """Mixed-mode specs around sqrt(x): one set with members on both sides,
+    one whose members all lie above sqrt(x), one of small primes counted with
+    multiplicity.  Empty sets are dropped."""
+    primes = [p for p in sieve_primes(max(x, 2)).primes if p <= x] or [2, 3]
+    small = [p for p in primes if p * p <= x]
+    large = [p for p in primes if p * p > x]
+    sets = (
+        (small[::2] + large[::2], CountMode.DISTINCT),
+        (large[1::2], CountMode.WITH_MULTIPLICITY),
+        (small[1::2], CountMode.WITH_MULTIPLICITY),
+    )
+    return tuple(SetSpec(PrimeSet(tuple(sorted(ps))), mode) for ps, mode in sets if ps)
+
+
+EDGE_XS = [1, 2, 3, 4] + [p * p + d for p in (2, 3, 31, 97) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("x", EDGE_XS)
+def test_kernel_matches_oracle_at_square_edges(x):
+    specs = _edge_specs(x)
+    slow = oracle_factor_counts(x, specs).counts
+    for seg in (1, 7, 64, 1 << 20):
+        if seg == 1 and x > 1000:
+            continue  # one segment per n: covered at the smaller squares
+        assert joint_factor_counts(x, specs, segment_size=seg).counts == slow, seg
+
+
+def test_x_below_four_counts_two_as_a_large_prime():
+    # sqrt(x) < 2 for x = 2, 3: prime 2 must be counted once, not twice
+    for x in (2, 3):
+        for mode in CountMode:
+            specs = (SetSpec(PrimeSet((2,)), mode), SetSpec(PrimeSet((3,) if x == 3 else ()), mode))
+            assert joint_factor_counts(x, specs).counts == oracle_factor_counts(x, specs).counts
+
+
+def _counts_and_route(monkeypatch, x, specs, seg=1 << 20):
+    """Counts plus whether the cofactor pass ran (it alone multiplies out
+    sqrt(x)-smooth parts during counting)."""
+    from primepoisson import factorstats
+
+    calls = []
+    real = factorstats._small_part
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(factorstats, "_small_part", spy)
+    return joint_factor_counts(x, specs, segment_size=seg).counts, bool(calls)
+
+
+@pytest.mark.parametrize("seg", [64, 1 << 20])
+def test_each_large_prime_route_matches_oracle(monkeypatch, seg):
+    x = 97 * 97 + 1
+    primes = sieve_primes(x).primes
+    large = [p for p in primes if p > 97]
+    many = (dspec(*primes[:10]), mspec(*large))
+    few = (mspec(2, 3, 5), dspec(*large[:3]), dspec(97, large[-1]))
+    for specs, cofactor in ((many, True), (few, False)):
+        counts, route = _counts_and_route(monkeypatch, x, specs, seg)
+        assert route is cofactor
+        assert counts == oracle_factor_counts(x, specs).counts
+
+
+def test_cofactor_route_at_one_million_matches_first_moment(monkeypatch):
+    # (T, complement) as in Theorem 3: the complement's large primes take the cofactor route
+    x = 10**6
+    full = sieve_primes(x)
+    t = sieve_primes(100)
+    specs = (SetSpec(t, CountMode.DISTINCT), SetSpec(full.difference(t), CountMode.DISTINCT))
+    counts, route = _counts_and_route(monkeypatch, x, specs)
+    assert route and sum(counts.values()) == x
+    assert sum(k[1] * c for k, c in counts.items()) == sum(x // p for p in full.primes if p > 100)
+
+
+def test_smooth_parts_above_sqrt_x_match_factorization():
+    # y > sqrt(x): the smooth part takes the cofactor when that is <= y; y
+    # also exceeds the one-byte dtype of the first segments
+    x, y = 3000, 300
+    primes = sieve_primes(y).primes
+
+    def smooth_part(n):
+        s = 1
+        for p in primes:
+            while n % p == 0:
+                n //= p
+                s *= p
+        return s
+
+    direct: dict = {}
+    for s in map(smooth_part, range(1, x + 1)):
+        direct[s] = direct.get(s, 0) + 1
+    for seg in (1, 7, 1 << 20):
+        assert smooth_part_distribution(x, y, segment_size=seg) == direct
+
+
+# ----------------------------------------------------------- segment_size
+
+
+@pytest.mark.parametrize("seg", [0, -5])
+def test_segment_size_below_one_is_a_domain_error(seg):
+    with pytest.raises(DomainError, match="segment_size"):
+        joint_factor_counts(100, (dspec(2),), segment_size=seg)
+    with pytest.raises(DomainError, match="segment_size"):
+        list(iter_segment_counts(100, (dspec(2),), segment_size=seg))
+    with pytest.raises(DomainError, match="segment_size"):
+        smooth_part_distribution(100, 10, segment_size=seg)

@@ -179,3 +179,57 @@ def test_interval_decomposes_sieve(mid):
     low = sieve_primes(mid) if mid >= 2 else PrimeSet(())
     high = primes_in_interval(mid, 1000)
     assert low.primes + high.primes == full.primes
+
+
+# ------------------------------------------------- validation above 2^21
+
+
+def test_dense_block_above_table_is_sieved_and_names_the_composite(monkeypatch):
+    from primepoisson import primesets
+
+    block = primes_in_interval(2**21, 2**21 + 200_000).primes
+    monkeypatch.setattr(primesets, "is_prime", lambda n: pytest.fail("dense block must be sieved"))
+    assert PrimeSet(block).primes == block
+    # 2^21 + 1 = 3 * 699051; 1451 * 1453 has no factor below 1451
+    for composite in (2**21 + 1, 1451 * 1453):
+        with pytest.raises(DomainError, match=f"^{composite} is not prime$"):
+            PrimeSet(tuple(sorted(block + (composite,))))
+
+
+def test_sparse_members_above_table_use_miller_rabin(monkeypatch):
+    from primepoisson import primesets
+
+    monkeypatch.setattr(primesets, "_sieve", lambda *a: pytest.fail("a 10^9 span must not be sieved"))
+    assert PrimeSet((1000000007, 2000000011)).primes == (1000000007, 2000000011)
+    assert PrimeSet((3, 4294967311)).primes == (3, 4294967311)  # a prime above 2^32
+    # 151 * 751 * 28351: a strong pseudoprime to bases 2, 3, 5 and 7
+    with pytest.raises(DomainError, match="^3215031751 is not prime$"):
+        PrimeSet((1000000007, 3215031751))
+
+
+def test_order_errors_name_the_offending_members():
+    with pytest.raises(DomainError, match="got 1000000007 after 2000000011"):
+        PrimeSet((2000000011, 1000000007))
+    with pytest.raises(DomainError, match="got 1000000007 after 1000000007"):
+        PrimeSet((2, 1000000007, 1000000007))
+    with pytest.raises(DomainError, match="got 3 after 2097169"):
+        PrimeSet((2097169, 3))
+    with pytest.raises(DomainError, match="got 1 after 1"):
+        PrimeSet((1,))
+
+
+@pytest.mark.parametrize("seg", [0, -1])
+def test_segment_size_below_one_is_a_domain_error(seg):
+    with pytest.raises(DomainError, match="segment_size"):
+        sieve_primes(100, segment_size=seg)
+    with pytest.raises(DomainError, match="segment_size"):
+        count_primes(10, segment_size=seg)
+    with pytest.raises(DomainError, match="segment_size"):
+        primes_in_interval(10, 100, segment_size=seg)
+
+
+def test_count_primes_across_segment_sizes():
+    for seg in (1, 7, 64):
+        assert count_primes(1000, segment_size=seg) == 168
+        assert sieve_primes(1000, segment_size=seg).primes == tuple(naive_primes(1000))
+    assert count_primes(1) == count_primes(0) == count_primes(-7) == 0

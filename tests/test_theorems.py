@@ -172,6 +172,31 @@ def test_thm3_domain_checks():
         check_thm3(Thm3Config(x=10**4, tset=sieve_primes(10), k=2, a_param=1.0, psi=0.0))
 
 
+def test_thm3_cells_share_one_table_per_x_and_t(monkeypatch):
+    from primepoisson import theorems
+
+    cfgs = [
+        Thm3Config(x=10**4, tset=sieve_primes(30), k=k, a_param=3.0, psi=psi)
+        for k in (1, 2, 3)
+        for psi in (0.0, 0.5)
+    ]
+    theorems._thm3_table.cache_clear()
+    first = [check_thm3(cfg).as_json() for cfg in cfgs]
+    calls = []
+    real = theorems.joint_factor_counts
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, "joint_factor_counts", counting)
+    theorems._thm3_table.cache_clear()
+    again = [check_thm3(cfg).as_json() for cfg in cfgs]
+    assert again == first and len(calls) == 1
+    check_thm3(Thm3Config(x=10**4 + 1, tset=sieve_primes(30), k=2, a_param=3.0, psi=0.5))
+    assert len(calls) == 2  # another x is another table
+
+
 def test_thm3_empty_condition_is_distinct_error():
     # at x=100 no integer has 5 distinct prime factors (2*3*5*7*11 > 100)
     with pytest.raises(EmptyConditionError):
