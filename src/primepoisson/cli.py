@@ -11,7 +11,16 @@ Set arguments use a mini-language: ``interval:a..b[:mode]`` (primes in
 [a, b]), ``list:p1,p2,...[:mode]``, or ``expexp:k[:mode]`` (primes in the
 doubly exponential block (t_k, t_{k+1}]).  The mode is ``distinct`` (default)
 or ``multiplicity``.  Integer arguments accept scientific notation when it is
-exact (``1e6`` works, ``1.23e1`` does not).
+exact (``1e6`` works, ``1.23e1`` does not).  Float arguments (``--tail-eps``,
+``--a-param``, ``--psi``) must be finite numbers.
+
+Files are written only with ``--out-dir DIR``; without it a command prints
+its summary lines and writes nothing.  With it, every command writes its
+report ``<command>_report.json`` (``-`` becomes ``_``) and ``manifest.json``,
+and some also write a table: ``sieve`` writes ``primes.txt``, ``counts``
+``counts_table.csv``, ``model`` ``model_pmf.csv`` (with ``--set``) and
+``model_samples.csv`` (with ``--samples``), and ``halasz``, ``thm4`` and
+``sweep`` write ``<command>_table.csv``.
 
 Reports are JSON with sorted keys and repr-precision floats, so a fixed
 config and seed reproduce byte-identical files; timestamps and wall-clock
@@ -30,8 +39,9 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -57,6 +67,7 @@ from .primesets import (
     sieve_primes,
 )
 from .theorems import (
+    TheoremReport,
     Thm1Config,
     Thm2Config,
     Thm3Config,
@@ -84,6 +95,17 @@ def parse_count(text: str) -> int:
     if d != d.to_integral_value():
         raise DomainError(f"not an exact integer: {text!r}")
     return int(d)
+
+
+def parse_float(text: str) -> float:
+    """Parse a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise DomainError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_mode(token: str) -> CountMode:
@@ -166,7 +188,7 @@ class RunWriter:
         path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         self.files.append(filename)
 
-    def csv(self, filename: str, headers: list[str], rows: list[list]) -> None:
+    def csv(self, filename: str, headers: list[str], rows: Iterable[Sequence]) -> None:
         path = self.out_dir / filename
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -175,15 +197,11 @@ class RunWriter:
                 w.writerow([repr(v) if isinstance(v, float) else v for v in row])
         self.files.append(filename)
 
-    def text(self, filename: str, content: str) -> None:
-        (self.out_dir / filename).write_text(content)
-        self.files.append(filename)
-
 
 @dataclass
 class CommandResult:
     """What a handler computed: a report payload, an optional band value, and
-    stdout lines.  File writing happens only when a RunWriter is attached."""
+    stdout lines.  ``main`` writes the payload as the command's report."""
 
     name: str
     payload: dict
@@ -191,11 +209,32 @@ class CommandResult:
     lines: list[str] = field(default_factory=list)
 
 
-def _report_rows(reports: list) -> list[list]:
-    rows = []
-    for r in reports:
-        rows.append([r.name, r.lhs, r.rhs, "" if r.ratio is None else r.ratio, r.uncertainty])
-    return rows
+def _blank_if_none(v):
+    return "" if v is None else v
+
+
+def _theorem_result(report: TheoremReport) -> CommandResult:
+    ratio = "undefined" if report.ratio is None else repr(report.ratio)
+    line = f"lhs={report.lhs!r} rhs={report.rhs!r} ratio={ratio}"
+    return CommandResult(report.name, report.as_json(), band_value=report.ratio, lines=[line])
+
+
+def _report_list_result(
+    out: RunWriter | None,
+    table: str,
+    name: str,
+    reports: list[TheoremReport],
+    key: str,
+    band_value: float | None,
+) -> CommandResult:
+    """Result of a check that returns one report per k: the reports plus
+    their band value under ``key``, and one table row per report."""
+    if out:
+        rows = [[r.name, r.lhs, r.rhs, _blank_if_none(r.ratio), r.uncertainty] for r in reports]
+        out.csv(table, ["name", "lhs", "rhs", "ratio", "uncertainty"], rows)
+    payload = {"reports": [r.as_json() for r in reports], key: band_value}
+    line = f"reports={len(reports)} {key}={band_value!r}"
+    return CommandResult(name, payload, band_value=band_value, lines=[line])
 
 
 # ---------------------------------------------------------------- handlers
@@ -221,7 +260,6 @@ def _cmd_sieve(ns, out: RunWriter | None) -> CommandResult:
     if out:
         save_prime_set(ps, out.out_dir / "primes.txt")
         out.files.append("primes.txt")
-        out.json("sieve_report.json", payload)
     return CommandResult(name, payload, lines=[f"count={len(ps)}"])
 
 
@@ -235,8 +273,6 @@ def _cmd_harmonic(ns, out: RunWriter | None) -> CommandResult:
         "h1": hs.h1,
         "h2": hs.h2,
     }
-    if out:
-        out.json("harmonic_report.json", payload)
     line = f"h={hs.h!r} h1={hs.h1!r} h2={hs.h2!r}"
     return CommandResult(f"harmonic[{ns.set}]", payload, lines=[line])
 
@@ -256,7 +292,6 @@ def _cmd_counts(ns, out: RunWriter | None) -> CommandResult:
         headers = [f"k_{i+1}" for i in range(m)] + ["count"]
         rows = [list(k) + [c] for k, c in sorted(counts.counts.items())]
         out.csv("counts_table.csv", headers, rows)
-        out.json("counts_report.json", payload)
     return CommandResult(
         f"counts[x={x},m={len(specs)}]",
         payload,
@@ -265,7 +300,9 @@ def _cmd_counts(ns, out: RunWriter | None) -> CommandResult:
 
 
 def _cmd_model(ns, out: RunWriter | None) -> CommandResult:
-    tail_eps = float(ns.tail_eps)
+    if not ns.set and ns.samples is None:
+        raise DomainError("model needs --set and/or --samples")
+    tail_eps = parse_float(ns.tail_eps)
     payload: dict = {}
     lines: list[str] = []
     name = "model"
@@ -279,8 +316,7 @@ def _cmd_model(ns, out: RunWriter | None) -> CommandResult:
         name = f"model[{ns.set}]"
         lines.append(f"support={len(pmf)} mean={pmf.mean()!r} tail_bound={pmf.tail_bound!r}")
         if out:
-            pmf.write_csv(out.out_dir / "model_pmf.csv")
-            out.files.append("model_pmf.csv")
+            out.csv("model_pmf.csv", ["index", "probability"], enumerate(pmf.probs))
     if ns.samples is not None:
         if ns.sample_y is None:
             raise DomainError("--sample-y is required with --samples")
@@ -305,10 +341,6 @@ def _cmd_model(ns, out: RunWriter | None) -> CommandResult:
                     values, tallies = np.unique(matrix[:, j], return_counts=True)
                     rows.extend([p, int(v), int(c)] for v, c in zip(values, tallies))
                 out.csv("model_samples.csv", ["p", "exponent", "count"], rows)
-    if not ns.set and ns.samples is None:
-        raise DomainError("model needs --set and/or --samples")
-    if out:
-        out.json("model_report.json", payload)
     return CommandResult(name, payload, lines=lines)
 
 
@@ -326,8 +358,6 @@ def _cmd_model_tv(ns, out: RunWriter | None) -> CommandResult:
         "u_term": u_term,
         "ratio_to_u_term": tv.value / u_term,
     }
-    if out:
-        out.json("model_tv_report.json", payload)
     return CommandResult(
         f"model_tv[x={x},y={y}]",
         payload,
@@ -336,48 +366,25 @@ def _cmd_model_tv(ns, out: RunWriter | None) -> CommandResult:
     )
 
 
-def _theorem_result(prefix: str, report, extra_lines: list[str] | None = None) -> CommandResult:
-    payload = report.as_json()
-    lines = [
-        f"lhs={report.lhs!r} rhs={report.rhs!r} ratio="
-        + ("undefined" if report.ratio is None else repr(report.ratio))
-    ]
-    if extra_lines:
-        lines.extend(extra_lines)
-    return CommandResult(report.name, payload, band_value=report.ratio, lines=lines)
-
-
 def _cmd_thm1(ns, out: RunWriter | None) -> CommandResult:
     cfg = Thm1Config(
         x=parse_count(ns.x),
         y=parse_count(ns.y),
         specs=tuple(parse_set_spec(s) for s in ns.set),
-        tail_eps=float(ns.tail_eps),
+        tail_eps=parse_float(ns.tail_eps),
         include_decomposition=not ns.no_decomposition,
     )
-    report = check_thm1(cfg)
-    result = _theorem_result("thm1", report)
-    if out:
-        out.json("thm1_report.json", result.payload)
-    return result
+    return _theorem_result(check_thm1(cfg))
 
 
 def _cmd_thm2(ns, out: RunWriter | None) -> CommandResult:
     x = parse_count(ns.x)
     sets = tuple(parse_set_spec(s).primes for s in ns.set)
     ks = tuple(parse_count(tok) for tok in ns.k.split(","))
-    if ns.eta is None:
-        cfg = Thm2Config.infer(x, sets, ks)
-    else:
-        xi = parse_count(ns.xi) if ns.xi is not None else (
-            1 if parse_count(ns.eta) == 0 and all(k == 0 for k in ks) else 0
-        )
-        cfg = Thm2Config(x=x, sets=sets, ks=ks, eta=parse_count(ns.eta), xi=xi)
-    report = check_thm2(cfg)
-    result = _theorem_result("thm2", report)
-    if out:
-        out.json("thm2_report.json", result.payload)
-    return result
+    declared = {f: parse_count(v) for f, v in (("eta", ns.eta), ("xi", ns.xi)) if v is not None}
+    # check_thm2 rejects a declared flag that disagrees with the sets
+    cfg = replace(Thm2Config.infer(x, sets, ks), **declared)
+    return _theorem_result(check_thm2(cfg))
 
 
 def _cmd_thm3(ns, out: RunWriter | None) -> CommandResult:
@@ -386,14 +393,10 @@ def _cmd_thm3(ns, out: RunWriter | None) -> CommandResult:
         x=parse_count(ns.x),
         tset=spec.primes,
         k=parse_count(ns.k),
-        a_param=float(ns.a_param),
-        psi=float(ns.psi),
+        a_param=parse_float(ns.a_param),
+        psi=parse_float(ns.psi),
     )
-    report = check_thm3(cfg)
-    result = _theorem_result("thm3", report)
-    if out:
-        out.json("thm3_report.json", result.payload)
-    return result
+    return _theorem_result(check_thm3(cfg))
 
 
 def _cmd_halasz(ns, out: RunWriter | None) -> CommandResult:
@@ -401,65 +404,36 @@ def _cmd_halasz(ns, out: RunWriter | None) -> CommandResult:
     k_lo, k_hi = parse_count(ns.k_lo), parse_count(ns.k_hi)
     if k_hi < k_lo:
         raise DomainError(f"empty k range [{k_lo}, {k_hi}]")
-    reports = check_halasz(parse_count(ns.x), spec.primes, range(k_lo, k_hi + 1))
-    deviations = [abs(r.ratio - 1.0) for r in reports if r.ratio is not None]
-    band_value = max(deviations) if deviations else None
-    payload = {
-        "reports": [r.as_json() for r in reports],
-        "max_abs_ratio_minus_1": band_value,
-    }
-    if out:
-        out.json("halasz_report.json", payload)
-        out.csv(
-            "halasz_table.csv",
-            ["name", "lhs", "rhs", "ratio", "uncertainty"],
-            _report_rows(reports),
-        )
-    name = f"halasz[x={parse_count(ns.x)},k={k_lo}..{k_hi}]"
-    lines = [f"reports={len(reports)} max_abs_ratio_minus_1={band_value!r}"]
-    return CommandResult(name, payload, band_value=band_value, lines=lines)
+    x = parse_count(ns.x)
+    reports = check_halasz(x, spec.primes, range(k_lo, k_hi + 1))
+    band_value = max((abs(r.ratio - 1.0) for r in reports if r.ratio is not None), default=None)
+    name = f"halasz[x={x},k={k_lo}..{k_hi}]"
+    return _report_list_result(
+        out, "halasz_table.csv", name, reports, "max_abs_ratio_minus_1", band_value
+    )
 
 
 def _cmd_thm4(ns, out: RunWriter | None) -> CommandResult:
     spec = parse_set_spec(ns.set)
     k_max = parse_count(ns.k_max) if ns.k_max is not None else None
-    reports = check_thm4_local(spec.primes, spec.mode, float(ns.tail_eps), k_max)
-    ratios = [r.ratio for r in reports if r.ratio is not None]
-    band_value = max(ratios) if ratios else None
-    payload = {
-        "reports": [r.as_json() for r in reports],
-        "max_ratio": band_value,
-    }
-    if out:
-        out.json("thm4_report.json", payload)
-        out.csv(
-            "thm4_table.csv",
-            ["name", "lhs", "rhs", "ratio", "uncertainty"],
-            _report_rows(reports),
-        )
-    name = f"thm4[{ns.set}]"
-    return CommandResult(
-        name, payload, band_value=band_value, lines=[f"reports={len(reports)} max_ratio={band_value!r}"]
+    reports = check_thm4_local(spec.primes, spec.mode, parse_float(ns.tail_eps), k_max)
+    band_value = max((r.ratio for r in reports if r.ratio is not None), default=None)
+    return _report_list_result(
+        out, "thm4_table.csv", f"thm4[{ns.set}]", reports, "max_ratio", band_value
     )
 
 
 def _cmd_cor1(ns, out: RunWriter | None) -> CommandResult:
-    report = check_corollary1(
-        parse_count(ns.x), parse_count(ns.lo), parse_count(ns.hi), float(ns.tail_eps)
+    return _theorem_result(
+        check_corollary1(
+            parse_count(ns.x), parse_count(ns.lo), parse_count(ns.hi), parse_float(ns.tail_eps)
+        )
     )
-    result = _theorem_result("cor1", report)
-    if out:
-        out.json("cor1_report.json", result.payload)
-    return result
 
 
 def _cmd_cor32(ns, out: RunWriter | None) -> CommandResult:
     spec = parse_set_spec(ns.set)
-    report = check_cor32(spec.primes, spec.mode, float(ns.tail_eps))
-    result = _theorem_result("cor32", report)
-    if out:
-        out.json("cor32_report.json", result.payload)
-    return result
+    return _theorem_result(check_cor32(spec.primes, spec.mode, parse_float(ns.tail_eps)))
 
 
 def _row_to_argv(row: dict) -> list[str]:
@@ -534,14 +508,13 @@ def _cmd_sweep(ns, out: RunWriter | None) -> CommandResult:
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
 
-    indexed = list(enumerate(rows))
-    if not indexed:
-        records: list[dict] = []
-    elif workers == 1:
-        records = [_run_sweep_row(item) for item in indexed]
+    # under the fork start method the pool starts all its workers at once
+    workers = min(workers, len(rows))
+    if workers <= 1:
+        records = [_run_sweep_row(item) for item in enumerate(rows)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_sweep_row, indexed))
+            records = list(pool.map(_run_sweep_row, enumerate(rows)))
 
     ok = [r for r in records if r["status"] == "ok"]
     band_values = [r["band_value"] for r in ok if r.get("band_value") is not None]
@@ -557,7 +530,6 @@ def _cmd_sweep(ns, out: RunWriter | None) -> CommandResult:
         },
     }
     if out:
-        out.json("sweep_report.json", payload)
         headers = ["row", "command", "name", "band_value", "lhs", "rhs", "ratio", "status", "error"]
         table = []
         for r in records:
@@ -580,10 +552,6 @@ def _cmd_sweep(ns, out: RunWriter | None) -> CommandResult:
         f"max_band_value={summary_value!r}"
     ]
     return CommandResult(name, payload, band_value=summary_value, lines=lines)
-
-
-def _blank_if_none(v):
-    return "" if v is None else v
 
 
 _HANDLERS = {
@@ -611,27 +579,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out-dir", default=".", help="directory for reports and tables")
-        p.add_argument("--band-file", default=None, help="JSON regression-band file")
-        p.add_argument("--band-name", default=None, help="override the band lookup name")
-
     p = sub.add_parser("sieve", help="enumerate primes up to a limit or in an interval")
     p.add_argument("--limit", default=None, help="upper bound (primes <= limit)")
     p.add_argument("--lo", default=None, help="interval lower endpoint (primes in (lo, hi])")
     p.add_argument("--hi", default=None, help="interval upper endpoint")
-    common(p)
 
     p = sub.add_parser("harmonic", help="harmonic sums h, h1, h2 of a prime set")
     p.add_argument("--set", required=True, help="set spec (interval:/list:/expexp:)")
-    common(p)
 
     p = sub.add_parser("counts", help="exact joint factor-count tallies for n <= x")
     p.add_argument("--x", required=True)
     p.add_argument("--set", action="append", required=True, help="repeatable set spec")
     p.add_argument("--oracle", action="store_true", help="use the slow trial-division route")
     p.add_argument("--segment-size", default=str(1 << 20))
-    common(p)
 
     p = sub.add_parser("model", help="exact model law of a factor count; optional sampling")
     p.add_argument("--set", default=None, help="set spec for the exact law")
@@ -644,12 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write raw (sample, p, exponent) rows instead of aggregated counts",
     )
-    common(p)
 
     p = sub.add_parser("model-tv", help="exact model-vs-truth distance over exponent vectors")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    common(p)
 
     p = sub.add_parser("thm1", help="joint Poisson comparison for factor counts")
     p.add_argument("--x", required=True)
@@ -657,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", required=True, help="repeatable set spec")
     p.add_argument("--tail-eps", default="1e-12")
     p.add_argument("--no-decomposition", action="store_true")
-    common(p)
 
     p = sub.add_parser("thm2", help="uniform upper bound for a joint count vector")
     p.add_argument("--x", required=True)
@@ -665,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="comma-separated target counts")
     p.add_argument("--eta", default=None, help="0/1 covering flag (inferred when omitted)")
     p.add_argument("--xi", default=None, help="0/1 degenerate flag (inferred when omitted)")
-    common(p)
 
     p = sub.add_parser("thm3", help="conditional concentration of the count over T")
     p.add_argument("--x", required=True)
@@ -673,38 +629,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--a-param", default="3.0")
     p.add_argument("--psi", required=True)
-    common(p)
 
     p = sub.add_parser("halasz", help="pointwise Poisson comparison for multiplicity counts")
     p.add_argument("--x", required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--k-lo", required=True)
     p.add_argument("--k-hi", required=True)
-    common(p)
 
     p = sub.add_parser("thm4", help="pointwise model-vs-Poisson local bound")
     p.add_argument("--set", required=True)
     p.add_argument("--k-max", default=None)
     p.add_argument("--tail-eps", default="1e-12")
-    common(p)
 
     p = sub.add_parser("cor1", help="joint Poisson(1) comparison over expexp blocks")
     p.add_argument("--x", required=True)
     p.add_argument("--lo", required=True, help="smallest block index")
     p.add_argument("--hi", required=True, help="largest block index")
     p.add_argument("--tail-eps", default="1e-12")
-    common(p)
 
     p = sub.add_parser("cor32", help="model-vs-Poisson total variation bound")
     p.add_argument("--set", required=True)
     p.add_argument("--tail-eps", default="1e-12")
-    common(p)
 
     p = sub.add_parser("sweep", help="run a grid of sub-configs with band checks")
     p.add_argument("--grid", required=True, help="JSON grid file with a 'rows' list")
     p.add_argument("--workers", default=None, help="worker processes (default: cpu count)")
-    common(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--out-dir", default=None, help="write the report, tables and manifest here")
+        p.add_argument("--band-file", default=None, help="JSON regression-band file")
+        p.add_argument("--band-name", default=None, help="override the band lookup name")
     return parser
 
 
@@ -713,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         started = time.perf_counter()
-        out = RunWriter(ns.out_dir)
+        out = RunWriter(ns.out_dir) if ns.out_dir is not None else None
         result = _HANDLERS[ns.command](ns, out)
         elapsed = time.perf_counter() - started
 
@@ -735,16 +689,18 @@ def main(argv: list[str] | None = None) -> int:
             if verdict == "fail":
                 code = EXIT_BAND_FAIL
 
-        manifest = {
-            "version": __version__,
-            "command": ns.command,
-            "config": {k: v for k, v in vars(ns).items() if k != "command"},
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "wall_clock_seconds": {"total": elapsed},
-            "band_verdicts": verdicts,
-            "outputs": out.files,
-        }
-        out.json("manifest.json", manifest)
+        if out:
+            out.json(f"{ns.command.replace('-', '_')}_report.json", result.payload)
+            manifest = {
+                "version": __version__,
+                "command": ns.command,
+                "config": {k: v for k, v in vars(ns).items() if k != "command"},
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "wall_clock_seconds": {"total": elapsed},
+                "band_verdicts": verdicts,
+                "outputs": out.files,
+            }
+            out.json("manifest.json", manifest)
         for line in result.lines:
             print(line)
         for v in verdicts:

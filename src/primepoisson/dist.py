@@ -8,11 +8,9 @@ uncertainty instead of silently ignoring it.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,17 +68,6 @@ class Pmf:
     def as_json(self) -> dict:
         return {"probs": list(self.probs), "tail_bound": self.tail_bound}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Pmf":
-        return cls(tuple(obj["probs"]), float(obj["tail_bound"]))
-
-    def write_csv(self, path: str | Path) -> None:
-        """Two columns: index, probability."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "probability"])
-            for k, v in enumerate(self.probs):
-                w.writerow([k, repr(v)])
 
 
 @dataclass(frozen=True)

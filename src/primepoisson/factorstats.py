@@ -17,12 +17,10 @@ cross-checking.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
@@ -77,15 +75,6 @@ class JointCounts:
         for key, c in self.counts.items():
             out[key[i]] = out.get(key[i], 0) + c
         return out
-
-    def write_csv(self, path: str | Path) -> None:
-        """One row per count vector: k_1,...,k_m,count (sorted by vector)."""
-        m = len(self.specs)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"k_{i+1}" for i in range(m)] + ["count"])
-            for key in sorted(self.counts):
-                w.writerow(list(key) + [self.counts[key]])
 
     def as_json(self) -> dict:
         return {

@@ -12,7 +12,6 @@ computed exactly through smooth parts.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -112,13 +111,6 @@ def sample_exponent_matrix(y: int, seed: int, n_samples: int) -> tuple[tuple[int
         v = -np.log1p(-u)
         out[block_start : block_start + block_len] = np.floor(v / log_p).astype(np.int64)
     return primes, out
-
-
-def model_sample_vector(y: int, seed: int, n_samples: int) -> Iterator[dict[int, int]]:
-    """Stream sampled exponent assignments {p: X_p} for all primes p <= y."""
-    primes, matrix = sample_exponent_matrix(y, seed, n_samples)
-    for row in matrix:
-        yield {p: int(k) for p, k in zip(primes, row)}
 
 
 def model_tv_exact(x: int, y: int) -> TvResult:

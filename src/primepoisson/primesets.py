@@ -107,10 +107,6 @@ class PrimeSet:
         drop = set(other.primes)
         return PrimeSet(tuple(p for p in self.primes if p not in drop), label=label)
 
-    def intersects(self, other: "PrimeSet") -> bool:
-        small, big = (self, other) if len(self) <= len(other) else (other, self)
-        return any(p in big for p in small.primes)
-
 
 @dataclass(frozen=True)
 class HarmonicSums:

@@ -263,10 +263,14 @@ class Thm2Config:
         """Build a config with eta and xi computed from the sets."""
         sets = tuple(sets)
         ks = tuple(int(k) for k in ks)
-        covered = sum(len(s) for s in sets)
-        eta = 0 if covered == count_primes(x) else 1
-        xi = 1 if eta == 0 and all(k == 0 for k in ks) else 0
+        eta, xi = _thm2_flags(x, sets, ks)
         return cls(x=x, sets=sets, ks=ks, eta=eta, xi=xi)
+
+
+def _thm2_flags(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> tuple[int, int]:
+    """The (eta, xi) that Thm2Config documents for these sets and counts."""
+    eta = 0 if sum(len(s) for s in sets) == count_primes(x) else 1
+    return eta, 1 if eta == 0 and all(k == 0 for k in ks) else 0
 
 
 def check_thm2(cfg: Thm2Config) -> TheoremReport:
@@ -285,14 +289,12 @@ def check_thm2(cfg: Thm2Config) -> TheoremReport:
     if cfg.eta not in (0, 1) or cfg.xi not in (0, 1):
         raise DomainError("eta and xi must be 0 or 1")
 
-    covered = sum(len(s) for s in cfg.sets)
-    eta_true = 0 if covered == count_primes(cfg.x) else 1
+    eta_true, xi_true = _thm2_flags(cfg.x, cfg.sets, cfg.ks)
     if cfg.eta != eta_true:
         raise DomainError(
             f"declared eta={cfg.eta} but the sets {'do' if eta_true == 0 else 'do not'} "
             f"cover all primes <= x"
         )
-    xi_true = 1 if cfg.eta == 0 and all(k == 0 for k in cfg.ks) else 0
     if cfg.xi != xi_true:
         raise DomainError(f"declared xi={cfg.xi} inconsistent with eta and the counts")
 

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from primepoisson import CountMode, DomainError
-from primepoisson.cli import main, parse_count, parse_set_spec
+from primepoisson import CountMode, DomainError, cli
+from primepoisson.cli import main, parse_count, parse_float, parse_set_spec
 
 
 def run(argv, tmp_path, sub=None):
@@ -61,6 +61,14 @@ def test_parse_count_scientific_notation():
         parse_count("abc")
 
 
+def test_parse_float_rejects_non_finite():
+    assert parse_float("1e-12") == 1e-12
+    assert parse_float("3") == 3.0
+    for bad in ["abc", "", "inf", "-inf", "nan"]:
+        with pytest.raises(DomainError):
+            parse_float(bad)
+
+
 def test_parse_set_spec_kinds():
     s = parse_set_spec("interval:2..31:distinct")
     assert s.primes.primes[0] == 2 and s.primes.primes[-1] == 31
@@ -102,6 +110,37 @@ def test_segment_size_below_one_exits_2_without_traceback(tmp_path, seg):
     )
     assert proc.returncode == 2
     assert "segment_size must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cor32", "--set", "list:11", "--tail-eps", "abc"],
+        ["thm3", "--x", "1e4", "--set", "interval:2..30", "--k", "3", "--psi", "abc"],
+    ],
+)
+def test_bad_float_exits_2_without_traceback(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "primepoisson", *argv, "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_thm2_declared_xi_is_checked(tmp_path, capsys):
+    code, _ = run(["thm2", "--x", "100", "--set", "list:2", "--k", "1", "--xi", "1"], tmp_path)
+    assert code == 2
+    assert "xi=1" in capsys.readouterr().err
+
+
+def test_thm2_declared_eta_infers_xi(tmp_path):
+    sets = ["--set", "interval:2..50", "--set", "interval:51..100"]
+    code, out = run(["thm2", "--x", "100", *sets, "--k", "0,0", "--eta", "0"], tmp_path)
+    assert code == 0
+    params = json.loads((out / "thm2_report.json").read_text())["params"]
+    assert (params["eta"], params["xi"]) == (0, 1)
 
 
 def test_exit_code_cap_refusal(tmp_path, capsys):
@@ -199,6 +238,50 @@ def test_sweep_cap_row_isolated(tmp_path):
     assert report["summary"]["ok"] == 1
 
 
+def test_sweep_bad_float_row_isolated(tmp_path):
+    grid = tmp_path / "grid.json"
+    rows = [
+        {"command": "cor32", "set": "list:11", "tail_eps": "abc"},
+        {"command": "harmonic", "set": "list:2,3,5"},
+    ]
+    grid.write_text(json.dumps({"name": "badfloat", "rows": rows}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in report["rows"]] == ["error", "ok"]
+
+
+@pytest.mark.parametrize(
+    "n_rows, expected", [(1, []), (2, [2]), (3, [3])], ids=["1-row", "2-rows", "3-rows"]
+)
+def test_sweep_pool_no_larger_than_grid(tmp_path, monkeypatch, n_rows, expected):
+    sizes = []
+
+    class PoolRecorder:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", PoolRecorder)
+    grid = tmp_path / "grid.json"
+    rows = [{"command": "harmonic", "set": "list:2,3,5"}] * n_rows
+    grid.write_text(json.dumps({"name": "pool", "rows": rows}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "8"], tmp_path)
+    assert code == 0
+    assert sizes == expected
+    assert json.loads((out / "sweep_report.json").read_text())["summary"]["ok"] == n_rows
+
+
 def test_sweep_identical_across_worker_counts(tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(
@@ -237,6 +320,54 @@ def test_sweep_band_check_on_summary(tmp_path):
         tmp_path,
     )
     assert code == 1
+
+
+# ---------------------------------------------------------------- artifacts
+
+
+# command -> (arguments, the tables it writes next to its report and manifest)
+ARTIFACT_CASES = {
+    "sieve": (["--limit", "30"], {"primes.txt"}),
+    "harmonic": (["--set", "list:2,3,5"], set()),
+    "counts": (["--x", "100", "--set", "list:2,3"], {"counts_table.csv"}),
+    "model": (
+        ["--set", "list:2,3", "--samples", "10", "--sample-y", "5"],
+        {"model_pmf.csv", "model_samples.csv"},
+    ),
+    "model-tv": (["--x", "100", "--y", "5"], set()),
+    "thm1": (["--x", "1000", "--y", "10", "--set", "interval:2..10"], set()),
+    "thm2": (["--x", "100", "--set", "interval:2..10", "--k", "1"], set()),
+    "thm3": (["--x", "1e4", "--set", "interval:2..30", "--k", "3", "--psi", "0.5"], set()),
+    "halasz": (
+        ["--x", "1000", "--set", "interval:2..30", "--k-lo", "0", "--k-hi", "2"],
+        {"halasz_table.csv"},
+    ),
+    "thm4": (["--set", "list:2,3"], {"thm4_table.csv"}),
+    "cor1": (["--x", "1e4", "--lo", "0", "--hi", "1"], set()),
+    "cor32": (["--set", "list:11"], set()),
+    "sweep": (["--grid", "GRID", "--workers", "1"], {"sweep_table.csv"}),
+}
+
+
+@pytest.mark.parametrize("command", list(ARTIFACT_CASES))
+def test_out_dir_artifact_names(tmp_path, command):
+    args, tables = ARTIFACT_CASES[command]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": [{"command": "harmonic", "set": "list:2"}]}))
+    args = [str(grid) if a == "GRID" else a for a in args]
+    code, out = run([command, *args], tmp_path)
+    assert code == 0
+    expected = {command.replace("-", "_") + "_report.json", "manifest.json"} | tables
+    assert {p.name for p in out.iterdir()} == expected
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == expected - {"manifest.json"}
+
+
+def test_no_out_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["harmonic", "--set", "list:2,3,5"]) == 0
+    assert main(["counts", "--x", "100", "--set", "list:2,3"]) == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ entry points

@@ -41,13 +41,6 @@ def test_pmf_series_is_probability_generating_function():
     assert pmf.series(2.0) == pytest.approx(0.5 + 0.5 + 1.0, abs=1e-15)
 
 
-def test_pmf_json_roundtrip():
-    pmf = poisson_pmf(0.7)
-    again = Pmf.from_json(pmf.as_json())
-    assert again.probs == pmf.probs
-    assert again.tail_bound == pmf.tail_bound
-
-
 def test_poisson_k0_closed_form():
     assert poisson_pmf(1.0).prob(0) == pytest.approx(math.exp(-1), abs=1e-15)
 

@@ -188,15 +188,6 @@ def test_smooth_part_is_partition_and_matches_factorization():
     assert dist == direct
 
 
-def test_counts_csv_layout(tmp_path):
-    jc = joint_factor_counts(100, (dspec(2, 3),))
-    path = tmp_path / "t.csv"
-    jc.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k_1,count"
-    assert lines[1:] == ["0,33", "1,51", "2,16"]
-
-
 # ------------------------------------------------- kernel edge cases vs oracle
 
 

@@ -14,7 +14,6 @@ from primepoisson import (
     PrimeSet,
     harmonic_sums,
     model_exact_pmf,
-    model_sample_vector,
     model_tv_exact,
     sample_exponent_matrix,
     sieve_primes,
@@ -116,15 +115,6 @@ def test_sampler_prefix_stability():
     _, small = sample_exponent_matrix(10, 7, 1000)
     _, large = sample_exponent_matrix(10, 7, 9000)
     assert np.array_equal(large[:1000], small)
-
-
-def test_sample_vector_stream_matches_matrix():
-    primes, matrix = sample_exponent_matrix(5, 42, 20)
-    rows = list(model_sample_vector(5, 42, 20))
-    assert len(rows) == 20
-    for i, row in enumerate(rows):
-        for j, p in enumerate(primes):
-            assert row.get(p, 0) == matrix[i, j]
 
 
 def test_empirical_frequencies_one_million():

@@ -160,8 +160,6 @@ def test_prime_set_membership_and_difference():
     assert 29 in ps and 28 not in ps
     rest = ps.difference(PrimeSet((2, 3, 5)))
     assert rest.primes == (7, 11, 13, 17, 19, 23, 29)
-    assert ps.intersects(PrimeSet((29,)))
-    assert not rest.intersects(PrimeSet((2, 3)))
 
 
 def test_prime_set_roundtrip(tmp_path):
