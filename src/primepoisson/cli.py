@@ -49,7 +49,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dist import poisson_pmf, tv_distance
 from .errors import CapError, DomainError
 from .factorstats import (
     CountMode,
@@ -180,17 +179,19 @@ class RunWriter:
 
     def __init__(self, out_dir: str | Path):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files: list[str] = []
 
+    def path(self, filename: str) -> Path:
+        """Where to write filename; the directory is made on the first write."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / filename
+
     def json(self, filename: str, obj) -> None:
-        path = self.out_dir / filename
-        path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        self.path(filename).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         self.files.append(filename)
 
     def csv(self, filename: str, headers: list[str], rows: Iterable[Sequence]) -> None:
-        path = self.out_dir / filename
-        with open(path, "w", newline="") as fh:
+        with open(self.path(filename), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(headers)
             for row in rows:
@@ -258,7 +259,7 @@ def _cmd_sieve(ns, out: RunWriter | None) -> CommandResult:
     payload["first"] = ps.primes[0] if ps.primes else None
     payload["last"] = ps.primes[-1] if ps.primes else None
     if out:
-        save_prime_set(ps, out.out_dir / "primes.txt")
+        save_prime_set(ps, out.path("primes.txt"))
         out.files.append("primes.txt")
     return CommandResult(name, payload, lines=[f"count={len(ps)}"])
 
@@ -437,6 +438,8 @@ def _cmd_cor32(ns, out: RunWriter | None) -> CommandResult:
 
 
 def _row_to_argv(row: dict) -> list[str]:
+    if not isinstance(row, dict):
+        raise DomainError(f"sweep row must be a JSON object, got {row!r}")
     row = dict(row)
     try:
         command = str(row.pop("command"))
@@ -460,7 +463,8 @@ def _row_to_argv(row: dict) -> list[str]:
 def _run_sweep_row(indexed_row: tuple[int, dict]) -> dict:
     """Execute one sweep row in compute-only mode; never raises."""
     index, row = indexed_row
-    record: dict = {"row": index, "command": row.get("command", ""), "config": row}
+    command = row.get("command", "") if isinstance(row, dict) else ""
+    record: dict = {"row": index, "command": command, "config": row}
     try:
         argv = _row_to_argv(row)
         parser = build_parser()

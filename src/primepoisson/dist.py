@@ -8,16 +8,28 @@ uncertainty instead of silently ignoring it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapError, DomainError
 
 MASS_SLACK = 1e-12
+
+
+def _check_mass(probs: np.ndarray, tail_bound: float, what: str) -> None:
+    """The invariant of both pmf types: tail_bound >= 0, probs >= 0, fsum in the mass window."""
+    if tail_bound < 0.0:
+        raise DomainError(f"tail_bound must be >= 0, got {tail_bound}")
+    if (probs < 0.0).any():
+        raise DomainError(f"{what} entries must be nonnegative")
+    s = math.fsum(probs.flat)
+    if s > 1.0 + MASS_SLACK or s < 1.0 - tail_bound - MASS_SLACK:
+        raise DomainError(
+            f"{what} mass {s} outside [1 - tail_bound, 1] window (tail_bound={tail_bound})"
+        )
 
 
 @dataclass(frozen=True)
@@ -36,15 +48,7 @@ class Pmf:
         object.__setattr__(self, "probs", tuple(float(v) for v in self.probs))
         if not self.probs:
             raise DomainError("a pmf needs at least one entry")
-        if self.tail_bound < 0.0:
-            raise DomainError(f"tail_bound must be >= 0, got {self.tail_bound}")
-        if any(v < 0.0 for v in self.probs):
-            raise DomainError("pmf entries must be nonnegative")
-        s = math.fsum(self.probs)
-        if s > 1.0 + MASS_SLACK or s < 1.0 - self.tail_bound - MASS_SLACK:
-            raise DomainError(
-                f"pmf mass {s} outside [1 - tail_bound, 1] window (tail_bound={self.tail_bound})"
-            )
+        _check_mass(np.array(self.probs), self.tail_bound, "pmf")
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -70,42 +74,32 @@ class Pmf:
 
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPmf:
-    """Sparse joint pmf on m-tuples of nonnegative integers."""
+    """Joint pmf on m-tuples of nonnegative integers, dense over its support
+    box: probs[k_1, ..., k_m] approximates P(X = (k_1, ..., k_m)), tuples
+    outside the box have probability zero, and the missing mass is at most
+    tail_bound."""
 
-    dims: int
-    entries: dict[tuple[int, ...], float]
+    probs: np.ndarray
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        if self.dims < 1:
-            raise DomainError(f"dims must be >= 1, got {self.dims}")
-        if self.tail_bound < 0.0:
-            raise DomainError(f"tail_bound must be >= 0, got {self.tail_bound}")
-        for key, v in self.entries.items():
-            if len(key) != self.dims:
-                raise DomainError(f"key {key} has length {len(key)}, expected {self.dims}")
-            if any(k < 0 for k in key):
-                raise DomainError(f"key {key} has a negative coordinate")
-            if v < 0.0:
-                raise DomainError(f"entry {key} has negative mass {v}")
-        s = math.fsum(self.entries.values())
-        if s > 1.0 + MASS_SLACK or s < 1.0 - self.tail_bound - MASS_SLACK:
-            raise DomainError(
-                f"joint mass {s} outside [1 - tail_bound, 1] window (tail_bound={self.tail_bound})"
-            )
+        probs = np.asarray(self.probs, dtype=np.float64).view()
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        if probs.ndim < 1:
+            raise DomainError("a joint pmf needs at least one axis")
+        _check_mass(probs, self.tail_bound, "joint")
 
-    def prob(self, key: tuple[int, ...]) -> float:
-        return self.entries.get(tuple(key), 0.0)
+    @property
+    def dims(self) -> int:
+        return self.probs.ndim
 
-    def as_json(self) -> dict:
-        items = sorted(self.entries.items())
-        return {
-            "dims": self.dims,
-            "entries": [[list(k), v] for k, v in items],
-            "tail_bound": self.tail_bound,
-        }
+    @property
+    def entries(self) -> dict[tuple[int, ...], float]:
+        """{key: probability} over every cell of the box, built on each access."""
+        return dict(zip(np.ndindex(self.probs.shape), self.probs.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -122,9 +116,6 @@ class TvResult:
             raise DomainError(f"uncertainty must be >= 0, got {self.uncertainty}")
         if self.value + self.uncertainty > 1.0 + MASS_SLACK:
             raise DomainError("value + uncertainty exceeds 1")
-
-    def as_json(self) -> dict:
-        return {"value": self.value, "uncertainty": self.uncertainty}
 
 
 def poisson_pmf(lam: float, tail_eps: float = 1e-12) -> Pmf:
@@ -166,26 +157,39 @@ def poisson_pmf(lam: float, tail_eps: float = 1e-12) -> Pmf:
     return Pmf(tuple(probs), tail_bound)
 
 
+def check_grid(shape: Sequence[int], what: str) -> None:
+    """Refuse a joint-law array of more than 20 M cells before it is built."""
+    cells = math.prod(shape)
+    if cells > 20_000_000:
+        raise CapError(f"{what} of {cells} entries is too large")
+
+
+def _tv(p: np.ndarray, q: np.ndarray, tail_bound: float) -> TvResult:
+    """Half the correctly rounded sum of |p - q|, zero-padded to one box."""
+    shape = tuple(map(max, p.shape, q.shape))
+    check_grid(shape, "tv grid")
+    diff = np.zeros(shape)
+    diff[tuple(map(slice, p.shape))] = p
+    diff[tuple(map(slice, q.shape))] -= q
+    value = min(1.0, 0.5 * math.fsum(np.abs(diff).flat))
+    return TvResult(value=value, uncertainty=min(1.0 - value, 0.5 * tail_bound))
+
+
 def tv_distance(p: Pmf, q: Pmf) -> TvResult:
     """Total variation between two 1-D pmfs over the union of stored supports.
 
     The halved sum of absolute differences covers the stored mass; whatever
     either pmf truncated away is folded into the uncertainty.
     """
-    n = max(len(p), len(q))
-    total = math.fsum(abs(p.prob(k) - q.prob(k)) for k in range(n))
-    value = min(1.0, 0.5 * total)
-    return TvResult(value=value, uncertainty=min(1.0 - value, 0.5 * (p.tail_bound + q.tail_bound)))
+    return _tv(np.array(p.probs), np.array(q.probs), p.tail_bound + q.tail_bound)
 
 
 def tv_distance_joint(p: JointPmf, q: JointPmf) -> TvResult:
-    """Total variation between two sparse joint pmfs of equal dimension."""
+    """Total variation between two joint pmfs of equal dimension, over the
+    union of their boxes."""
     if p.dims != q.dims:
         raise DomainError(f"dimension mismatch: {p.dims} vs {q.dims}")
-    keys = p.entries.keys() | q.entries.keys()
-    total = math.fsum(abs(p.prob(k) - q.prob(k)) for k in sorted(keys))
-    value = min(1.0, 0.5 * total)
-    return TvResult(value=value, uncertainty=min(1.0 - value, 0.5 * (p.tail_bound + q.tail_bound)))
+    return _tv(p.probs, q.probs, p.tail_bound + q.tail_bound)
 
 
 def product_joint(components: Sequence[Pmf]) -> JointPmf:
@@ -199,27 +203,18 @@ def product_joint(components: Sequence[Pmf]) -> JointPmf:
     comps = list(components)
     if not comps:
         raise DomainError("product_joint needs at least one component")
-    grid = 1
-    for c in comps:
-        grid *= len(c)
-    if grid > 20_000_000:
-        raise DomainError(f"product grid of {grid} entries is too large")
+    check_grid([len(c) for c in comps], "product grid")
 
     arrays = [np.asarray(c.probs) for c in comps]
     out = arrays[0]
     for a in arrays[1:]:
         out = np.multiply.outer(out, a)
-    flat = out.reshape(-1)
-    ranges = [range(len(c)) for c in comps]
-    entries: dict[tuple[int, ...], float] = {
-        key: float(v) for key, v in zip(itertools.product(*ranges), flat)
-    }
 
-    kept = math.fsum(flat.tolist())
+    kept = math.fsum(out.flat)
     exact_product = math.prod(math.fsum(c.probs) for c in comps)
     rounding_loss = max(0.0, exact_product - kept)
     tail = math.fsum(c.tail_bound for c in comps) + rounding_loss
-    return JointPmf(dims=len(comps), entries=entries, tail_bound=min(tail, 1.0))
+    return JointPmf(out, tail_bound=min(tail, 1.0))
 
 
 def binomial_pmf(k: int, alpha: float) -> Pmf:

@@ -21,11 +21,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .dist import JointPmf
+from .dist import JointPmf, check_grid
 from .errors import CapError, DomainError
 from .primesets import DEFAULT_SEGMENT_SIZE, PrimeSet, prime_array, segment_bounds
 
@@ -255,10 +255,13 @@ def oracle_factor_counts(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> 
 
 
 def joint_pmf_of(counts: JointCounts) -> JointPmf:
-    """Empirical joint pmf: counts / x, exact support, tail_bound 0."""
-    x = counts.x
-    entries = {key: c / x for key, c in counts.counts.items()}
-    return JointPmf(dims=len(counts.specs), entries=entries, tail_bound=0.0)
+    """Empirical joint pmf: counts / x over the box of the observed keys, tail_bound 0."""
+    keys = np.array(list(counts.counts), dtype=np.intp)
+    shape = keys.max(axis=0) + 1
+    check_grid(shape.tolist(), "empirical grid")
+    probs = np.zeros(shape)
+    probs[tuple(keys.T)] = np.array(list(counts.counts.values())) / counts.x
+    return JointPmf(probs, tail_bound=0.0)
 
 
 def smooth_part_counts(

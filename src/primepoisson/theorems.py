@@ -11,13 +11,11 @@ against any particular constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .dist import (
-    Pmf,
-    TvResult,
     poisson_pmf,
     product_joint,
     tv_distance,
@@ -118,16 +116,19 @@ def check_thm1(cfg: Thm1Config) -> TheoremReport:
                 raise DomainError(f"prime {p} exceeds the smoothness bound y={cfg.y}")
 
     u = math.log(cfg.x) / math.log(cfg.y)
-    counts = joint_factor_counts(cfg.x, cfg.specs)
-    empirical = joint_pmf_of(counts)
-
     summaries = [_set_summary(s) for s in cfg.specs]
     rates = [
         s["h"] if spec.mode is CountMode.DISTINCT else s["h1"]
         for s, spec in zip(summaries, cfg.specs)
     ]
+    # both product laws come first, so a grid over the cap is refused before the count
     poisson_joint = product_joint([poisson_pmf(lam, cfg.tail_eps) for lam in rates])
-    tv = tv_distance_joint(empirical, poisson_joint)
+    if cfg.include_decomposition:
+        model_joint = product_joint(
+            [model_exact_pmf(s.primes, s.mode, cfg.tail_eps) for s in cfg.specs]
+        )
+    counts = joint_factor_counts(cfg.x, cfg.specs)
+    tv = tv_distance_joint(joint_pmf_of(counts), poisson_joint)
 
     rhs = math.fsum(s["h2"] / (1.0 + s["h"]) for s in summaries) + u ** (-u)
     params: dict = {
@@ -140,9 +141,6 @@ def check_thm1(cfg: Thm1Config) -> TheoremReport:
     }
 
     if cfg.include_decomposition:
-        model_joint = product_joint(
-            [model_exact_pmf(s.primes, s.mode, cfg.tail_eps) for s in cfg.specs]
-        )
         model_vs_poisson = tv_distance_joint(model_joint, poisson_joint)
         vector_tv = model_tv_exact(cfg.x, cfg.y)
         slack = (
@@ -203,11 +201,10 @@ def check_corollary1(
 
     blocks = [expexp_block(k) for k in used]
     specs = tuple(SetSpec(b, CountMode.DISTINCT) for b in blocks)
-    counts = joint_factor_counts(x, specs)
-    empirical = joint_pmf_of(counts)
     unit = poisson_pmf(1.0, tail_eps)
     poisson_joint = product_joint([unit] * len(specs))
-    tv = tv_distance_joint(empirical, poisson_joint)
+    counts = joint_factor_counts(x, specs)
+    tv = tv_distance_joint(joint_pmf_of(counts), poisson_joint)
 
     xi_eff = min(used)
     rhs = math.exp(-math.exp(xi_eff / 2.0))

@@ -129,6 +129,34 @@ def test_bad_float_exits_2_without_traceback(tmp_path, argv):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# eight multiplicity sets whose Poisson product grid has 60,963,840 cells
+CAP_SETS = [
+    f"interval:{lo}..{hi}:multiplicity"
+    for lo, hi in [(2, 3), (5, 7), (11, 13), (17, 19), (23, 29), (31, 37), (41, 43), (47, 53)]
+]
+THM1_OVER_CAP = ["thm1", "--x", "1e5", "--y", "1000"] + [a for s in CAP_SETS for a in ("--set", s)]
+
+
+def test_product_grid_over_cap_exits_3(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "primepoisson", *THM1_OVER_CAP, "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "refused: product grid of 60963840 entries is too large" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_failed_command_leaves_no_out_dir(tmp_path, capsys):
+    code, out = run(["counts", "--x", "nope", "--set", "list:2"], tmp_path)
+    assert code == 2 and not out.exists()
+    code, out = run(["counts", "--x", "100", "--set", "list:2"], tmp_path)
+    assert code == 0
+    expected = {"counts_report.json", "counts_table.csv", "manifest.json"}
+    assert {p.name for p in out.iterdir()} == expected
+
+
 def test_thm2_declared_xi_is_checked(tmp_path, capsys):
     code, _ = run(["thm2", "--x", "100", "--set", "list:2", "--k", "1", "--xi", "1"], tmp_path)
     assert code == 2
@@ -249,6 +277,27 @@ def test_sweep_bad_float_row_isolated(tmp_path):
     assert code == 0
     report = json.loads((out / "sweep_report.json").read_text())
     assert [r["status"] for r in report["rows"]] == ["error", "ok"]
+
+
+def test_sweep_thm1_over_cap_row_refused(tmp_path):
+    row = {"command": "thm1", "x": "1e5", "y": "1000", "set": CAP_SETS}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": [row, {"command": "harmonic", "set": "list:2"}]}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in report["rows"]] == ["refused", "ok"]
+
+
+@pytest.mark.parametrize("bad_row", ["abc", None, [1]], ids=["str", "null", "list"])
+def test_sweep_non_object_row_isolated(tmp_path, bad_row):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": [bad_row, {"command": "harmonic", "set": "list:2"}]}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    rows = json.loads((out / "sweep_report.json").read_text())["rows"]
+    assert [r["status"] for r in rows] == ["error", "ok"]
+    assert (rows[0]["command"], rows[0]["config"]) == ("", bad_row)
 
 
 @pytest.mark.parametrize(

@@ -3,16 +3,25 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primepoisson import (
+    CapError,
+    CountMode,
     DomainError,
+    JointCounts,
     JointPmf,
     Pmf,
+    PrimeSet,
+    SetSpec,
+    TvResult,
     binomial_pmf,
     binomial_tail_bound,
+    joint_factor_counts,
+    joint_pmf_of,
     poisson_pmf,
     product_joint,
     tv_distance,
@@ -118,9 +127,57 @@ def test_tv_triangle_inequality(a, b, c):
 def test_joint_identity_and_shifted_point_mass():
     joint = product_joint([poisson_pmf(1.0), poisson_pmf(1.0)])
     assert tv_distance_joint(joint, joint).value == 0.0
-    a = JointPmf(dims=2, entries={(0, 0): 1.0}, tail_bound=0.0)
-    b = JointPmf(dims=2, entries={(0, 1): 1.0}, tail_bound=0.0)
+    a = JointPmf(np.array([[1.0]]), tail_bound=0.0)
+    b = JointPmf(np.array([[0.0, 1.0]]), tail_bound=0.0)
     assert tv_distance_joint(a, b).value == 1.0
+
+
+def dict_tv(p: JointPmf, q: JointPmf) -> TvResult:
+    """Reference joint TV over dicts of tuple keys: fsum of |p - q| over the
+    sorted union of the keys of both boxes."""
+    pe, qe = ({k: float(v) for k, v in np.ndenumerate(d.probs)} for d in (p, q))
+    total = math.fsum(abs(pe.get(k, 0.0) - qe.get(k, 0.0)) for k in sorted(pe.keys() | qe.keys()))
+    value = min(1.0, 0.5 * total)
+    return TvResult(value, min(1.0 - value, 0.5 * (p.tail_bound + q.tail_bound)))
+
+
+@st.composite
+def joint_pmf_pairs(draw):
+    """Two random joint pmfs of the same dimension (1-3) whose boxes differ."""
+    dims = draw(st.integers(min_value=1, max_value=3))
+
+    def one():
+        shape = tuple(draw(st.lists(st.integers(1, 4), min_size=dims, max_size=dims)))
+        n = math.prod(shape)
+        weights = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n).filter(any))
+        w = np.array(weights, dtype=float).reshape(shape)
+        return JointPmf(w / w.sum(), tail_bound=draw(st.floats(0.0, 0.1)))
+
+    return one(), one()
+
+
+@given(joint_pmf_pairs())
+def test_joint_tv_matches_dict_reference(pair):
+    p, q = pair
+    assert tv_distance_joint(p, q) == dict_tv(p, q)
+    assert tv_distance_joint(q, p) == dict_tv(q, p)
+
+
+def test_joint_tv_empirical_key_outside_poisson_box():
+    counts = joint_factor_counts(10**4, [SetSpec(PrimeSet([2]), CountMode.WITH_MULTIPLICITY)])
+    empirical = joint_pmf_of(counts)
+    poisson = product_joint([poisson_pmf(1.0, 1e-3)])  # h1 of {2} is 1
+    assert empirical.probs.shape[0] > poisson.probs.shape[0]
+    assert tv_distance_joint(empirical, poisson) == dict_tv(empirical, poisson)
+
+
+def test_joint_grids_over_cap_refused():
+    flat = np.full((5000, 1), 1 / 5000)  # the union box of these two has 25 M cells
+    with pytest.raises(CapError, match="tv grid of 25000000 entries"):
+        tv_distance_joint(JointPmf(flat), JointPmf(flat.T))
+    corners = JointCounts(x=2, specs=(), counts={(0,) * 8: 1, (20,) * 8: 1})
+    with pytest.raises(CapError, match=f"empirical grid of {21**8} entries"):
+        joint_pmf_of(corners)
 
 
 def test_joint_truncation_gap_within_tail_bounds():

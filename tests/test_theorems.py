@@ -6,6 +6,7 @@ import math
 import pytest
 
 from primepoisson import (
+    CapError,
     CountMode,
     DomainError,
     EmptyConditionError,
@@ -195,6 +196,18 @@ def test_thm3_cells_share_one_table_per_x_and_t(monkeypatch):
     assert again == first and len(calls) == 1
     check_thm3(Thm3Config(x=10**4 + 1, tset=sieve_primes(30), k=2, a_param=3.0, psi=0.5))
     assert len(calls) == 2  # another x is another table
+
+
+def test_thm1_grid_over_cap_refused_before_counting(monkeypatch):
+    from primepoisson import theorems
+
+    calls = []
+    monkeypatch.setattr(theorems, "joint_factor_counts", lambda *a, **k: calls.append(a))
+    pairs = [(2, 3), (5, 7), (11, 13), (17, 19), (23, 29), (31, 37), (41, 43), (47, 53)]
+    specs = tuple(SetSpec(PrimeSet(ps), CountMode.WITH_MULTIPLICITY) for ps in pairs)
+    with pytest.raises(CapError, match="product grid of 60963840 entries"):
+        check_thm1(Thm1Config(x=10**5, y=1000, specs=specs))
+    assert calls == []
 
 
 def test_thm3_empty_condition_is_distinct_error():
