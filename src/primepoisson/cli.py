@@ -83,6 +83,7 @@ EXIT_OK = 0
 EXIT_BAND_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def parse_count(text: str) -> int:
@@ -495,6 +496,8 @@ def _run_sweep_row(indexed_row: tuple[int, dict]) -> dict:
         record.update({"status": "refused", "error": str(e)})
     except DomainError as e:
         record.update({"status": "error", "error": str(e)})
+    except Exception as e:  # an internal fault: this row is lost, the sweep goes on
+        record.update({"status": "crashed", "error": f"{type(e).__name__}: {e}"})
     return record
 
 
@@ -716,6 +719,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:  # an internal fault, never a band failure (exit 1)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,6 +162,27 @@ def check_grid(shape: Sequence[int], what: str) -> None:
     cells = math.prod(shape)
     if cells > 20_000_000:
         raise CapError(f"{what} of {cells} entries is too large")
+
+
+def exact_partials(terms: np.ndarray) -> Iterator[float]:
+    """A few floats whose exact sum is the exact sum of terms (fewer than 2^27
+    floats in [0, 1]), so math.fsum of them is the correctly rounded sum.
+
+    Pass k cuts the next 26 bits off every term: floor(t 2^26k) / 2^26k.  A
+    piece is a multiple of 2^-26k and at most 2^-26(k-1), so fewer than 2^27
+    pieces sum in float64 without rounding.  Bits below 2^-988, left after
+    38 passes, are yielded as they are.
+    """
+    if terms.size >= 1 << 27:
+        raise DomainError(f"{terms.size} terms exceed the 2^27 of one exact sum")
+    scale = 1.0
+    while terms.size and scale < 2.0**988:
+        scale *= 2.0**26
+        piece = np.floor(terms * scale) / scale
+        yield float(piece.sum())
+        terms = terms - piece
+        terms = terms[terms > 0.0]
+    yield from terms.tolist()
 
 
 def _tv(p: np.ndarray, q: np.ndarray, tail_bound: float) -> TvResult:

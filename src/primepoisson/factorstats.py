@@ -10,9 +10,12 @@ n at most once, and n has at most one.  A cost estimate from the numbers of
 set primes above and below sqrt(x) picks their route: few are sieved directly
 too; many go through a cofactor pass that multiplies out n's sqrt(x)-smooth
 part s, so n // s is 1 or a prime > sqrt(x), and binary searches in the sets'
-sorted large primes find its set.  The same segment loop yields y-smooth
-parts.  A trial-division oracle is an independent slow route for
-cross-checking.
+sorted large primes find its set.  A trial-division oracle is an independent
+slow route for cross-checking.
+
+The y-smooth parts of n <= x come from the same _small_part kernel in one
+streamed pass: count(s) = R(x // s), R(t) being the number of m <= t without
+a prime factor <= y, so no table of all parts is ever built.
 """
 
 from __future__ import annotations
@@ -95,15 +98,16 @@ def _validate_request(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> tup
         raise DomainError("at least one set spec is required")
     if len(specs) > MAX_SETS:
         raise CapError(f"{len(specs)} sets exceed the cap of {MAX_SETS}")
-    seen: set[int] = set()
     for spec in specs:
         ps = spec.primes.primes
         # x=1 is exempt: n=1 has no prime factors, so any spec is answerable
         if x > 1 and ps and ps[-1] > x:
             raise DomainError(f"prime {ps[bisect_right(ps, x)]} exceeds x={x}")
-        if repeats := seen.intersection(ps):
-            raise DomainError(f"sets must be pairwise disjoint; {min(repeats)} repeats")
-        seen.update(ps)
+    if len(specs) > 1:  # each set is strictly increasing, so a repeat is across sets
+        members = np.sort(np.concatenate([np.asarray(s.primes.primes, np.int64) for s in specs]))
+        repeats = members[1:][members[1:] == members[:-1]]
+        if repeats.size:
+            raise DomainError(f"sets must be pairwise disjoint; {repeats[0]} repeats")
     return specs
 
 
@@ -164,12 +168,6 @@ def _count_keys(x: int, specs: tuple[SetSpec, ...], segments: int):
     return keys
 
 
-def _tallies(bounds, keys) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The segment loop: each segment's sorted distinct keys and their tallies."""
-    for seg_lo, seg_hi in bounds:
-        yield (seg_lo, seg_hi, *np.unique(keys(seg_lo, seg_hi), return_counts=True))
-
-
 def iter_segment_counts(
     x: int,
     specs: list[SetSpec] | tuple[SetSpec, ...],
@@ -184,7 +182,8 @@ def iter_segment_counts(
     specs = _validate_request(x, specs)
     bounds = segment_bounds(1, x, segment_size)
     keys = _count_keys(x, specs, -(-x // segment_size))
-    for seg_lo, seg_hi, values, tallies in _tallies(bounds, keys):
+    for seg_lo, seg_hi in bounds:
+        values, tallies = np.unique(keys(seg_lo, seg_hi), return_counts=True)
         digits = values.view(np.uint8).reshape(values.size, -1)[:, : len(specs)]
         if digits.max(initial=0) >= _SATURATION:
             raise RuntimeError("counter saturation: count exceeded one byte")
@@ -236,20 +235,11 @@ def oracle_factor_counts(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> 
     if x > ORACLE_MAX_X:
         raise CapError(f"oracle route refuses x={x} > {ORACLE_MAX_X}")
     specs = _validate_request(x, specs)
-    sets = [frozenset(spec.primes) for spec in specs]
-    modes = [spec.mode for spec in specs]
-    m = len(specs)
+    sets = [(frozenset(spec.primes), spec.mode is CountMode.WITH_MULTIPLICITY) for spec in specs]
     counts: dict[tuple[int, ...], int] = {}
     for n in range(1, x + 1):
-        fac = _trial_factorization(n)
-        key = tuple(
-            sum(
-                (a if modes[i] is CountMode.WITH_MULTIPLICITY else 1)
-                for p, a in fac.items()
-                if p in sets[i]
-            )
-            for i in range(m)
-        )
+        fac = _trial_factorization(n).items()
+        key = tuple(sum(a if multi else 1 for p, a in fac if p in ps) for ps, multi in sets)
         counts[key] = counts.get(key, 0) + 1
     return JointCounts(x=int(x), specs=specs, counts=counts)
 
@@ -264,43 +254,54 @@ def joint_pmf_of(counts: JointCounts) -> JointPmf:
     return JointPmf(probs, tail_bound=0.0)
 
 
-def smooth_part_counts(
-    x: int,
-    y: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct y-smooth parts of n in [1, x], ascending, and how many n
-    have each.  The y-smooth part of n is its largest divisor composed only
-    of primes <= y."""
+def iter_smooth_parts(
+    x: int, y: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The y-smooth parts s of n in [1, x] (largest divisors made of primes
+    <= y) and how many n have each, as int64 arrays, one pair per segment:
+    count(s) = R(x // s), R(t) = #{m <= t : no prime factor of m is <= y}
+    (Hildebrand and Tenenbaum, "Integers without large prime factors", 1993;
+    Granville, "Smooth numbers", 2008), answered as the loop passes t = x // s.
+    """
     if y < 2:
         raise DomainError(f"smoothness bound must be >= 2, got {y}")
     if x < y:
         raise DomainError(f"x must be >= y, got x={x} < y={y}")
     if x > MAX_X:
         raise CapError(f"x={x} exceeds the cap of 2^40")
+    return _smooth_runs(x, y, segment_bounds(1, x, segment_size))
+
+
+def _smooth_runs(x: int, y: int, bounds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     root = math.isqrt(x)
     primes = prime_array(1, min(y, root)).tolist()
-
-    def keys(seg_lo: int, seg_hi: int) -> np.ndarray:
+    table = np.zeros(root + 1, dtype=np.int64)  # R(t) for t <= sqrt(x), filled in passing
+    wait = np.empty(0, dtype=np.int64)  # parts s whose x // s the loop has not reached
+    below = total = 0  # R(seg_lo - 1), and the counts yielded so far
+    for seg_lo, seg_hi in bounds:
         smooth = _small_part(seg_lo, seg_hi, primes)
+        n = np.arange(seg_lo, seg_hi + 1, dtype=smooth.dtype)
         if y > root:  # n is its sqrt(x)-smooth part times a cofactor, 1 or a prime
-            n = np.arange(seg_lo, seg_hi + 1, dtype=smooth.dtype)
             smooth = np.where(n // smooth <= y, n, smooth)
-        return smooth
-
-    runs = list(_tallies(segment_bounds(1, x, segment_size), keys))
-    values, inverse = np.unique(np.concatenate([r[2] for r in runs]), return_inverse=True)
-    counts = np.bincount(inverse, weights=np.concatenate([r[3] for r in runs]))
-    return values, counts.astype(np.int64)  # float sums of counts < 2^53 are exact
+        rough = np.flatnonzero(smooth == 1)  # offsets of the n without a prime factor <= y
+        parts = np.concatenate((wait, np.flatnonzero(smooth == n) + seg_lo))
+        del n, smooth  # only a segment's parts and counts stay alive past the yield
+        span = np.arange(seg_lo, min(seg_hi, root) + 1)  # empty past sqrt(x)
+        table[span] = below + np.searchsorted(rough, span - seg_lo, "right")
+        t = x // parts
+        parts, t, wait = parts[t <= seg_hi], t[t <= seg_hi], parts[t > seg_hi]
+        counts = table[np.minimum(t, root)]  # t > sqrt(x) only for s < sqrt(x), so t >= seg_lo
+        counts[t > root] = below + np.searchsorted(rough, t[t > root] - seg_lo, "right")
+        below, total = below + rough.size, total + int(counts.sum())
+        del t
+        yield parts, counts
+    if wait.size or total != x:
+        raise RuntimeError(f"smooth-part counts total {total} != x={x}, {wait.size} left")
 
 
 def smooth_part_distribution(
-    x: int,
-    y: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    x: int, y: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE
 ) -> dict[int, int]:
-    """Counts of the y-smooth part of n over n in [1, x], as a dict."""
-    values, counts = smooth_part_counts(x, y, segment_size=segment_size)
-    return dict(zip(values.tolist(), counts.tolist()))
+    """Counts of the y-smooth part of n over n in [1, x], as a dict ascending in the part."""
+    parts, counts = map(np.concatenate, zip(*iter_smooth_parts(x, y, segment_size=segment_size)))
+    return dict(sorted(zip(parts.tolist(), counts.tolist())))

@@ -6,19 +6,20 @@ The number of primes of a set T that "divide" the model integer is then a sum
 of independent Bernoulli(1/p) indicators, and the total exponent count over T
 is a sum of the X_p themselves.  Both laws are computed exactly by sequential
 convolution; the model-vs-truth total variation over exponent vectors is
-computed exactly through smooth parts.
+summed over the y-smooth parts of n <= x, streamed one segment at a time.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
-from .dist import Pmf, TvResult
+from .dist import Pmf, TvResult, exact_partials
 from .errors import DomainError
-from .factorstats import CountMode, smooth_part_counts
-from .primesets import PrimeSet, sieve_primes
+from .factorstats import CountMode, iter_smooth_parts
+from .primesets import PrimeSet, prime_array, sieve_primes
 
 DEFAULT_TAIL_EPS = 1e-12
 
@@ -114,20 +115,17 @@ def sample_exponent_matrix(y: int, seed: int, n_samples: int) -> tuple[tuple[int
 
 
 def model_tv_exact(x: int, y: int) -> TvResult:
-    """Exact total variation between the true exponent vector of a uniform
-    n <= x (restricted to primes <= y) and the model vector.
+    """Total variation between the true exponent vector of a uniform n <= x
+    (restricted to primes <= y) and the model vector.
 
     Exponent vectors over primes <= y correspond bijectively to y-smooth
-    parts s, with model probability (1/s) * prod_{p <= y} (1 - 1/p).  Summing
-    max(0, P_true(s) - P_model(s)) over observed smooth parts is exact: every
-    unobserved pattern has P_true = 0 and contributes nothing to this side of
-    the difference, so the uncertainty is genuinely zero.
+    parts s, with model probability (1/s) * prod_{p <= y} (1 - 1/p).  The TV
+    sums max(0, P_true(s) - P_model(s)) over the observed parts, a segment at
+    a time.  The value is the correctly rounded sum of these float terms, but
+    uncertainty 0.0 does not bound their rounding ("Honest rounding", ROADMAP.md).
     """
-    parts, cnts = smooth_part_counts(x, y)
-    primes = sieve_primes(y).primes
-    log_c = math.fsum(math.log1p(-1.0 / p) for p in primes)
-    p_true = cnts / float(x)
-    p_model = np.exp(log_c - np.log(parts.astype(float)))
-    gap = p_true - p_model
-    value = float(np.sum(gap[gap > 0.0]))
+    runs = iter_smooth_parts(x, y)  # checks x and y before the sieve below
+    log_c = math.fsum(math.log1p(-1.0 / p) for p in prime_array(1, y).tolist())
+    gaps = (c / float(x) - np.exp(log_c - np.log(s.astype(float))) for s, c in runs)
+    value = math.fsum(chain.from_iterable(exact_partials(gap[gap > 0.0]) for gap in gaps))
     return TvResult(value=min(value, 1.0), uncertainty=0.0)

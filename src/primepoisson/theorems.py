@@ -264,9 +264,15 @@ class Thm2Config:
         return cls(x=x, sets=sets, ks=ks, eta=eta, xi=xi)
 
 
+@lru_cache(maxsize=4)
+def _prime_count(x: int) -> int:
+    """pi(x), sieved once for Thm2Config.infer and check_thm2 on the same x."""
+    return count_primes(x)
+
+
 def _thm2_flags(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> tuple[int, int]:
     """The (eta, xi) that Thm2Config documents for these sets and counts."""
-    eta = 0 if sum(len(s) for s in sets) == count_primes(x) else 1
+    eta = 0 if sum(len(s) for s in sets) == _prime_count(x) else 1
     return eta, 1 if eta == 0 and all(k == 0 for k in ks) else 0
 
 

@@ -177,6 +177,55 @@ def test_exit_code_cap_refusal(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+def _raise_internal(ns, out):
+    raise RuntimeError("count total 99 != x=100")
+
+
+def test_internal_error_exits_4_without_traceback(monkeypatch, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "harmonic", _raise_internal)
+    assert main(["harmonic", "--set", "list:2"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: count total 99 != x=100\n"
+    assert "Traceback" not in err
+
+
+def test_sweep_crashed_row_isolated(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._HANDLERS, "harmonic", _raise_internal)
+    grid = tmp_path / "grid.json"
+    rows = [{"command": "harmonic", "set": "list:2"}, {"command": "sieve", "limit": "100"}]
+    grid.write_text(json.dumps({"name": "crash", "rows": rows}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in report["rows"]] == ["crashed", "ok"]
+    assert report["rows"][0]["error"] == "RuntimeError: count total 99 != x=100"
+
+
+def test_thm2_sieves_pi_x_once(tmp_path, monkeypatch):
+    from primepoisson import theorems
+
+    calls = []
+    real = theorems.count_primes
+
+    def spy(limit, **kw):
+        calls.append(limit)
+        return real(limit, **kw)
+
+    argv = ["thm2", "--x", "1000", "--set", "interval:2..10", "--set", "interval:11..100"]
+    argv += ["--k", "1,1"]
+    memo = theorems._prime_count
+    monkeypatch.setattr(theorems, "_prime_count", real)  # unmemoised: pi(x) per call
+    code, plain = run(argv, tmp_path, sub="plain")
+    assert code == 0
+    monkeypatch.setattr(theorems, "_prime_count", memo)
+    monkeypatch.setattr(theorems, "count_primes", spy)
+    memo.cache_clear()
+    code, out = run(argv, tmp_path)
+    assert code == 0
+    assert calls == [1000]
+    assert (out / "thm2_report.json").read_bytes() == (plain / "thm2_report.json").read_bytes()
+
+
 def test_exit_code_band_failure(tmp_path):
     band_file = tmp_path / "bands.json"
     band_file.write_text(json.dumps({"model_tv[x=10,y=2]": [0.0, 0.01]}))

@@ -27,6 +27,7 @@ from primepoisson import (
     tv_distance,
     tv_distance_joint,
 )
+from primepoisson.dist import exact_partials
 
 
 def test_pmf_basic_accessors():
@@ -297,3 +298,31 @@ def test_tail_chain_whole_domain(k, alpha, beta):
     kull, expo = binomial_tail_bound(k, alpha, beta)
     assert exact <= kull + 1e-14
     assert kull <= expo + 1e-14
+
+
+# ------------------------------------------------------------ exact partials
+
+unit_floats = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1e-300),  # bits down to 2^-1074: the leftover path
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(unit_floats, max_size=200))
+def test_exact_partials_sum_to_the_terms(terms):
+    partials = list(exact_partials(np.array(terms, dtype=float)))
+    assert math.fsum(partials) == math.fsum(terms)
+
+
+def test_exact_partials_many_terms_near_one():
+    terms = np.full(1 << 20, np.nextafter(1.0, 0.0))
+    terms[::3] = 2.0**-60 + 2.0**-100
+    partials = list(exact_partials(terms))
+    assert len(partials) < 10
+    assert math.fsum(partials) == math.fsum(terms.tolist())
+
+
+def test_exact_partials_refuses_2_to_27_terms():
+    with pytest.raises(DomainError, match="2\\^27"):
+        next(exact_partials(np.broadcast_to(0.0, 1 << 27)))

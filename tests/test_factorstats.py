@@ -136,6 +136,16 @@ def test_overlapping_sets_rejected():
         joint_factor_counts(100, (dspec(2, 3), mspec(3, 5)))
 
 
+def test_validation_messages_name_the_prime():
+    with pytest.raises(DomainError, match="pairwise disjoint; 7 repeats"):
+        joint_factor_counts(100, (dspec(2, 7, 11), dspec(13), mspec(7, 11)))
+    with pytest.raises(DomainError, match="prime 11 exceeds x=10"):
+        joint_factor_counts(10, (dspec(2, 11, 13),))
+    # every set is checked against x before the sets are checked for repeats
+    with pytest.raises(DomainError, match="prime 11 exceeds x=10"):
+        joint_factor_counts(10, (dspec(3), dspec(3), dspec(11)))
+
+
 def test_prime_above_x_rejected():
     with pytest.raises(DomainError):
         joint_factor_counts(10, (dspec(11),))

@@ -17,6 +17,7 @@ from primepoisson import (
     model_tv_exact,
     sample_exponent_matrix,
     sieve_primes,
+    smooth_part_distribution,
 )
 
 
@@ -138,6 +139,69 @@ def test_model_tv_dyadic_hand_case():
 def test_model_tv_sanity_mode_y_equals_x():
     res = model_tv_exact(100, 100)
     assert 0.0 < res.value < 1.0
+
+
+def _trial_smooth_tally(x, y):
+    """{y-smooth part: count} over n <= x, each n factored by trial division."""
+    tally = {}
+    for n in range(1, x + 1):
+        s, m, d = 1, n, 2
+        while d * d <= m:
+            while m % d == 0:
+                m //= d
+                s *= d if d <= y else 1
+            d += 1
+        s *= m if 1 < m <= y else 1
+        tally[s] = tally.get(s, 0) + 1
+    return tally
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_streamed_smooth_parts_match_trial_division(data):
+    x = data.draw(st.integers(2, 3000), label="x")
+    root = math.isqrt(x)
+    if root >= 2 and data.draw(st.booleans(), label="y <= sqrt(x)"):
+        y = data.draw(st.integers(2, root), label="y")
+    else:
+        y = data.draw(st.integers(max(2, root + 1), x), label="y")
+    seg = data.draw(st.sampled_from(([1] if x <= 962 else []) + [7, 64, 1 << 20]), label="seg")
+    tally = _trial_smooth_tally(x, y)
+    dist = smooth_part_distribution(x, y, segment_size=seg)
+    assert dist == tally
+    assert sum(dist.values()) == x
+    # the model side per part, with the same float expression as the library
+    parts = np.array(list(tally), dtype=float)
+    log_c = math.fsum(math.log1p(-1.0 / p) for p in sieve_primes(y).primes)
+    gap = np.array(list(tally.values())) / float(x) - np.exp(log_c - np.log(parts))
+    assert model_tv_exact(x, y).value == min(1.0, math.fsum(gap[gap > 0.0].tolist()))
+
+
+def test_model_tv_refuses_before_sieving(monkeypatch):
+    from primepoisson import CapError, kubilius
+
+    def no_sieve(*bounds):
+        raise AssertionError(f"sieved {bounds} before the request was checked")
+
+    monkeypatch.setattr(kubilius, "prime_array", no_sieve)
+    with pytest.raises(CapError):
+        model_tv_exact(2**40 + 1, 2**40 + 1)
+    with pytest.raises(DomainError):
+        model_tv_exact(5, 10)
+
+
+def test_smooth_pass_checks_its_total(monkeypatch):
+    from primepoisson import factorstats
+
+    def squarefree_part(seg_lo, seg_hi, primes):  # drops prime powers: a broken kernel
+        acc = np.ones(seg_hi - seg_lo + 1, dtype=np.int64)
+        for p in primes:
+            acc[-seg_lo % p :: p] *= p
+        return acc
+
+    monkeypatch.setattr(factorstats, "_small_part", squarefree_part)
+    with pytest.raises(RuntimeError, match="total"):
+        model_tv_exact(1000, 10)
 
 
 def test_model_tv_domain_checks():

@@ -1,0 +1,35 @@
+"""Memory regression tests: traced peaks that must not grow with x.
+
+numpy reports its buffers to tracemalloc, so a traced peak covers both the
+arrays and the Python objects a call allocates.
+"""
+
+import tracemalloc
+
+from primepoisson import CountMode, SetSpec, model_tv_exact, sieve_primes
+from primepoisson.factorstats import _validate_request
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_model_tv_peak_does_not_grow_with_x():
+    # 2 and 8 segments of 2^20: the streamed pass holds one segment at a
+    # time (both peaks about 21 MiB); a table of all smooth parts grows ~3x
+    model_tv_exact(1000, 10)  # caches (prime table) outside the traced calls
+    small = traced_peak(lambda: model_tv_exact(2**21, 1000))
+    large = traced_peak(lambda: model_tv_exact(2**23, 1000))
+    assert large <= 1.25 * small, (small, large)
+
+
+def test_single_spec_validation_allocates_nothing_per_prime():
+    spec = SetSpec(sieve_primes(2 * 10**6), CountMode.WITH_MULTIPLICITY)
+    peak = traced_peak(lambda: _validate_request(2 * 10**6, [spec]))
+    # a set of the 148,933 primes would take about 42 bytes per prime
+    assert peak <= 2 * len(spec.primes), peak
