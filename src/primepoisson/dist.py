@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,12 +21,14 @@ MASS_SLACK = 1e-12
 
 
 def _check_mass(probs: np.ndarray, tail_bound: float, what: str) -> None:
-    """The invariant of both pmf types: tail_bound >= 0, probs >= 0, fsum in the mass window."""
-    if tail_bound < 0.0:
-        raise DomainError(f"tail_bound must be >= 0, got {tail_bound}")
-    if (probs < 0.0).any():
-        raise DomainError(f"{what} entries must be nonnegative")
-    s = math.fsum(probs.flat)
+    """The invariant of both pmf types: tail_bound and every entry finite and
+    >= 0 (NaN and infinities are refused before exact_sum, whose bit
+    arithmetic needs finite values), and the exact sum in the mass window."""
+    if not 0.0 <= tail_bound < math.inf:
+        raise DomainError(f"tail_bound must be finite and >= 0, got {tail_bound}")
+    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) < math.inf):
+        raise DomainError(f"{what} entries must be finite and nonnegative")
+    s = exact_sum([probs])
     if s > 1.0 + MASS_SLACK or s < 1.0 - tail_bound - MASS_SLACK:
         raise DomainError(
             f"{what} mass {s} outside [1 - tail_bound, 1] window (tail_bound={tail_bound})"
@@ -164,25 +167,51 @@ def check_grid(shape: Sequence[int], what: str) -> None:
         raise CapError(f"{what} of {cells} entries is too large")
 
 
-def exact_partials(terms: np.ndarray) -> Iterator[float]:
-    """A few floats whose exact sum is the exact sum of terms (fewer than 2^27
-    floats in [0, 1]), so math.fsum of them is the correctly rounded sum.
+def _bin_block(bits: np.ndarray, bins: np.ndarray) -> None:
+    """Add the 53-bit mantissas of a block of float64 bit patterns to bins:
+    the low 26 bits at the biased exponent e (1 for subnormals), the high 27
+    at e + 26.  The sign bit is dropped, so -0.0 is a zero."""
+    e = np.maximum((bits >> 52) & 2047, 1)
+    bins += np.bincount(e, bits & (2**26 - 1), minlength=bins.size)
+    high = ((bits >> 26) - ((e - 1) << 26)) & (2**27 - 1)  # implicit bit on, exponent off
+    e += 26
+    bins += np.bincount(e, high, minlength=bins.size)
 
-    Pass k cuts the next 26 bits off every term: floor(t 2^26k) / 2^26k.  A
-    piece is a multiple of 2^-26k and at most 2^-26(k-1), so fewer than 2^27
-    pieces sum in float64 without rounding.  Bits below 2^-988, left after
-    38 passes, are yielded as they are.
+
+def _fold(bins: np.ndarray) -> int:
+    """sum bins[e] 2^e as one Python int; eight bins (< 2^53) make one uint64."""
+    words = np.pad(bins, (0, -bins.size % 8)).astype(np.uint64).reshape(-1, 8)
+    words = (words << np.arange(8, dtype=np.uint64)).sum(axis=1)
+    nz = np.flatnonzero(words)
+    return sum(int(w) << 8 * g for g, w in zip(nz.tolist(), words[nz].tolist()))
+
+
+def exact_sum(arrays: Iterable[np.ndarray]) -> float:
+    """The correctly rounded sum of the finite, nonnegative float64 values of
+    a stream of arrays, equal to math.fsum of them all.
+
+    A value is m 2^(e - 1075), e its biased exponent (1 for subnormals) and m
+    its 53-bit mantissa.  Blocks of 2^15 values are binned by e (np.bincount,
+    m in 26 low and 27 high bits), so every bin is an exact float64 integer;
+    the bins fold into one Python int, sum m 2^e, and int true division by
+    2^1075 rounds correctly.  Memory is O(block), the size unlimited.  Fewer
+    than 2^11 values in all go to math.fsum, which is faster there.  A NaN or
+    infinity on the binned path raises ValueError: its bin is past the last.
     """
-    if terms.size >= 1 << 27:
-        raise DomainError(f"{terms.size} terms exceed the 2^27 of one exact sum")
-    scale = 1.0
-    while terms.size and scale < 2.0**988:
-        scale *= 2.0**26
-        piece = np.floor(terms * scale) / scale
-        yield float(piece.sum())
-        terms = terms - piece
-        terms = terms[terms > 0.0]
-    yield from terms.tolist()
+    arrays, head, size = iter(arrays), [], 0
+    for a in arrays:
+        head.append(a.ravel())
+        if (size := size + a.size) >= 1 << 11:
+            break
+    else:
+        return math.fsum(chain.from_iterable(map(np.ndarray.tolist, head)))
+    total, bins = 0, np.zeros(2047 + 26)
+    for flat in chain(head, (a.ravel() for a in arrays)):
+        for start in range(0, flat.size, 1 << 15):
+            _bin_block(flat[start : start + (1 << 15)].view(np.int64), bins)
+            if bins.max() >= 2.0**52:  # a block adds < 2^43: fold before 2^53
+                total, bins[:] = total + _fold(bins), 0.0
+    return (total + _fold(bins)) / (1 << 1075)
 
 
 def _tv(p: np.ndarray, q: np.ndarray, tail_bound: float) -> TvResult:
@@ -192,7 +221,7 @@ def _tv(p: np.ndarray, q: np.ndarray, tail_bound: float) -> TvResult:
     diff = np.zeros(shape)
     diff[tuple(map(slice, p.shape))] = p
     diff[tuple(map(slice, q.shape))] -= q
-    value = min(1.0, 0.5 * math.fsum(np.abs(diff).flat))
+    value = min(1.0, 0.5 * exact_sum([np.abs(diff, out=diff)]))
     return TvResult(value=value, uncertainty=min(1.0 - value, 0.5 * tail_bound))
 
 
@@ -231,7 +260,7 @@ def product_joint(components: Sequence[Pmf]) -> JointPmf:
     for a in arrays[1:]:
         out = np.multiply.outer(out, a)
 
-    kept = math.fsum(out.flat)
+    kept = exact_sum([out])
     exact_product = math.prod(math.fsum(c.probs) for c in comps)
     rounding_loss = max(0.0, exact_product - kept)
     tail = math.fsum(c.tail_bound for c in comps) + rounding_loss

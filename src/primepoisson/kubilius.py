@@ -12,11 +12,10 @@ summed over the y-smooth parts of n <= x, streamed one segment at a time.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
-from .dist import Pmf, TvResult, exact_partials
+from .dist import Pmf, TvResult, exact_sum
 from .errors import DomainError
 from .factorstats import CountMode, iter_smooth_parts
 from .primesets import PrimeSet, prime_array, sieve_primes
@@ -120,12 +119,13 @@ def model_tv_exact(x: int, y: int) -> TvResult:
 
     Exponent vectors over primes <= y correspond bijectively to y-smooth
     parts s, with model probability (1/s) * prod_{p <= y} (1 - 1/p).  The TV
-    sums max(0, P_true(s) - P_model(s)) over the observed parts, a segment at
-    a time.  The value is the correctly rounded sum of these float terms, but
-    uncertainty 0.0 does not bound their rounding ("Honest rounding", ROADMAP.md).
+    sums max(0, P_true(s) - P_model(s)) over the observed parts, fed to
+    dist.exact_sum one segment at a time.  The value is the correctly rounded
+    sum of these float terms, but uncertainty 0.0 does not bound their
+    rounding ("Honest rounding", ROADMAP.md).
     """
     runs = iter_smooth_parts(x, y)  # checks x and y before the sieve below
     log_c = math.fsum(math.log1p(-1.0 / p) for p in prime_array(1, y).tolist())
     gaps = (c / float(x) - np.exp(log_c - np.log(s.astype(float))) for s, c in runs)
-    value = math.fsum(chain.from_iterable(exact_partials(gap[gap > 0.0]) for gap in gaps))
+    value = exact_sum(gap[gap > 0.0] for gap in gaps)
     return TvResult(value=min(value, 1.0), uncertainty=0.0)

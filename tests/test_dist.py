@@ -1,11 +1,13 @@
 """Probability containers, Poisson/binomial laws, and distance functions."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from primepoisson import (
@@ -27,7 +29,7 @@ from primepoisson import (
     tv_distance,
     tv_distance_joint,
 )
-from primepoisson.dist import exact_partials
+from primepoisson.dist import exact_sum
 
 
 def test_pmf_basic_accessors():
@@ -43,6 +45,20 @@ def test_pmf_rejects_bad_mass():
         Pmf(probs=(0.5, 0.1), tail_bound=0.0)
     with pytest.raises(DomainError):
         Pmf(probs=(0.5, -0.1, 0.6), tail_bound=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pmfs_reject_non_finite_entries_and_tail_bounds(bad):
+    # a NaN entry used to pass the mass check and give a TV of 1 +- 0
+    for probs in ([bad, 1.0], [0.0] * 5000 + [bad, 1.0]):
+        with pytest.raises(DomainError, match="finite"):
+            Pmf(tuple(probs))
+        with pytest.raises(DomainError, match="finite"):
+            JointPmf(np.array([probs]))
+    with pytest.raises(DomainError, match="finite"):
+        Pmf((1.0,), tail_bound=bad)
+    with pytest.raises(DomainError, match="finite"):
+        JointPmf(np.array([[1.0]]), tail_bound=bad)
 
 
 def test_pmf_series_is_probability_generating_function():
@@ -144,15 +160,22 @@ def dict_tv(p: JointPmf, q: JointPmf) -> TvResult:
 
 @st.composite
 def joint_pmf_pairs(draw):
-    """Two random joint pmfs of the same dimension (1-3) whose boxes differ."""
+    """Two random joint pmfs of the same dimension (1-3) whose boxes differ.
+
+    Boxes reach 15^3 cells, past exact_sum's math.fsum crossover.  Cells of
+    weight 0 get tiny values down to 5e-324, as the model grids have."""
     dims = draw(st.integers(min_value=1, max_value=3))
+    tiny = st.one_of(st.floats(0.0, 1e-17), st.sampled_from([0.0, 5e-324, 2.0**-1022]))
 
     def one():
-        shape = tuple(draw(st.lists(st.integers(1, 4), min_size=dims, max_size=dims)))
+        shape = tuple(draw(st.lists(st.integers(1, 15), min_size=dims, max_size=dims)))
         n = math.prod(shape)
-        weights = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n).filter(any))
-        w = np.array(weights, dtype=float).reshape(shape)
-        return JointPmf(w / w.sum(), tail_bound=draw(st.floats(0.0, 0.1)))
+        weights = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=64))
+        w = np.resize(np.array(weights, dtype=float), n)
+        assume(w.any())
+        t = np.resize(np.array(draw(st.lists(tiny, min_size=1, max_size=7))), n)
+        probs = np.where(w > 0.0, w / w.sum(), t).reshape(shape)
+        return JointPmf(probs, tail_bound=draw(st.floats(0.0, 0.1)))
 
     return one(), one()
 
@@ -300,29 +323,45 @@ def test_tail_chain_whole_domain(k, alpha, beta):
     assert kull <= expo + 1e-14
 
 
-# ------------------------------------------------------------ exact partials
+# ------------------------------------------------------------ exact sums
 
-unit_floats = st.one_of(
+finite_nonnegative = st.one_of(
     st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1e-300),  # bits down to 2^-1074: the leftover path
+    st.floats(min_value=0.0, max_value=1e-300),  # subnormals, down to 2^-1074
+    st.floats(min_value=1.0, max_value=1e300),
+    st.sampled_from([-0.0, 5e-324, 2.0**-1022, np.nextafter(1.0, 0.0)]),
 )
 
 
+@st.composite
+def array_streams(draw):
+    """A list of arrays, tiled up to 120,000 values, so blocks of 2^15 run
+    over array ends and the math.fsum crossover is crossed both ways."""
+    values = np.array(draw(st.lists(finite_nonnegative, max_size=40)), dtype=float)
+    data = np.tile(values, draw(st.sampled_from([1, 1, 30, 900, 3000])))
+    cuts = sorted(draw(st.lists(st.integers(0, data.size), max_size=4)))
+    return np.split(data, cuts)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(unit_floats, max_size=200))
-def test_exact_partials_sum_to_the_terms(terms):
-    partials = list(exact_partials(np.array(terms, dtype=float)))
-    assert math.fsum(partials) == math.fsum(terms)
+@given(array_streams())
+@example([])
+@example([np.full(3000, -0.0), np.array([5e-324])])
+def test_exact_sum_is_fsum(arrays):
+    values = [v for a in arrays for v in a.tolist()]
+    assert exact_sum(arrays) == math.fsum(values)
+    assert exact_sum(iter(arrays)) == math.fsum(values)
 
 
-def test_exact_partials_many_terms_near_one():
+def test_exact_sum_many_terms_near_one():
     terms = np.full(1 << 20, np.nextafter(1.0, 0.0))
     terms[::3] = 2.0**-60 + 2.0**-100
-    partials = list(exact_partials(terms))
-    assert len(partials) < 10
-    assert math.fsum(partials) == math.fsum(terms.tolist())
+    assert exact_sum([terms]) == math.fsum(terms.tolist())
 
 
-def test_exact_partials_refuses_2_to_27_terms():
-    with pytest.raises(DomainError, match="2\\^27"):
-        next(exact_partials(np.broadcast_to(0.0, 1 << 27)))
+def test_exact_sum_folds_a_long_stream():
+    # one block repeated: its top bin passes 2^52 after 1025 blocks and folds
+    block = np.full((1 << 15) - 1, np.nextafter(1.0, 0.0))
+    block[:2] = 0.3, 5e-324
+    exact = sum(map(Fraction, block.tolist())) * 1100
+    assert exact_sum(itertools.repeat(block, 1100)) == float(exact)

@@ -6,7 +6,10 @@ arrays and the Python objects a call allocates.
 
 import tracemalloc
 
+import numpy as np
+
 from primepoisson import CountMode, SetSpec, model_tv_exact, sieve_primes
+from primepoisson.dist import exact_sum
 from primepoisson.factorstats import _validate_request
 
 
@@ -33,3 +36,9 @@ def test_single_spec_validation_allocates_nothing_per_prime():
     peak = traced_peak(lambda: _validate_request(2 * 10**6, [spec]))
     # a set of the 148,933 primes would take about 42 bytes per prime
     assert peak <= 2 * len(spec.primes), peak
+
+
+def test_exact_sum_works_block_by_block():
+    terms = np.random.default_rng(0).random(1 << 20)  # 8 MiB
+    peak = traced_peak(lambda: exact_sum([terms]))
+    assert peak < 1 << 20, peak
