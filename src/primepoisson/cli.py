@@ -25,7 +25,8 @@ and some also write a table: ``sieve`` writes ``primes.txt``, ``counts``
 Reports are JSON with sorted keys and repr-precision floats, so a fixed
 config and seed reproduce byte-identical files; timestamps and wall-clock
 times live only in the run manifest.  Exit codes: 0 success/recorded,
-1 regression-band failure, 2 usage or domain error, 3 cap refusal.
+1 regression-band failure, 2 usage or domain error (including a malformed
+band file, refused before any work), 3 cap refusal, 4 internal error.
 """
 
 from __future__ import annotations
@@ -153,26 +154,21 @@ def parse_set_spec(text: str) -> SetSpec:
 
 
 def load_bands(path: str | Path) -> dict[str, tuple[float, float]]:
-    """Load a regression-band file: JSON object name -> [lo, hi]."""
+    """Load a regression-band file: JSON object name -> [lo, hi], two numbers
+    (not bools) with lo <= hi."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DomainError(f"cannot read band file {path}: {e}") from None
+    if not isinstance(raw, dict):
+        raise DomainError(f"band file {path} must be a JSON object of [lo, hi] pairs")
     bands: dict[str, tuple[float, float]] = {}
     for name, pair in raw.items():
-        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] <= pair[1]):
+        numbers = isinstance(pair, list) and all(type(v) in (int, float) for v in pair)
+        if not (numbers and len(pair) == 2 and pair[0] <= pair[1]):
             raise DomainError(f"band {name!r} must be [lo, hi] with lo <= hi")
         bands[name] = (float(pair[0]), float(pair[1]))
     return bands
-
-
-def band_verdict(
-    bands: dict[str, tuple[float, float]] | None, name: str, value: float
-) -> str:
-    if bands is None or name not in bands:
-        return "recorded"
-    lo, hi = bands[name]
-    return "pass" if lo <= value <= hi else "fail"
 
 
 class RunWriter:
@@ -292,12 +288,12 @@ def _cmd_counts(ns, out: RunWriter | None) -> CommandResult:
     if out:
         m = len(specs)
         headers = [f"k_{i+1}" for i in range(m)] + ["count"]
-        rows = [list(k) + [c] for k, c in sorted(counts.counts.items())]
+        rows = [k + [c] for k, c in zip(counts.keys.tolist(), counts.tallies.tolist())]
         out.csv("counts_table.csv", headers, rows)
     return CommandResult(
         f"counts[x={x},m={len(specs)}]",
         payload,
-        lines=[f"vectors={len(counts.counts)} total={counts.total()}"],
+        lines=[f"vectors={len(counts.tallies)} total={counts.total()}"],
     )
 
 
@@ -673,28 +669,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        bands = load_bands(ns.band_file) if ns.band_file else {}
         started = time.perf_counter()
         out = RunWriter(ns.out_dir) if ns.out_dir is not None else None
         result = _HANDLERS[ns.command](ns, out)
         elapsed = time.perf_counter() - started
 
-        bands = load_bands(ns.band_file) if ns.band_file else None
-        verdicts = []
-        code = EXIT_OK
+        verdicts, code = [], EXIT_OK
         if result.band_value is not None:
             lookup = ns.band_name or result.name
-            verdict = band_verdict(bands, lookup, result.band_value)
-            band = list(bands[lookup]) if bands and lookup in bands else None
+            band = bands.get(lookup)
+            verdict = "recorded"
+            if band is not None:
+                verdict = "pass" if band[0] <= result.band_value <= band[1] else "fail"
+            code = EXIT_BAND_FAIL if verdict == "fail" else EXIT_OK
             verdicts.append(
-                {
-                    "name": lookup,
-                    "value": result.band_value,
-                    "band": band,
-                    "verdict": verdict,
-                }
+                {"name": lookup, "value": result.band_value, "band": band, "verdict": verdict}
             )
-            if verdict == "fail":
-                code = EXIT_BAND_FAIL
 
         if out:
             out.json(f"{ns.command.replace('-', '_')}_report.json", result.payload)

@@ -242,6 +242,24 @@ def tv_distance_joint(p: JointPmf, q: JointPmf) -> TvResult:
     return _tv(p.probs, q.probs, p.tail_bound + q.tail_bound)
 
 
+def tv_distance_sparse(keys: np.ndarray, probs: np.ndarray, q: JointPmf) -> TvResult:
+    """Total variation between a law with mass probs[k] at the distinct rows
+    keys[k] of a K x m index array and a joint pmf q of dimension m.  The sum
+    runs over q with the observed cells zeroed plus |probs[k] - q_k| per key
+    (q_k = 0 outside q's box): the nonzero terms of tv_distance_joint on the
+    law's dense box, so the same float, but no box of the keys is built."""
+    if keys.ndim != 2 or keys.shape[1] != q.dims:
+        raise DomainError(f"dimension mismatch: keys {keys.shape} vs {q.dims}")
+    inside = (keys < q.probs.shape).all(axis=1)
+    cells = tuple(keys[inside].T)
+    rest = q.probs.copy()
+    rest[cells] = 0.0
+    gaps = np.array(probs, dtype=np.float64)
+    gaps[inside] = np.abs(gaps[inside] - q.probs[cells])
+    value = min(1.0, 0.5 * exact_sum([rest, gaps]))
+    return TvResult(value=value, uncertainty=min(1.0 - value, 0.5 * q.tail_bound))
+
+
 def product_joint(components: Sequence[Pmf]) -> JointPmf:
     """Joint law of independent coordinates, one Pmf per dimension.
 

@@ -28,7 +28,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .dist import JointPmf, check_grid
 from .errors import CapError, DomainError
 from .primesets import DEFAULT_SEGMENT_SIZE, PrimeSet, prime_array, segment_bounds
 
@@ -62,29 +61,40 @@ class SetSpec:
     mode: CountMode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointCounts:
-    """Exact tally of count vectors over n in [1, x]; values sum to x."""
+    """Exact tally of count vectors over n in [1, x]: the observed vectors as
+    the rows of keys (K x m, uint8, strictly increasing in lexicographic
+    order), how many n have each in tallies (int64, summing to x); read-only."""
 
     x: int
     specs: tuple[SetSpec, ...]
-    counts: dict[tuple[int, ...], int]
+    keys: np.ndarray
+    tallies: np.ndarray
+
+    def __post_init__(self):
+        self.keys.flags.writeable = self.tallies.flags.writeable = False
+
+    @property
+    def counts(self) -> dict[tuple[int, ...], int]:
+        """{count vector: tally} in key order, built on each access."""
+        return dict(zip(map(tuple, self.keys.tolist()), self.tallies.tolist()))
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.tallies.sum())
 
     def marginal(self, i: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for key, c in self.counts.items():
-            out[key[i]] = out.get(key[i], 0) + c
-        return out
+        """{count over set i: tally}, ascending in the count (float sums of
+        integers <= x <= 2^40 < 2^53 are exact)."""
+        sums = np.bincount(self.keys[:, i], self.tallies).tolist()
+        return {k: int(c) for k, c in enumerate(sums) if c}
 
     def as_json(self) -> dict:
         return {
             "x": self.x,
             "modes": [s.mode.value for s in self.specs],
             "set_sizes": [len(s.primes) for s in self.specs],
-            "counts": [[list(k), c] for k, c in sorted(self.counts.items())],
+            "counts": [[k, c] for k, c in zip(self.keys.tolist(), self.tallies.tolist())],
         }
 
 
@@ -125,12 +135,13 @@ def _small_part(seg_lo: int, seg_hi: int, primes: list[int]) -> np.ndarray:
 
 def _count_keys(x: int, specs: tuple[SetSpec, ...], segments: int):
     """The count kernel: keys(seg_lo, seg_hi) holds each n's count vector,
-    one byte per set, read as one little-endian unsigned integer."""
+    one byte per set, as one unsigned integer in the vectors' lexicographic
+    order (set 0's byte is the most significant)."""
     root = math.isqrt(x)
     width = 1 << max(1, (len(specs) - 1).bit_length())  # key bytes: 2, 4 or 8
-    direct: list[tuple[int, int]] = []  # (modulus, set index) sieved directly
-    large: list[tuple[int, np.ndarray]] = []  # (set index, its primes in (root, x])
-    for i, spec in enumerate(specs):
+    direct: list[tuple[int, int]] = []  # (modulus, key byte) sieved directly
+    large: list[tuple[int, np.ndarray]] = []  # (key byte, its set's primes in (root, x])
+    for spec, i in zip(specs, range(width - 1, -1, -1)):
         ps = spec.primes.primes
         cut, stop = bisect_right(ps, root), bisect_right(ps, x)
         for p in ps[:cut]:
@@ -173,21 +184,22 @@ def iter_segment_counts(
     specs: list[SetSpec] | tuple[SetSpec, ...],
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> Iterator[tuple[int, int, dict[tuple[int, ...], int]]]:
-    """Stream per-segment tallies (seg_lo, seg_hi, partial counts).
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Stream per-segment tallies (seg_lo, seg_hi, keys, tallies), keys and
+    tallies as in JointCounts but over n in [seg_lo, seg_hi] only.
 
-    Segments partition [1, x] in ascending order; merging the partial dicts
-    gives exactly the result of joint_factor_counts.
+    Segments partition [1, x] in ascending order; merging the tallies of
+    equal keys gives exactly the result of joint_factor_counts.
     """
     specs = _validate_request(x, specs)
     bounds = segment_bounds(1, x, segment_size)
     keys = _count_keys(x, specs, -(-x // segment_size))
     for seg_lo, seg_hi in bounds:
         values, tallies = np.unique(keys(seg_lo, seg_hi), return_counts=True)
-        digits = values.view(np.uint8).reshape(values.size, -1)[:, : len(specs)]
+        digits = values.view(np.uint8).reshape(values.size, -1)[:, ::-1][:, : len(specs)]
         if digits.max(initial=0) >= _SATURATION:
             raise RuntimeError("counter saturation: count exceeded one byte")
-        yield seg_lo, seg_hi, dict(zip(map(tuple, digits.tolist()), tallies.tolist()))
+        yield seg_lo, seg_hi, np.ascontiguousarray(digits), tallies.astype(np.int64)
 
 
 def joint_factor_counts(
@@ -197,12 +209,13 @@ def joint_factor_counts(
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> JointCounts:
     """Exact joint counts of factor-count vectors via the segmented sieve."""
-    merged: dict[tuple[int, ...], int] = {}
-    out_specs: tuple[SetSpec, ...] = tuple(specs)
-    for _, _, partial in iter_segment_counts(x, out_specs, segment_size=segment_size):
-        for key, c in partial.items():
-            merged[key] = merged.get(key, 0) + c
-    result = JointCounts(x=int(x), specs=out_specs, counts=merged)
+    specs = tuple(specs)
+    _, _, parts, partials = zip(*iter_segment_counts(x, specs, segment_size=segment_size))
+    # a row as one opaque value compares bytewise, i.e. lexicographically
+    rows, at = np.unique(np.concatenate(parts).view(f"V{len(specs)}"), return_inverse=True)
+    tallies = np.zeros(rows.size, dtype=np.int64)
+    np.add.at(tallies, at.ravel(), np.concatenate(partials))
+    result = JointCounts(int(x), specs, rows.view(np.uint8).reshape(rows.size, -1), tallies)
     if result.total() != x:
         raise RuntimeError(f"count total {result.total()} != x={x}")
     return result
@@ -241,17 +254,9 @@ def oracle_factor_counts(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> 
         fac = _trial_factorization(n).items()
         key = tuple(sum(a if multi else 1 for p, a in fac if p in ps) for ps, multi in sets)
         counts[key] = counts.get(key, 0) + 1
-    return JointCounts(x=int(x), specs=specs, counts=counts)
-
-
-def joint_pmf_of(counts: JointCounts) -> JointPmf:
-    """Empirical joint pmf: counts / x over the box of the observed keys, tail_bound 0."""
-    keys = np.array(list(counts.counts), dtype=np.intp)
-    shape = keys.max(axis=0) + 1
-    check_grid(shape.tolist(), "empirical grid")
-    probs = np.zeros(shape)
-    probs[tuple(keys.T)] = np.array(list(counts.counts.values())) / counts.x
-    return JointPmf(probs, tail_bound=0.0)
+    keys = sorted(counts)
+    tallies = np.array([counts[k] for k in keys], dtype=np.int64)
+    return JointCounts(int(x), specs, np.array(keys, dtype=np.uint8), tallies)
 
 
 def iter_smooth_parts(

@@ -28,19 +28,17 @@ DEFAULT_TAIL_EPS = 1e-12
 SERIES_RADIUS = 1.9
 
 
-def _exponent_cutoff(p: int, n_sets: int, tail_eps: float, series_radius: float) -> int:
+def _exponent_cutoff(p: int, n_sets: int, tail_eps: float) -> int:
     """Truncation depth for the factor at p: smallest k with
-    (series_radius/p)^k below tail_eps / n_sets.  At series_radius=1 this is
-    the plain geometric-mass rule."""
-    return max(1, math.ceil(math.log(tail_eps / n_sets) / math.log(series_radius / p)))
+    (SERIES_RADIUS/p)^k below tail_eps / n_sets.  SERIES_RADIUS < 2 <= p, so
+    the ratio is below 1 and the depth is finite."""
+    return max(1, math.ceil(math.log(tail_eps / n_sets) / math.log(SERIES_RADIUS / p)))
 
 
 def model_exact_pmf(
     primes: PrimeSet,
     mode: CountMode,
     tail_eps: float = DEFAULT_TAIL_EPS,
-    *,
-    series_radius: float = SERIES_RADIUS,
 ) -> Pmf:
     """Exact model law of the factor count over a prime set.
 
@@ -61,14 +59,10 @@ def model_exact_pmf(
             acc = np.convolve(acc, [1.0 - 1.0 / p, 1.0 / p])
         return Pmf(tuple(acc.tolist()), 0.0)
 
-    if not 1.0 <= series_radius < ps[0]:
-        raise DomainError(
-            f"series_radius must be in [1, smallest prime), got {series_radius}"
-        )
     acc = np.array([1.0])
     dropped = []
     for p in ps:
-        cutoff = _exponent_cutoff(p, len(ps), tail_eps, series_radius)
+        cutoff = _exponent_cutoff(p, len(ps), tail_eps)
         factor = (1.0 - 1.0 / p) * np.power(1.0 / p, np.arange(cutoff + 1))
         acc = np.convolve(acc, factor)
         dropped.append(float(p) ** (-(cutoff + 1)))

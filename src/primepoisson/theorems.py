@@ -15,19 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .dist import (
-    poisson_pmf,
-    product_joint,
-    tv_distance,
-    tv_distance_joint,
-)
+import numpy as np
+
+from .dist import poisson_pmf, product_joint, tv_distance, tv_distance_joint, tv_distance_sparse
 from .errors import DomainError, EmptyConditionError
-from .factorstats import (
-    CountMode,
-    SetSpec,
-    joint_factor_counts,
-    joint_pmf_of,
-)
+from .factorstats import CountMode, SetSpec, joint_factor_counts
 from .kubilius import model_exact_pmf, model_tv_exact
 from .primesets import (
     PrimeSet,
@@ -128,7 +120,7 @@ def check_thm1(cfg: Thm1Config) -> TheoremReport:
             [model_exact_pmf(s.primes, s.mode, cfg.tail_eps) for s in cfg.specs]
         )
     counts = joint_factor_counts(cfg.x, cfg.specs)
-    tv = tv_distance_joint(joint_pmf_of(counts), poisson_joint)
+    tv = tv_distance_sparse(counts.keys, counts.tallies / cfg.x, poisson_joint)
 
     rhs = math.fsum(s["h2"] / (1.0 + s["h"]) for s in summaries) + u ** (-u)
     params: dict = {
@@ -204,7 +196,7 @@ def check_corollary1(
     unit = poisson_pmf(1.0, tail_eps)
     poisson_joint = product_joint([unit] * len(specs))
     counts = joint_factor_counts(x, specs)
-    tv = tv_distance_joint(joint_pmf_of(counts), poisson_joint)
+    tv = tv_distance_sparse(counts.keys, counts.tallies / x, poisson_joint)
 
     xi_eff = min(used)
     rhs = math.exp(-math.exp(xi_eff / 2.0))
@@ -353,17 +345,17 @@ class Thm3Config:
 
 
 @lru_cache(maxsize=4)
-def _thm3_table(x: int, tset: PrimeSet) -> tuple[float, int, tuple]:
+def _thm3_table(x: int, tset: PrimeSet) -> tuple[float, int, np.ndarray, np.ndarray]:
     """h(primes <= x), the complement's size and the distinct-count table of
-    (T, complement) as immutable (vector, count) pairs, shared by every
-    (k, psi) cell of one (x, T)."""
+    (T, complement) as read-only keys and tallies, shared by every (k, psi)
+    cell of one (x, T); the specs, with the complement's primes, are not kept."""
     full = sieve_primes(x)
     complement = full.difference(tset)
     if len(complement) == 0:
         raise DomainError("T must be a proper subset of the primes <= x")
     specs = (SetSpec(tset, CountMode.DISTINCT), SetSpec(complement, CountMode.DISTINCT))
-    table = tuple(joint_factor_counts(x, specs).counts.items())
-    return harmonic_sums(full).h, len(complement), table
+    counts = joint_factor_counts(x, specs)
+    return harmonic_sums(full).h, len(complement), counts.keys, counts.tallies
 
 
 def check_thm3(cfg: Thm3Config) -> TheoremReport:
@@ -383,7 +375,7 @@ def check_thm3(cfg: Thm3Config) -> TheoremReport:
             f"need 1 <= k <= a_param*loglog(x) = {cfg.a_param * loglog:.6f}, got k={cfg.k}"
         )
 
-    h_s, complement_size, counts = _thm3_table(cfg.x, cfg.tset)
+    h_s, complement_size, keys, tallies = _thm3_table(cfg.x, cfg.tset)
     alpha = harmonic_sums(cfg.tset).h / h_s
     if not 0.0 <= cfg.psi <= math.sqrt(alpha * cfg.k):
         raise DomainError(
@@ -391,14 +383,10 @@ def check_thm3(cfg: Thm3Config) -> TheoremReport:
         )
 
     threshold = cfg.psi * math.sqrt(alpha * (1.0 - alpha) * cfg.k)
-    conditioned = 0
-    deviating = 0
-    for (a, b), c in counts:
-        if a + b != cfg.k:
-            continue
-        conditioned += c
-        if abs(a - alpha * cfg.k) >= threshold:
-            deviating += c
+    a, b = keys.T.astype(np.int64)
+    on = a + b == cfg.k
+    conditioned = int(tallies[on].sum())
+    deviating = int(tallies[on & (np.abs(a - alpha * cfg.k) >= threshold)].sum())
     if conditioned == 0:
         raise EmptyConditionError(f"no n <= {cfg.x} has exactly {cfg.k} distinct prime factors")
 

@@ -157,6 +157,20 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys):
     assert {p.name for p in out.iterdir()} == expected
 
 
+@pytest.mark.parametrize(
+    "content", ['[1, 2]', '{"a": ["x", "y"]}', '{"a": [1, "y"]}', '{"a": [true, 2]}', '{"a": [2, 1]}']
+)
+def test_bad_band_file_exits_2_before_any_work(tmp_path, monkeypatch, capsys, content):
+    calls = []
+    monkeypatch.setitem(cli._HANDLERS, "harmonic", lambda ns, out: calls.append(ns))
+    bands = tmp_path / "bands.json"
+    bands.write_text(content)
+    code, out = run(["harmonic", "--set", "list:2", "--band-file", str(bands)], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: band") and "Traceback" not in err
+    assert calls == [] and not out.exists()
+
+
 def test_thm2_declared_xi_is_checked(tmp_path, capsys):
     code, _ = run(["thm2", "--x", "100", "--set", "list:2", "--k", "1", "--xi", "1"], tmp_path)
     assert code == 2

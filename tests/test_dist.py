@@ -14,7 +14,6 @@ from primepoisson import (
     CapError,
     CountMode,
     DomainError,
-    JointCounts,
     JointPmf,
     Pmf,
     PrimeSet,
@@ -23,11 +22,11 @@ from primepoisson import (
     binomial_pmf,
     binomial_tail_bound,
     joint_factor_counts,
-    joint_pmf_of,
     poisson_pmf,
     product_joint,
     tv_distance,
     tv_distance_joint,
+    tv_distance_sparse,
 )
 from primepoisson.dist import exact_sum
 
@@ -187,21 +186,46 @@ def test_joint_tv_matches_dict_reference(pair):
     assert tv_distance_joint(q, p) == dict_tv(q, p)
 
 
+def scatter(keys: np.ndarray, probs: np.ndarray) -> JointPmf:
+    """A sparse law as a dense pmf over the box of its keys."""
+    box = np.zeros(keys.max(axis=0).astype(np.intp) + 1)
+    box[tuple(keys.T)] = probs
+    return JointPmf(box)
+
+
+@st.composite
+def sparse_dense_pairs(draw):
+    """Distinct random keys with positive masses, and a dense pmf q of the
+    same dimension; key coordinates run two past q's box, so keys fall
+    inside it, on its last cells and outside it."""
+    q = draw(joint_pmf_pairs())[0]
+    coords = st.tuples(*(st.integers(0, n + 1) for n in q.probs.shape))
+    keys = np.array(draw(st.lists(coords, min_size=1, max_size=40, unique=True)), np.uint8)
+    weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=len(keys), max_size=len(keys))))
+    return keys, weights / weights.sum(), q
+
+
+@given(sparse_dense_pairs())
+def test_sparse_tv_is_the_dense_tv_of_its_scatter(triple):
+    keys, probs, q = triple
+    assert tv_distance_sparse(keys, probs, q) == tv_distance_joint(scatter(keys, probs), q)
+
+
 def test_joint_tv_empirical_key_outside_poisson_box():
     counts = joint_factor_counts(10**4, [SetSpec(PrimeSet([2]), CountMode.WITH_MULTIPLICITY)])
-    empirical = joint_pmf_of(counts)
+    probs = counts.tallies / counts.x
     poisson = product_joint([poisson_pmf(1.0, 1e-3)])  # h1 of {2} is 1
-    assert empirical.probs.shape[0] > poisson.probs.shape[0]
-    assert tv_distance_joint(empirical, poisson) == dict_tv(empirical, poisson)
+    assert counts.keys.max() >= poisson.probs.shape[0]
+    empirical = scatter(counts.keys, probs)
+    assert tv_distance_sparse(counts.keys, probs, poisson) == dict_tv(empirical, poisson)
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        tv_distance_sparse(counts.keys, probs, product_joint([poisson_pmf(1.0)] * 2))
 
 
 def test_joint_grids_over_cap_refused():
     flat = np.full((5000, 1), 1 / 5000)  # the union box of these two has 25 M cells
     with pytest.raises(CapError, match="tv grid of 25000000 entries"):
         tv_distance_joint(JointPmf(flat), JointPmf(flat.T))
-    corners = JointCounts(x=2, specs=(), counts={(0,) * 8: 1, (20,) * 8: 1})
-    with pytest.raises(CapError, match=f"empirical grid of {21**8} entries"):
-        joint_pmf_of(corners)
 
 
 def test_joint_truncation_gap_within_tail_bounds():

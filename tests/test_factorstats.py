@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +15,12 @@ from primepoisson import (
     PrimeSet,
     SetSpec,
     iter_segment_counts,
+    JointPmf,
     joint_factor_counts,
-    joint_pmf_of,
     oracle_factor_counts,
     sieve_primes,
     smooth_part_distribution,
+    tv_distance_sparse,
 )
 
 
@@ -100,16 +102,39 @@ def test_segment_size_invariance():
 
 
 def test_segment_stream_partials_merge_to_totals():
-    specs = (dspec(2, 3),)
+    specs = (dspec(2, 3), mspec(5))
     merged: dict = {}
     hi_seen = 0
-    for seg_lo, seg_hi, partial in iter_segment_counts(1000, specs, segment_size=128):
+    for seg_lo, seg_hi, keys, tallies in iter_segment_counts(1000, specs, segment_size=128):
         assert seg_lo == hi_seen + 1  # contiguous inclusive segments
         hi_seen = seg_hi
-        for key, c in partial.items():
+        assert keys.dtype == np.uint8 and keys.shape == (tallies.size, 2)
+        assert tallies.dtype == np.int64 and tallies.sum() == seg_hi - seg_lo + 1
+        rows = keys.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        for key, c in zip(map(tuple, rows), tallies.tolist()):
             merged[key] = merged.get(key, 0) + c
     assert hi_seen == 1000
     assert merged == joint_factor_counts(1000, specs).counts
+
+
+@pytest.mark.parametrize("seg", [7, 128, 1 << 20])
+def test_joint_counts_arrays(seg):
+    x = 5000
+    specs = (dspec(2, 3, 5), mspec(7, 11), dspec(*sieve_primes(3000).primes[5:]))
+    jc = joint_factor_counts(x, specs, segment_size=seg)
+    assert jc.keys.dtype == np.uint8 and jc.keys.shape == (jc.tallies.size, 3)
+    assert jc.tallies.dtype == np.int64 and jc.tallies.sum() == x
+    rows = jc.keys.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly increasing, lexicographic
+    assert not jc.keys.flags.writeable and not jc.tallies.flags.writeable
+    for i in range(3):
+        expected: dict = {}
+        for key, c in jc.counts.items():
+            expected[key[i]] = expected.get(key[i], 0) + c
+        assert jc.marginal(i) == expected
+    slow = oracle_factor_counts(x, specs)
+    assert np.array_equal(slow.keys, jc.keys) and np.array_equal(slow.tallies, jc.tallies)
 
 
 @settings(max_examples=20, deadline=None)
@@ -162,11 +187,12 @@ def test_caps_refused():
 
 def test_joint_pmf_normalization():
     jc = joint_factor_counts(100, (dspec(2, 3),))
-    pmf = joint_pmf_of(jc)
-    assert pmf.entries[(0,)] == pytest.approx(0.33, abs=1e-15)
-    assert pmf.entries[(1,)] == pytest.approx(0.51, abs=1e-15)
-    assert pmf.entries[(2,)] == pytest.approx(0.16, abs=1e-15)
-    assert math.fsum(pmf.entries.values()) == pytest.approx(1.0, abs=1e-15)
+    probs = jc.tallies / jc.x
+    assert jc.keys.tolist() == [[0], [1], [2]]
+    assert probs.tolist() == [0.33, 0.51, 0.16]
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
+    same = tv_distance_sparse(jc.keys, probs, JointPmf(probs))
+    assert (same.value, same.uncertainty) == (0.0, 0.0)
 
 
 def test_smooth_part_hand_case():

@@ -84,20 +84,7 @@ def test_mgf_product_identities_spot_checks():
             assert mult.series(z) == pytest.approx(expected_w, abs=1e-9)
 
 
-def test_radius_one_reproduces_minimal_truncation():
-    ps = PrimeSet((2, 5))
-    base = model_exact_pmf(ps, CountMode.WITH_MULTIPLICITY, 1e-10, series_radius=1.0)
-    wide = model_exact_pmf(ps, CountMode.WITH_MULTIPLICITY, 1e-10)
-    assert len(base) <= len(wide)
-    assert base.tail_bound <= 1e-10
-    # entries can differ by at most the certified dropped mass
-    for k in range(len(base)):
-        assert base.prob(k) == pytest.approx(wide.prob(k), abs=base.tail_bound + 1e-15)
-
-
 def test_radius_validation():
-    with pytest.raises(DomainError):
-        model_exact_pmf(PrimeSet((2,)), CountMode.WITH_MULTIPLICITY, series_radius=2.5)
     with pytest.raises(DomainError):
         model_exact_pmf(PrimeSet((2,)), CountMode.WITH_MULTIPLICITY, tail_eps=0.0)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -208,6 +209,22 @@ def test_thm1_grid_over_cap_refused_before_counting(monkeypatch):
     with pytest.raises(CapError, match="product grid of 60963840 entries"):
         check_thm1(Thm1Config(x=10**5, y=1000, specs=specs))
     assert calls == []
+
+
+def test_thm1_sparse_exact_law_needs_no_box():
+    # eight single-prime multiplicity sets: 20,198 observed count vectors whose
+    # box has 62,868,960 cells; the TV against the product law spans neither
+    # that box nor its union with the product grid
+    specs = tuple(mspec(PrimeSet((p,))) for p in (2, 3, 5, 7, 11, 13, 17, 19))
+    cfg = Thm1Config(x=10**7, y=100, specs=specs, tail_eps=0.1, include_decomposition=False)
+    tracemalloc.start()
+    try:
+        report = check_thm1(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.lhs == 0.23697051715998887
+    assert peak < 64 << 20, peak  # the 8-byte box alone would be 480 MiB
 
 
 def test_thm3_empty_condition_is_distinct_error():
