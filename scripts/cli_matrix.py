@@ -1,0 +1,109 @@
+"""Fingerprint the command line over a fixed matrix of argv.
+
+Run from the repository root:
+
+    python3 scripts/cli_matrix.py > matrix.jsonl
+
+Each argv runs as ``python -m primepoisson ... --out-dir <fresh dir>`` against
+the ``src/`` next to this script, and prints one JSON line: the argv, the
+exit code, sha256 of stdout and of stderr, sha256 of every output file but
+``manifest.json`` (it holds a timestamp and the wall time), and the
+manifest's ``outputs`` list.  Run it on two checkouts and diff the output to
+see which commands changed bytes.  Standard library only; about 15 s.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SWEEP_ROWS = [
+    {"command": "thm3", "x": 10**5, "set": "interval:2..10", "k": 2, "psi": 0.5},
+    {"command": "cor32", "set": "list:11:multiplicity"},
+    {"command": "model-tv", "x": 10**4, "y": 10},
+    {"command": "thm4", "set": "list:2,3", "k_max": 4},
+    {"command": "thm2", "x": 1000, "set": ["interval:2..10", "interval:11..100"], "k": "1,1"},
+    {"command": "harmonic", "set": "list:2,3,5"},
+    {"command": "thm3", "x": 10**5, "set": "interval:2..10", "k": 2, "psi": 99},
+    {"command": "counts", "x": "1e13", "set": "list:2"},
+]
+
+D = ["--set", "interval:2..7", "--set", "interval:11..31:multiplicity"]
+M = ["--set", "interval:2..7:multiplicity", "--set", "interval:11..31"]
+
+MATRIX = [
+    ["sieve", "--limit", "1000"],
+    ["sieve", "--lo", "100", "--hi", "200"],
+    ["harmonic", "--set", "list:2,3,5"],
+    ["counts", "--x", "1e4", *D],
+    ["counts", "--x", "1e4", *M, "--oracle"],
+    ["counts", "--x", "1e4", *D, "--segment-size", "7"],
+    ["model", "--set", "list:2,3"],
+    ["model", "--set", "list:2,3:multiplicity"],
+    ["model", "--set", "interval:2..100", "--samples", "50", "--sample-y", "30", "--seed", "1"],
+    ["model", "--samples", "20", "--sample-y", "10", "--emit-samples"],
+    ["model-tv", "--x", "1e5", "--y", "100"],
+    ["thm1", "--x", "1e5", "--y", "31", *D],
+    ["thm1", "--x", "1e5", "--y", "31", *M, "--no-decomposition"],
+    ["thm1", "--x", "1e5", "--y", "31", "--set", "interval:2..31:distinct"],
+    ["thm2", "--x", "1000", "--set", "interval:2..10", "--set", "interval:11..100", "--k", "1,1"],
+    ["thm2", "--x", "100", "--set", "interval:2..50", "--set", "interval:51..100", "--k", "0,0"],
+    ["thm2", "--x", "100", "--set", "list:2", "--k", "1", "--eta", "1"],
+    ["thm3", "--x", "1e5", "--set", "interval:2..10", "--k", "2", "--psi", "0.5"],
+    ["halasz", "--x", "1e5", "--set", "interval:2..100", "--k-lo", "0", "--k-hi", "6"],
+    ["thm4", "--set", "list:2,3"],
+    ["thm4", "--set", "interval:2..50:multiplicity", "--k-max", "12"],
+    ["cor1", "--x", "1e5", "--lo", "0", "--hi", "1"],
+    ["cor32", "--set", "interval:2..100"],
+    ["cor32", "--set", "interval:2..100:multiplicity"],
+    ["sweep", "--grid", "GRID", "--workers", "1"],
+    ["sweep", "--grid", "GRID", "--workers", "2"],
+    ["thm3", "--x", "1e5", "--set", "interval:2..10", "--k", "2", "--psi", "99"],
+    ["counts", "--x", "1e13", "--set", "list:2"],
+]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(argv: list[str], work: Path, index: int) -> dict:
+    out = work / f"out{index}"
+    argv_run = [str(work / "matrix.json") if a == "GRID" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "primepoisson", *argv_run, "--out-dir", str(out)],
+        capture_output=True,
+        env=env,
+        cwd=work,
+    )
+    files = sorted(out.iterdir()) if out.exists() else []
+    manifest = out / "manifest.json"
+    return {
+        "argv": argv,
+        "exit": proc.returncode,
+        "stdout": sha(proc.stdout),
+        "stderr": sha(proc.stderr),
+        "files": {p.name: sha(p.read_bytes()) for p in files if p.name != "manifest.json"},
+        "outputs": json.loads(manifest.read_text())["outputs"] if manifest.exists() else None,
+    }
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "matrix.json").write_text(json.dumps({"rows": SWEEP_ROWS}))
+        for i, argv in enumerate(MATRIX):
+            print(json.dumps(fingerprint(argv, work, i), sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

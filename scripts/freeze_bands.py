@@ -111,7 +111,7 @@ def thm2_partition_sweep() -> dict[str, list[float]]:
             continue
         sets = tuple(PrimeSet(g) for g in groups)
         ks = tuple(rng.choice(k_choices) for _ in range(r))
-        rep = check_thm2(Thm2Config.infer(X_DESK, sets, ks))
+        rep = check_thm2(Thm2Config(X_DESK, sets, ks))
         ratio = rep.ratio if rep.ratio is not None else 0.0
         worst = max(worst, ratio)
         print(f"thm2 trial={trial} r={r} ks={ks}: lhs={rep.lhs:.6g} ratio={ratio:.6g}")

@@ -42,7 +42,7 @@ import sys
 import time
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -314,7 +314,7 @@ def _cmd_model(ns, out: RunWriter | None) -> CommandResult:
         name = f"model[{ns.set}]"
         lines.append(f"support={len(pmf)} mean={pmf.mean()!r} tail_bound={pmf.tail_bound!r}")
         if out:
-            out.csv("model_pmf.csv", ["index", "probability"], enumerate(pmf.probs))
+            out.csv("model_pmf.csv", ["index", "probability"], enumerate(pmf.probs.tolist()))
     if ns.samples is not None:
         if ns.sample_y is None:
             raise DomainError("--sample-y is required with --samples")
@@ -379,10 +379,7 @@ def _cmd_thm2(ns, out: RunWriter | None) -> CommandResult:
     x = parse_count(ns.x)
     sets = tuple(parse_set_spec(s).primes for s in ns.set)
     ks = tuple(parse_count(tok) for tok in ns.k.split(","))
-    declared = {f: parse_count(v) for f, v in (("eta", ns.eta), ("xi", ns.xi)) if v is not None}
-    # check_thm2 rejects a declared flag that disagrees with the sets
-    cfg = replace(Thm2Config.infer(x, sets, ks), **declared)
-    return _theorem_result(check_thm2(cfg))
+    return _theorem_result(check_thm2(Thm2Config(x, sets, ks)))
 
 
 def _cmd_thm3(ns, out: RunWriter | None) -> CommandResult:
@@ -623,8 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--set", action="append", required=True, help="repeatable set spec")
     p.add_argument("--k", required=True, help="comma-separated target counts")
-    p.add_argument("--eta", default=None, help="0/1 covering flag (inferred when omitted)")
-    p.add_argument("--xi", default=None, help="0/1 degenerate flag (inferred when omitted)")
 
     p = sub.add_parser("thm3", help="conditional concentration of the count over T")
     p.add_argument("--x", required=True)

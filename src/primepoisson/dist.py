@@ -1,9 +1,11 @@
-"""Discrete distributions on the nonnegative integers with certified tail mass.
+"""Discrete distributions on tuples of nonnegative integers with certified
+tail mass.
 
-A Pmf stores probabilities from index 0 up to a truncation point together
-with a tail_bound that certifies how much mass the stored vector can miss.
-Total-variation distances report that missing mass as an explicit
-uncertainty instead of silently ignoring it.
+There is one law type: a JointPmf is a read-only float64 array, dense over a
+box from the origin to a truncation point on each axis, together with a
+tail_bound that certifies how much mass the stored array can miss.  A Pmf is
+its one-axis case, with 1-D helpers.  Total-variation distances report that
+missing mass as an explicit uncertainty instead of silently ignoring it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ MASS_SLACK = 1e-12
 
 
 def _check_mass(probs: np.ndarray, tail_bound: float, what: str) -> None:
-    """The invariant of both pmf types: tail_bound and every entry finite and
+    """The invariant of a pmf: tail_bound and every entry finite and
     >= 0 (NaN and infinities are refused before exact_sum, whose bit
     arithmetic needs finite values), and the exact sum in the mass window."""
     if not 0.0 <= tail_bound < math.inf:
@@ -33,48 +35,6 @@ def _check_mass(probs: np.ndarray, tail_bound: float, what: str) -> None:
         raise DomainError(
             f"{what} mass {s} outside [1 - tail_bound, 1] window (tail_bound={tail_bound})"
         )
-
-
-@dataclass(frozen=True)
-class Pmf:
-    """Probability mass function on {0, 1, 2, ...}, truncated with a certificate.
-
-    probs[k] approximates P(X = k); the mass not represented by the vector is
-    at most tail_bound.  Invariant: 1 - tail_bound <= sum(probs) <= 1 (up to
-    float slack).
-    """
-
-    probs: tuple[float, ...]
-    tail_bound: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(v) for v in self.probs))
-        if not self.probs:
-            raise DomainError("a pmf needs at least one entry")
-        _check_mass(np.array(self.probs), self.tail_bound, "pmf")
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def prob(self, k: int) -> float:
-        """P(X = k), zero beyond the stored support."""
-        if 0 <= k < len(self.probs):
-            return self.probs[k]
-        return 0.0
-
-    def mean(self) -> float:
-        return math.fsum(k * v for k, v in enumerate(self.probs))
-
-    def series(self, z: complex) -> complex:
-        """Evaluate sum of probs[k] * z^k (Horner)."""
-        acc: complex = 0.0
-        for v in reversed(self.probs):
-            acc = acc * z + v
-        return acc
-
-    def as_json(self) -> dict:
-        return {"probs": list(self.probs), "tail_bound": self.tail_bound}
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +53,7 @@ class JointPmf:
         object.__setattr__(self, "probs", probs)
         if probs.ndim < 1:
             raise DomainError("a joint pmf needs at least one axis")
-        _check_mass(probs, self.tail_bound, "joint")
+        _check_mass(probs, self.tail_bound, type(self).__name__)
 
     @property
     def dims(self) -> int:
@@ -103,6 +63,39 @@ class JointPmf:
     def entries(self) -> dict[tuple[int, ...], float]:
         """{key: probability} over every cell of the box, built on each access."""
         return dict(zip(np.ndindex(self.probs.shape), self.probs.ravel().tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class Pmf(JointPmf):
+    """The one-axis joint law: a pmf on {0, 1, 2, ...}, probs[k] approximates
+    P(X = k) and the mass the vector misses is at most tail_bound."""
+
+    def __post_init__(self):
+        if np.ndim(self.probs) != 1 or np.size(self.probs) == 0:
+            raise DomainError("a pmf needs one axis and at least one entry")
+        super().__post_init__()
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def prob(self, k: int) -> float:
+        """P(X = k), zero beyond the stored support."""
+        if 0 <= k < len(self.probs):
+            return float(self.probs[k])
+        return 0.0
+
+    def mean(self) -> float:
+        return math.fsum(k * v for k, v in enumerate(self.probs.tolist()))
+
+    def series(self, z: complex) -> complex:
+        """Evaluate sum of probs[k] * z^k (Horner)."""
+        acc: complex = 0.0
+        for v in reversed(self.probs.tolist()):
+            acc = acc * z + v
+        return acc
+
+    def as_json(self) -> dict:
+        return {"probs": self.probs.tolist(), "tail_bound": self.tail_bound}
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,7 @@ def poisson_pmf(lam: float, tail_eps: float = 1e-12) -> Pmf:
     if not 0.0 < tail_eps < 1.0:
         raise DomainError(f"tail_eps must be in (0, 1), got {tail_eps}")
     if lam == 0.0:
-        return Pmf((1.0,), 0.0)
+        return Pmf(np.ones(1), 0.0)
 
     log_lam = math.log(lam)
 
@@ -157,7 +150,7 @@ def poisson_pmf(lam: float, tail_eps: float = 1e-12) -> Pmf:
             v *= lam / (k + 1)
     for k in range(len(probs), k_cut):
         probs.append(math.exp(-lam + k * log_lam - math.lgamma(k + 1)))
-    return Pmf(tuple(probs), tail_bound)
+    return Pmf(np.array(probs), tail_bound)
 
 
 def check_grid(shape: Sequence[int], what: str) -> None:
@@ -231,7 +224,7 @@ def tv_distance(p: Pmf, q: Pmf) -> TvResult:
     The halved sum of absolute differences covers the stored mass; whatever
     either pmf truncated away is folded into the uncertainty.
     """
-    return _tv(np.array(p.probs), np.array(q.probs), p.tail_bound + q.tail_bound)
+    return _tv(p.probs, q.probs, p.tail_bound + q.tail_bound)
 
 
 def tv_distance_joint(p: JointPmf, q: JointPmf) -> TvResult:
@@ -273,13 +266,12 @@ def product_joint(components: Sequence[Pmf]) -> JointPmf:
         raise DomainError("product_joint needs at least one component")
     check_grid([len(c) for c in comps], "product grid")
 
-    arrays = [np.asarray(c.probs) for c in comps]
-    out = arrays[0]
-    for a in arrays[1:]:
-        out = np.multiply.outer(out, a)
+    out = comps[0].probs
+    for c in comps[1:]:
+        out = np.multiply.outer(out, c.probs)
 
     kept = exact_sum([out])
-    exact_product = math.prod(math.fsum(c.probs) for c in comps)
+    exact_product = math.prod(exact_sum([c.probs]) for c in comps)
     rounding_loss = max(0.0, exact_product - kept)
     tail = math.fsum(c.tail_bound for c in comps) + rounding_loss
     return JointPmf(out, tail_bound=min(tail, 1.0))
@@ -291,24 +283,21 @@ def binomial_pmf(k: int, alpha: float) -> Pmf:
         raise DomainError(f"trial count must be >= 0, got {k}")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"success probability must be in [0, 1], got {alpha}")
-    if alpha == 0.0:
-        return Pmf((1.0,) + (0.0,) * k, 0.0)
-    if alpha == 1.0:
-        return Pmf((0.0,) * k + (1.0,), 0.0)
-    if k <= 1000:
-        pa = [1.0]
-        pb = [1.0]
-        for _ in range(k):
-            pa.append(pa[-1] * alpha)
-            pb.append(pb[-1] * (1.0 - alpha))
-        probs = tuple(math.comb(k, m) * pa[m] * pb[k - m] for m in range(k + 1))
+    if alpha in (0.0, 1.0):  # a point mass at alpha * k
+        probs = np.zeros(k + 1)
+        probs[round(alpha * k)] = 1.0
+    elif k <= 1000:
+        comb = np.array([float(math.comb(k, m)) for m in range(k + 1)])
+        pa = np.multiply.accumulate(np.r_[1.0, np.full(k, alpha)])  # alpha^m, one factor a step
+        pb = np.multiply.accumulate(np.r_[1.0, np.full(k, 1.0 - alpha)])
+        probs = comb * pa * pb[::-1]
     else:
         la, lb = math.log(alpha), math.log1p(-alpha)
-        probs = tuple(
+        probs = np.array([
             math.exp(math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
                      + m * la + (k - m) * lb)
             for m in range(k + 1)
-        )
+        ])
     return Pmf(probs, 0.0)
 
 

@@ -51,13 +51,13 @@ def model_exact_pmf(
         raise DomainError(f"tail_eps must be in (0, 1), got {tail_eps}")
     ps = tuple(primes.primes)
     if not ps:
-        return Pmf((1.0,), 0.0)
+        return Pmf(np.ones(1), 0.0)
 
     if mode is CountMode.DISTINCT:
         acc = np.array([1.0])
         for p in ps:
             acc = np.convolve(acc, [1.0 - 1.0 / p, 1.0 / p])
-        return Pmf(tuple(acc.tolist()), 0.0)
+        return Pmf(acc, 0.0)
 
     acc = np.array([1.0])
     dropped = []
@@ -66,7 +66,7 @@ def model_exact_pmf(
         factor = (1.0 - 1.0 / p) * np.power(1.0 / p, np.arange(cutoff + 1))
         acc = np.convolve(acc, factor)
         dropped.append(float(p) ** (-(cutoff + 1)))
-    return Pmf(tuple(acc.tolist()), math.fsum(dropped))
+    return Pmf(acc, math.fsum(dropped))
 
 
 _SAMPLE_BLOCK = 4096

@@ -46,9 +46,12 @@ class TheoremReport:
     name: str
     lhs: float
     rhs: float
-    ratio: float | None
     params: dict
     uncertainty: float = 0.0
+
+    @property
+    def ratio(self) -> float | None:
+        return _ratio(self.lhs, self.rhs)
 
     def as_json(self) -> dict:
         return {
@@ -63,6 +66,11 @@ class TheoremReport:
 
 def _ratio(lhs: float, rhs: float) -> float | None:
     return None if rhs == 0.0 else lhs / rhs
+
+
+def _poisson_mass(rate: float, k: int) -> float:
+    """Poisson(rate){k}, evaluated in log space."""
+    return math.exp(-rate + k * math.log(rate) - math.lgamma(k + 1))
 
 
 def _set_summary(spec: SetSpec) -> dict:
@@ -153,7 +161,6 @@ def check_thm1(cfg: Thm1Config) -> TheoremReport:
         name=f"thm1[x={cfg.x},y={cfg.y},m={len(cfg.specs)}]",
         lhs=tv.value,
         rhs=rhs,
-        ratio=_ratio(tv.value, rhs),
         params=params,
         uncertainty=tv.uncertainty,
     )
@@ -228,7 +235,6 @@ def check_corollary1(
         name=f"cor1[x={x},xi={xi_lo}..{xi_hi}]",
         lhs=tv.value,
         rhs=rhs,
-        ratio=_ratio(tv.value, rhs),
         params=params,
         uncertainty=tv.uncertainty,
     )
@@ -236,35 +242,18 @@ def check_corollary1(
 
 @dataclass(frozen=True)
 class Thm2Config:
-    """Uniform upper-bound check: disjoint sets, target count vector, and the
-    covering flags.  eta is 0 exactly when the sets jointly cover every prime
-    <= x (1 otherwise); xi is 1 exactly when eta is 0 and every k_j is 0.
-    """
+    """Uniform upper-bound check: disjoint sets and a target count vector."""
 
     x: int
-    sets: tuple[PrimeSet, ...]
-    ks: tuple[int, ...]
-    eta: int
-    xi: int
-
-    @classmethod
-    def infer(cls, x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> "Thm2Config":
-        """Build a config with eta and xi computed from the sets."""
-        sets = tuple(sets)
-        ks = tuple(int(k) for k in ks)
-        eta, xi = _thm2_flags(x, sets, ks)
-        return cls(x=x, sets=sets, ks=ks, eta=eta, xi=xi)
-
-
-@lru_cache(maxsize=4)
-def _prime_count(x: int) -> int:
-    """pi(x), sieved once for Thm2Config.infer and check_thm2 on the same x."""
-    return count_primes(x)
+    sets: Sequence[PrimeSet]
+    ks: Sequence[int]
 
 
 def _thm2_flags(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> tuple[int, int]:
-    """The (eta, xi) that Thm2Config documents for these sets and counts."""
-    eta = 0 if sum(len(s) for s in sets) == _prime_count(x) else 1
+    """The covering flags (eta, xi): eta is 0 exactly when the sets jointly
+    cover every prime <= x (1 otherwise); xi is 1 exactly when eta is 0 and
+    every k_j is 0."""
+    eta = 0 if sum(len(s) for s in sets) == count_primes(x) else 1
     return eta, 1 if eta == 0 and all(k == 0 for k in ks) else 0
 
 
@@ -274,57 +263,46 @@ def check_thm2(cfg: Thm2Config) -> TheoremReport:
 
     rhs_first = prod_j e^{-h_j} h1_j^{k_j} / k_j! * (eta + sum k_j/h1_j) + xi;
     rhs_second = prod_j e^{-h_j} (h_j+2)^{k_j} / k_j!.  Both ratios are
-    reported; the headline ratio uses rhs_first.
+    reported; the headline ratio uses rhs_first.  The flags eta and xi are
+    derived from the sets and counts (_thm2_flags) and echoed in params.
     """
-    r = len(cfg.sets)
-    if r == 0 or len(cfg.ks) != r:
-        raise DomainError(f"need matching sets and counts, got {r} sets, {len(cfg.ks)} counts")
-    if any(k < 0 for k in cfg.ks):
+    r, ks = len(cfg.sets), tuple(int(k) for k in cfg.ks)
+    if r == 0 or len(ks) != r:
+        raise DomainError(f"need matching sets and counts, got {r} sets, {len(ks)} counts")
+    if any(k < 0 for k in ks):
         raise DomainError("target counts must be >= 0")
-    if cfg.eta not in (0, 1) or cfg.xi not in (0, 1):
-        raise DomainError("eta and xi must be 0 or 1")
-
-    eta_true, xi_true = _thm2_flags(cfg.x, cfg.sets, cfg.ks)
-    if cfg.eta != eta_true:
-        raise DomainError(
-            f"declared eta={cfg.eta} but the sets {'do' if eta_true == 0 else 'do not'} "
-            f"cover all primes <= x"
-        )
-    if cfg.xi != xi_true:
-        raise DomainError(f"declared xi={cfg.xi} inconsistent with eta and the counts")
+    eta, xi = _thm2_flags(cfg.x, cfg.sets, ks)
 
     specs = tuple(SetSpec(s, CountMode.DISTINCT) for s in cfg.sets)
     counts = joint_factor_counts(cfg.x, specs)
-    lhs = counts.counts.get(cfg.ks, 0) / cfg.x
+    lhs = counts.counts.get(ks, 0) / cfg.x
 
     summaries = [_set_summary(s) for s in specs]
     log_first = []
     correction = 0.0
     log_second = []
-    for s, k in zip(summaries, cfg.ks):
+    for s, k in zip(summaries, ks):
         log_first.append(-s["h"] + k * math.log(s["h1"]) - math.lgamma(k + 1))
         log_second.append(-s["h"] + k * math.log(s["h"] + 2.0) - math.lgamma(k + 1))
         correction += k / s["h1"]
-    rhs_first = math.exp(math.fsum(log_first)) * (cfg.eta + correction) + cfg.xi
+    rhs_first = math.exp(math.fsum(log_first)) * (eta + correction) + xi
     rhs_second = math.exp(math.fsum(log_second))
 
     params = {
         "x": cfg.x,
-        "ks": list(cfg.ks),
-        "eta": cfg.eta,
-        "xi": cfg.xi,
+        "ks": list(ks),
+        "eta": eta,
+        "xi": xi,
         "sets": summaries,
         "rhs_second": rhs_second,
         "ratio_second": _ratio(lhs, rhs_second),
         "h1_le_h_plus_1": [s["h1"] <= s["h"] + 1.0 + 1e-12 for s in summaries],
     }
     return TheoremReport(
-        name=f"thm2[x={cfg.x},r={r},k={','.join(map(str, cfg.ks))}]",
+        name=f"thm2[x={cfg.x},r={r},k={','.join(map(str, ks))}]",
         lhs=lhs,
         rhs=rhs_first,
-        ratio=_ratio(lhs, rhs_first),
         params=params,
-        uncertainty=0.0,
     )
 
 
@@ -408,9 +386,7 @@ def check_thm3(cfg: Thm3Config) -> TheoremReport:
         name=f"thm3[x={cfg.x},k={cfg.k},psi={cfg.psi}]",
         lhs=lhs,
         rhs=rhs,
-        ratio=_ratio(lhs, rhs),
         params=params,
-        uncertainty=0.0,
     )
 
 
@@ -430,20 +406,17 @@ def check_halasz(x: int, tset: PrimeSet, k_range: Sequence[int]) -> list[Theorem
     marginal = counts.marginal(0)
     hs = harmonic_sums(tset)
 
-    def pois_mass(rate: float, k: int) -> float:
-        return math.exp(-rate + k * math.log(rate) - math.lgamma(k + 1))
-
     reports = []
     for k in ks:
         lhs = marginal.get(k, 0) / x
-        rhs = pois_mass(hs.h, k)
+        rhs = _poisson_mass(hs.h, k)
         params = {
             "x": x,
             "k": k,
             "h": hs.h,
             "h1": hs.h1,
             "t_size": len(tset),
-            "ratio_h1": _ratio(lhs, pois_mass(hs.h1, k)),
+            "ratio_h1": _ratio(lhs, _poisson_mass(hs.h1, k)),
             "error_shape": abs(k - hs.h) / hs.h + 1.0 / math.sqrt(hs.h),
         }
         reports.append(
@@ -451,9 +424,7 @@ def check_halasz(x: int, tset: PrimeSet, k_range: Sequence[int]) -> list[Theorem
                 name=f"halasz[x={x},k={k}]",
                 lhs=lhs,
                 rhs=rhs,
-                ratio=_ratio(lhs, rhs),
                 params=params,
-                uncertainty=0.0,
             )
         )
     return reports
@@ -484,8 +455,7 @@ def check_thm4_local(
     for k in range(k_max + 1):
         lhs = abs(model.prob(k) - pois.prob(k))
         if k <= 1.9 * rate:
-            mass = math.exp(-rate + k * math.log(rate) - math.lgamma(k + 1))
-            rhs = hs.h2 * mass * (1.0 / (k + 1) + ((k - rate) / rate) ** 2)
+            rhs = hs.h2 * _poisson_mass(rate, k) * (1.0 / (k + 1) + ((k - rate) / rate) ** 2)
             regime = "bulk"
         else:
             rhs = hs.h2 * math.exp(0.9 * rate) / 1.9**k
@@ -504,7 +474,6 @@ def check_thm4_local(
                 name=f"thm4[{mode.value},k={k}]",
                 lhs=lhs,
                 rhs=rhs,
-                ratio=_ratio(lhs, rhs),
                 params=params,
                 uncertainty=model.tail_bound + pois.tail_bound,
             )
@@ -537,7 +506,6 @@ def check_cor32(
         name=f"cor32[{mode.value},m={len(tset)}]",
         lhs=tv.value,
         rhs=rhs,
-        ratio=_ratio(tv.value, rhs),
         params=params,
         uncertainty=tv.uncertainty,
     )

@@ -309,16 +309,16 @@ def test_criterion_09_uniform_upper_bound_sweep():
             continue
         sets = tuple(PrimeSet(g) for g in groups)
         ks = tuple(rng.choice(k_choices) for _ in range(r))
-        rep = check_thm2(Thm2Config.infer(10**6, sets, ks))
+        rep = check_thm2(Thm2Config(10**6, sets, ks))
         worst = max(worst, rep.ratio if rep.ratio is not None else 0.0)
 
     # degenerate covering case: every prime <= x in some set, all targets zero
     allp = sieve_primes(10**6)
     half = PrimeSet(allp.primes[: len(allp.primes) // 2])
     rest = allp.difference(half)
-    cfg = Thm2Config.infer(10**6, (half, rest), (0, 0))
-    rep0 = check_thm2(cfg)
-    degenerate_ok = cfg.xi == 1 and rep0.lhs == 1 / 10**6 and rep0.ratio <= 1.0
+    rep0 = check_thm2(Thm2Config(10**6, (half, rest), (0, 0)))
+    xi = rep0.params["xi"]
+    degenerate_ok = xi == 1 and rep0.lhs == 1 / 10**6 and rep0.ratio <= 1.0
 
     band = BANDS["thm2-sweep-max-ratio"]
     ok = band[0] <= worst <= band[1] and degenerate_ok
@@ -326,7 +326,7 @@ def test_criterion_09_uniform_upper_bound_sweep():
         9,
         ok,
         f"partition sweep max ratio {worst:.6f} vs band {band}; "
-        f"degenerate case lhs={rep0.lhs} xi={cfg.xi}",
+        f"degenerate case lhs={rep0.lhs} xi={xi}",
         time.perf_counter() - started,
         600.0,
     )

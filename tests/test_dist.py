@@ -72,7 +72,7 @@ def test_poisson_k0_closed_form():
 
 def test_poisson_degenerate():
     pmf = poisson_pmf(0.0)
-    assert pmf.probs == (1.0,)
+    assert pmf.probs.tolist() == [1.0]
     assert pmf.tail_bound == 0.0
 
 
@@ -250,8 +250,8 @@ def test_product_joint_entries():
 
 
 def test_binomial_hand_cases():
-    assert binomial_pmf(0, 0.3).probs == (1.0,)
-    assert binomial_pmf(2, 0.5).probs == (0.25, 0.5, 0.25)
+    assert binomial_pmf(0, 0.3).probs.tolist() == [1.0]
+    assert binomial_pmf(2, 0.5).probs.tolist() == [0.25, 0.5, 0.25]
     expected = math.comb(10, 3) * 0.3**3 * 0.7**7
     assert binomial_pmf(10, 0.3).prob(3) == pytest.approx(expected, abs=1e-16)
 

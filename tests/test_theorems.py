@@ -105,8 +105,7 @@ def test_thm1_report_is_deterministic():
 
 
 def test_thm2_single_prime_hand_case():
-    cfg = Thm2Config.infer(100, (PrimeSet((2,)),), (1,))
-    rep = check_thm2(cfg)
+    rep = check_thm2(Thm2Config(100, (PrimeSet((2,)),), (1,)))
     assert rep.lhs == 0.5
     assert rep.params["eta"] == 1 and rep.params["xi"] == 0
     assert rep.rhs > rep.lhs  # bound comfortably holds here
@@ -117,28 +116,20 @@ def test_thm2_all_zero_full_cover_degenerate_case():
     primes = sieve_primes(100)
     half = PrimeSet(primes.primes[:12])
     rest = primes.difference(half)
-    cfg = Thm2Config.infer(100, (half, rest), (0, 0))
-    assert cfg.eta == 0 and cfg.xi == 1
-    rep = check_thm2(cfg)
+    rep = check_thm2(Thm2Config(100, (half, rest), (0, 0)))
+    assert rep.params["eta"] == 0 and rep.params["xi"] == 1
     assert rep.lhs == 1 / 100  # only n=1 has no prime factor at all
     assert rep.ratio <= 1.0
 
 
-def test_thm2_rejects_wrong_flags():
-    with pytest.raises(DomainError):
-        check_thm2(Thm2Config(x=100, sets=(PrimeSet((2,)),), ks=(1,), eta=0, xi=0))
-    with pytest.raises(DomainError):
-        check_thm2(Thm2Config(x=100, sets=(PrimeSet((2,)),), ks=(1,), eta=1, xi=1))
-
-
 def test_thm2_rejects_overlap():
-    cfg = Thm2Config.infer(100, (PrimeSet((2, 3)), PrimeSet((3, 5))), (1, 1))
+    cfg = Thm2Config(100, (PrimeSet((2, 3)), PrimeSet((3, 5))), (1, 1))
     with pytest.raises(DomainError):
         check_thm2(cfg)
 
 
 def test_thm2_reports_second_bound():
-    cfg = Thm2Config.infer(1000, (PrimeSet((2, 3)), PrimeSet((5,))), (2, 1))
+    cfg = Thm2Config(1000, (PrimeSet((2, 3)), PrimeSet((5,))), (2, 1))
     rep = check_thm2(cfg)
     assert rep.params["rhs_second"] > 0
     assert rep.lhs <= rep.params["rhs_second"] + 1e-12
