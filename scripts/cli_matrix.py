@@ -44,7 +44,6 @@ MATRIX = [
     ["harmonic", "--set", "list:2,3,5"],
     ["counts", "--x", "1e4", *D],
     ["counts", "--x", "1e4", *M, "--oracle"],
-    ["counts", "--x", "1e4", *D, "--segment-size", "7"],
     ["model", "--set", "list:2,3"],
     ["model", "--set", "list:2,3:multiplicity"],
     ["model", "--set", "interval:2..100", "--samples", "50", "--sample-y", "30", "--seed", "1"],
@@ -55,7 +54,6 @@ MATRIX = [
     ["thm1", "--x", "1e5", "--y", "31", "--set", "interval:2..31:distinct"],
     ["thm2", "--x", "1000", "--set", "interval:2..10", "--set", "interval:11..100", "--k", "1,1"],
     ["thm2", "--x", "100", "--set", "interval:2..50", "--set", "interval:51..100", "--k", "0,0"],
-    ["thm2", "--x", "100", "--set", "list:2", "--k", "1", "--eta", "1"],
     ["thm3", "--x", "1e5", "--set", "interval:2..10", "--k", "2", "--psi", "0.5"],
     ["halasz", "--x", "1e5", "--set", "interval:2..100", "--k-lo", "0", "--k-hi", "6"],
     ["thm4", "--set", "list:2,3"],
@@ -67,6 +65,8 @@ MATRIX = [
     ["sweep", "--grid", "GRID", "--workers", "2"],
     ["thm3", "--x", "1e5", "--set", "interval:2..10", "--k", "2", "--psi", "99"],
     ["counts", "--x", "1e13", "--set", "list:2"],
+    ["harmonic", "--set", "list:2", "--band-name", "x"],
+    ["thm2", "--x", "1e13", "--set", "list:2", "--k", "1"],
 ]
 
 

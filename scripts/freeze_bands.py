@@ -24,8 +24,6 @@ from primepoisson import (
     PrimeSet,
     SetSpec,
     Thm1Config,
-    Thm2Config,
-    Thm3Config,
     check_cor32,
     check_thm1,
     check_thm2,
@@ -111,7 +109,7 @@ def thm2_partition_sweep() -> dict[str, list[float]]:
             continue
         sets = tuple(PrimeSet(g) for g in groups)
         ks = tuple(rng.choice(k_choices) for _ in range(r))
-        rep = check_thm2(Thm2Config(X_DESK, sets, ks))
+        rep = check_thm2(X_DESK, sets, ks)
         ratio = rep.ratio if rep.ratio is not None else 0.0
         worst = max(worst, ratio)
         print(f"thm2 trial={trial} r={r} ks={ks}: lhs={rep.lhs:.6g} ratio={ratio:.6g}")
@@ -125,9 +123,8 @@ def thm3_grid_sweep() -> dict[str, list[float]]:
     rows = 0
     for k in range(2, 9):
         for psi in (0.5, 1.0, 1.5, 2.0):
-            cfg = Thm3Config(x=X_DESK, tset=tset, k=k, a_param=3.0, psi=psi)
             try:
-                rep = check_thm3(cfg)
+                rep = check_thm3(x=X_DESK, tset=tset, k=k, a_param=3.0, psi=psi)
             except Exception as e:  # infeasible rows recorded, not fatal
                 print(f"thm3 k={k} psi={psi}: skipped ({e})")
                 continue

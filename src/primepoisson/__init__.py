@@ -19,7 +19,6 @@ from .factorstats import (
     CountMode,
     JointCounts,
     SetSpec,
-    iter_segment_counts,
     joint_factor_counts,
     oracle_factor_counts,
     smooth_part_distribution,
@@ -37,16 +36,12 @@ from .primesets import (
     expexp_cutoff,
     harmonic_sums,
     is_prime,
-    load_prime_set,
     primes_in_interval,
-    save_prime_set,
     sieve_primes,
 )
 from .theorems import (
     TheoremReport,
     Thm1Config,
-    Thm2Config,
-    Thm3Config,
     check_cor32,
     check_corollary1,
     check_halasz,
@@ -72,8 +67,6 @@ __all__ = [
     "SetSpec",
     "TheoremReport",
     "Thm1Config",
-    "Thm2Config",
-    "Thm3Config",
     "TvResult",
     "binomial_pmf",
     "binomial_tail_bound",
@@ -89,9 +82,7 @@ __all__ = [
     "expexp_cutoff",
     "harmonic_sums",
     "is_prime",
-    "iter_segment_counts",
     "joint_factor_counts",
-    "load_prime_set",
     "model_exact_pmf",
     "model_tv_exact",
     "oracle_factor_counts",
@@ -99,7 +90,6 @@ __all__ = [
     "primes_in_interval",
     "product_joint",
     "sample_exponent_matrix",
-    "save_prime_set",
     "sieve_primes",
     "smooth_part_distribution",
     "tv_distance",

@@ -50,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .dist import DEFAULT_TAIL_EPS
 from .errors import CapError, DomainError
 from .factorstats import (
     CountMode,
@@ -63,14 +64,11 @@ from .primesets import (
     expexp_block,
     harmonic_sums,
     primes_in_interval,
-    save_prime_set,
     sieve_primes,
 )
 from .theorems import (
     TheoremReport,
     Thm1Config,
-    Thm2Config,
-    Thm3Config,
     check_cor32,
     check_corollary1,
     check_halasz,
@@ -183,9 +181,12 @@ class RunWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / filename
 
-    def json(self, filename: str, obj) -> None:
-        self.path(filename).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    def text(self, filename: str, text: str) -> None:
+        self.path(filename).write_text(text)
         self.files.append(filename)
+
+    def json(self, filename: str, obj) -> None:
+        self.text(filename, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
     def csv(self, filename: str, headers: list[str], rows: Iterable[Sequence]) -> None:
         with open(self.path(filename), "w", newline="") as fh:
@@ -256,8 +257,7 @@ def _cmd_sieve(ns, out: RunWriter | None) -> CommandResult:
     payload["first"] = ps.primes[0] if ps.primes else None
     payload["last"] = ps.primes[-1] if ps.primes else None
     if out:
-        save_prime_set(ps, out.path("primes.txt"))
-        out.files.append("primes.txt")
+        out.text("primes.txt", "".join(f"{p}\n" for p in ps.primes))
     return CommandResult(name, payload, lines=[f"count={len(ps)}"])
 
 
@@ -281,7 +281,7 @@ def _cmd_counts(ns, out: RunWriter | None) -> CommandResult:
     if ns.oracle:
         counts = oracle_factor_counts(x, specs)
     else:
-        counts = joint_factor_counts(x, specs, segment_size=parse_count(ns.segment_size))
+        counts = joint_factor_counts(x, specs)
     payload = counts.as_json()
     payload["route"] = "oracle" if ns.oracle else "sieve"
     payload["specs"] = list(ns.set)
@@ -379,19 +379,15 @@ def _cmd_thm2(ns, out: RunWriter | None) -> CommandResult:
     x = parse_count(ns.x)
     sets = tuple(parse_set_spec(s).primes for s in ns.set)
     ks = tuple(parse_count(tok) for tok in ns.k.split(","))
-    return _theorem_result(check_thm2(Thm2Config(x, sets, ks)))
+    return _theorem_result(check_thm2(x, sets, ks))
 
 
 def _cmd_thm3(ns, out: RunWriter | None) -> CommandResult:
     spec = parse_set_spec(ns.set)
-    cfg = Thm3Config(
-        x=parse_count(ns.x),
-        tset=spec.primes,
-        k=parse_count(ns.k),
-        a_param=parse_float(ns.a_param),
-        psi=parse_float(ns.psi),
+    x, k = parse_count(ns.x), parse_count(ns.k)
+    return _theorem_result(
+        check_thm3(x, spec.primes, k, parse_float(ns.a_param), parse_float(ns.psi))
     )
-    return _theorem_result(check_thm3(cfg))
 
 
 def _cmd_halasz(ns, out: RunWriter | None) -> CommandResult:
@@ -569,6 +565,8 @@ _HANDLERS = {
     "cor32": _cmd_cor32,
     "sweep": _cmd_sweep,
 }
+# commands whose handler never returns a band value, so they take no band options
+_UNBANDED = {"sieve", "harmonic", "counts", "model"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,11 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--set", action="append", required=True, help="repeatable set spec")
     p.add_argument("--oracle", action="store_true", help="use the slow trial-division route")
-    p.add_argument("--segment-size", default=str(1 << 20))
 
     p = sub.add_parser("model", help="exact model law of a factor count; optional sampling")
     p.add_argument("--set", default=None, help="set spec for the exact law")
-    p.add_argument("--tail-eps", default="1e-12")
+    p.add_argument("--tail-eps", default=repr(DEFAULT_TAIL_EPS))
     p.add_argument("--samples", default=None, help="number of exponent-vector samples")
     p.add_argument("--sample-y", default=None, help="sample vectors over primes <= y")
     p.add_argument("--seed", default="0")
@@ -613,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--set", action="append", required=True, help="repeatable set spec")
-    p.add_argument("--tail-eps", default="1e-12")
+    p.add_argument("--tail-eps", default=repr(DEFAULT_TAIL_EPS))
     p.add_argument("--no-decomposition", action="store_true")
 
     p = sub.add_parser("thm2", help="uniform upper bound for a joint count vector")
@@ -637,26 +634,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thm4", help="pointwise model-vs-Poisson local bound")
     p.add_argument("--set", required=True)
     p.add_argument("--k-max", default=None)
-    p.add_argument("--tail-eps", default="1e-12")
+    p.add_argument("--tail-eps", default=repr(DEFAULT_TAIL_EPS))
 
     p = sub.add_parser("cor1", help="joint Poisson(1) comparison over expexp blocks")
     p.add_argument("--x", required=True)
     p.add_argument("--lo", required=True, help="smallest block index")
     p.add_argument("--hi", required=True, help="largest block index")
-    p.add_argument("--tail-eps", default="1e-12")
+    p.add_argument("--tail-eps", default=repr(DEFAULT_TAIL_EPS))
 
     p = sub.add_parser("cor32", help="model-vs-Poisson total variation bound")
     p.add_argument("--set", required=True)
-    p.add_argument("--tail-eps", default="1e-12")
+    p.add_argument("--tail-eps", default=repr(DEFAULT_TAIL_EPS))
 
     p = sub.add_parser("sweep", help="run a grid of sub-configs with band checks")
     p.add_argument("--grid", required=True, help="JSON grid file with a 'rows' list")
     p.add_argument("--workers", default=None, help="worker processes (default: cpu count)")
 
-    for p in sub.choices.values():
+    for command, p in sub.choices.items():
         p.add_argument("--out-dir", default=None, help="write the report, tables and manifest here")
-        p.add_argument("--band-file", default=None, help="JSON regression-band file")
-        p.add_argument("--band-name", default=None, help="override the band lookup name")
+        if command not in _UNBANDED:
+            p.add_argument("--band-file", default=None, help="JSON regression-band file")
+            p.add_argument("--band-name", default=None, help="override the band lookup name")
     return parser
 
 
@@ -664,7 +662,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        bands = load_bands(ns.band_file) if ns.band_file else {}
+        band_file = getattr(ns, "band_file", None)
+        bands = load_bands(band_file) if band_file else {}
         started = time.perf_counter()
         out = RunWriter(ns.out_dir) if ns.out_dir is not None else None
         result = _HANDLERS[ns.command](ns, out)

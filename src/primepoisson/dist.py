@@ -20,6 +20,8 @@ import numpy as np
 from .errors import CapError, DomainError
 
 MASS_SLACK = 1e-12
+# The default certified bound on the mass a truncated law may miss.
+DEFAULT_TAIL_EPS = 1e-12
 
 
 def _check_mass(probs: np.ndarray, tail_bound: float, what: str) -> None:
@@ -114,7 +116,7 @@ class TvResult:
             raise DomainError("value + uncertainty exceeds 1")
 
 
-def poisson_pmf(lam: float, tail_eps: float = 1e-12) -> Pmf:
+def poisson_pmf(lam: float, tail_eps: float = DEFAULT_TAIL_EPS) -> Pmf:
     """Poisson(lam) truncated so the certified missing mass is below tail_eps.
 
     The truncation point K is the smallest integer above lam whose Chernoff

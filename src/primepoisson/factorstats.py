@@ -179,43 +179,29 @@ def _count_keys(x: int, specs: tuple[SetSpec, ...], segments: int):
     return keys
 
 
-def iter_segment_counts(
-    x: int,
-    specs: list[SetSpec] | tuple[SetSpec, ...],
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Stream per-segment tallies (seg_lo, seg_hi, keys, tallies), keys and
-    tallies as in JointCounts but over n in [seg_lo, seg_hi] only.
-
-    Segments partition [1, x] in ascending order; merging the tallies of
-    equal keys gives exactly the result of joint_factor_counts.
-    """
-    specs = _validate_request(x, specs)
-    bounds = segment_bounds(1, x, segment_size)
-    keys = _count_keys(x, specs, -(-x // segment_size))
-    for seg_lo, seg_hi in bounds:
-        values, tallies = np.unique(keys(seg_lo, seg_hi), return_counts=True)
-        digits = values.view(np.uint8).reshape(values.size, -1)[:, ::-1][:, : len(specs)]
-        if digits.max(initial=0) >= _SATURATION:
-            raise RuntimeError("counter saturation: count exceeded one byte")
-        yield seg_lo, seg_hi, np.ascontiguousarray(digits), tallies.astype(np.int64)
-
-
 def joint_factor_counts(
     x: int,
     specs: list[SetSpec] | tuple[SetSpec, ...],
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> JointCounts:
-    """Exact joint counts of factor-count vectors via the segmented sieve."""
-    specs = tuple(specs)
-    _, _, parts, partials = zip(*iter_segment_counts(x, specs, segment_size=segment_size))
-    # a row as one opaque value compares bytewise, i.e. lexicographically
-    rows, at = np.unique(np.concatenate(parts).view(f"V{len(specs)}"), return_inverse=True)
-    tallies = np.zeros(rows.size, dtype=np.int64)
-    np.add.at(tallies, at.ravel(), np.concatenate(partials))
-    result = JointCounts(int(x), specs, rows.view(np.uint8).reshape(rows.size, -1), tallies)
+    """Exact joint counts of factor-count vectors via the segmented sieve.
+
+    Each segment's keys are tallied by value, and one np.unique over those
+    values merges the segments; set 0 being the most significant key byte,
+    value order is the lexicographic order of the count vectors.
+    """
+    specs = _validate_request(x, specs)
+    bounds = segment_bounds(1, x, segment_size)
+    keys = _count_keys(x, specs, -(-x // segment_size))
+    parts = [np.unique(keys(seg_lo, seg_hi), return_counts=True) for seg_lo, seg_hi in bounds]
+    values, at = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
+    tallies = np.zeros(values.size, dtype=np.int64)
+    np.add.at(tallies, at, np.concatenate([c for _, c in parts]))
+    digits = values.view(np.uint8).reshape(values.size, -1)[:, ::-1][:, : len(specs)]
+    if digits.max(initial=0) >= _SATURATION:
+        raise RuntimeError("counter saturation: count exceeded one byte")
+    result = JointCounts(int(x), specs, np.ascontiguousarray(digits), tallies)
     if result.total() != x:
         raise RuntimeError(f"count total {result.total()} != x={x}")
     return result

@@ -15,12 +15,10 @@ import math
 
 import numpy as np
 
-from .dist import Pmf, TvResult, exact_sum
+from .dist import DEFAULT_TAIL_EPS, Pmf, TvResult, exact_sum
 from .errors import DomainError
 from .factorstats import CountMode, iter_smooth_parts
 from .primesets import PrimeSet, prime_array, sieve_primes
-
-DEFAULT_TAIL_EPS = 1e-12
 
 # Exponent pmfs are truncated deep enough that the stored coefficients double
 # as the factor's power series on the disc |z| <= SERIES_RADIUS, which is what

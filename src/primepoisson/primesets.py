@@ -13,7 +13,6 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterator
 
 import mpmath
@@ -24,9 +23,12 @@ from .errors import DomainError
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 # Primality lookups below this bound go through a cached byte table; above it,
-# a deterministic Miller-Rabin witness set certified for all n < 3.3e24.
+# a Miller-Rabin witness set that is deterministic for all n below _MR_LIMIT:
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to the
+# twelve bases 2..37 (Sorenson and Webster, 2017).  Larger n are refused.
 _TABLE_LIMIT = 1 << 21
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
 # One Miller-Rabin test takes about as long as sieving this many integers.
 _MR_COST = 1000
 
@@ -38,9 +40,12 @@ def _prime_table() -> bytes:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check (table lookup, then Miller-Rabin)."""
+    """Deterministic primality check (table lookup, then Miller-Rabin); n at
+    or above the certified bound _MR_LIMIT is a domain error."""
     if n < _TABLE_LIMIT:
         return n >= 0 and _prime_table()[n] == 1
+    if n >= _MR_LIMIT:
+        raise DomainError(f"{n} is at or above the certified primality bound {_MR_LIMIT}")
     if n % 2 == 0:
         return False
     d, r = n - 1, 0
@@ -77,6 +82,8 @@ class PrimeSet:
         if not all(map(operator.lt, prev, ps)):
             i = next(i for i, (a, b) in enumerate(zip(prev, ps)) if a >= b)
             raise DomainError(f"primes must be strictly increasing, got {ps[i]} after {prev[i]}")
+        if ps and ps[-1] >= _MR_LIMIT:
+            raise DomainError(f"{ps[-1]} is at or above the certified primality bound {_MR_LIMIT}")
         split = bisect_left(ps, _TABLE_LIMIT)
         small, big = np.array(ps[:split], dtype=np.int64), ps[split:]
         bad = small[np.frombuffer(_prime_table(), dtype=np.uint8)[small] == 0].tolist()
@@ -212,15 +219,3 @@ def expexp_block(k: int, *, label: str | None = None) -> PrimeSet:
     """Primes in the doubly exponential block (t_k, t_{k+1}], t_k = floor(exp(exp(k)))."""
     lo, hi = expexp_cutoff(k), expexp_cutoff(k + 1)
     return primes_in_interval(lo, hi, label=label or f"expexp:{k}")
-
-
-def save_prime_set(ps: PrimeSet, path: str | Path) -> None:
-    """Write one decimal prime per line."""
-    Path(path).write_text("".join(f"{p}\n" for p in ps.primes))
-
-
-def load_prime_set(path: str | Path, *, label: str | None = None) -> PrimeSet:
-    """Read a newline-delimited decimal prime file written by save_prime_set."""
-    text = Path(path).read_text()
-    primes = tuple(int(line) for line in text.split())
-    return PrimeSet(primes, label=label)

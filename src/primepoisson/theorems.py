@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import poisson_pmf, product_joint, tv_distance, tv_distance_joint, tv_distance_sparse
+from .dist import (
+    DEFAULT_TAIL_EPS,
+    poisson_pmf,
+    product_joint,
+    tv_distance,
+    tv_distance_joint,
+    tv_distance_sparse,
+)
 from .errors import DomainError, EmptyConditionError
 from .factorstats import CountMode, SetSpec, joint_factor_counts
 from .kubilius import model_exact_pmf, model_tv_exact
@@ -29,8 +36,6 @@ from .primesets import (
     harmonic_sums,
     sieve_primes,
 )
-
-DEFAULT_TAIL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -240,15 +245,6 @@ def check_corollary1(
     )
 
 
-@dataclass(frozen=True)
-class Thm2Config:
-    """Uniform upper-bound check: disjoint sets and a target count vector."""
-
-    x: int
-    sets: Sequence[PrimeSet]
-    ks: Sequence[int]
-
-
 def _thm2_flags(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> tuple[int, int]:
     """The covering flags (eta, xi): eta is 0 exactly when the sets jointly
     cover every prime <= x (1 otherwise); xi is 1 exactly when eta is 0 and
@@ -257,25 +253,26 @@ def _thm2_flags(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> tuple[in
     return eta, 1 if eta == 0 and all(k == 0 for k in ks) else 0
 
 
-def check_thm2(cfg: Thm2Config) -> TheoremReport:
-    """Exact point probability of a joint count vector against the uniform
-    upper bound.
+def check_thm2(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> TheoremReport:
+    """Exact point probability of the count vector ks over disjoint sets
+    (distinct prime divisors in each) against the uniform upper bound.
 
     rhs_first = prod_j e^{-h_j} h1_j^{k_j} / k_j! * (eta + sum k_j/h1_j) + xi;
     rhs_second = prod_j e^{-h_j} (h_j+2)^{k_j} / k_j!.  Both ratios are
     reported; the headline ratio uses rhs_first.  The flags eta and xi are
-    derived from the sets and counts (_thm2_flags) and echoed in params.
+    derived from the sets and counts (_thm2_flags) after the count, so its
+    caps refuse a large x before pi(x) is sieved; both are echoed in params.
     """
-    r, ks = len(cfg.sets), tuple(int(k) for k in cfg.ks)
+    r, ks = len(sets), tuple(int(k) for k in ks)
     if r == 0 or len(ks) != r:
         raise DomainError(f"need matching sets and counts, got {r} sets, {len(ks)} counts")
     if any(k < 0 for k in ks):
         raise DomainError("target counts must be >= 0")
-    eta, xi = _thm2_flags(cfg.x, cfg.sets, ks)
 
-    specs = tuple(SetSpec(s, CountMode.DISTINCT) for s in cfg.sets)
-    counts = joint_factor_counts(cfg.x, specs)
-    lhs = counts.counts.get(ks, 0) / cfg.x
+    specs = tuple(SetSpec(s, CountMode.DISTINCT) for s in sets)
+    counts = joint_factor_counts(x, specs)
+    lhs = counts.counts.get(ks, 0) / x
+    eta, xi = _thm2_flags(x, sets, ks)
 
     summaries = [_set_summary(s) for s in specs]
     log_first = []
@@ -289,7 +286,7 @@ def check_thm2(cfg: Thm2Config) -> TheoremReport:
     rhs_second = math.exp(math.fsum(log_second))
 
     params = {
-        "x": cfg.x,
+        "x": x,
         "ks": list(ks),
         "eta": eta,
         "xi": xi,
@@ -299,27 +296,11 @@ def check_thm2(cfg: Thm2Config) -> TheoremReport:
         "h1_le_h_plus_1": [s["h1"] <= s["h"] + 1.0 + 1e-12 for s in summaries],
     }
     return TheoremReport(
-        name=f"thm2[x={cfg.x},r={r},k={','.join(map(str, ks))}]",
+        name=f"thm2[x={x},r={r},k={','.join(map(str, ks))}]",
         lhs=lhs,
         rhs=rhs_first,
         params=params,
     )
-
-
-@dataclass(frozen=True)
-class Thm3Config:
-    """Conditional concentration check: given omega(n) = k, the count over T
-    should concentrate around alpha*k, alpha = h(T)/h(all primes <= x).
-
-    Requires 1 <= k <= a_param * loglog(x), a_param > 1, and
-    0 <= psi <= sqrt(alpha*k).
-    """
-
-    x: int
-    tset: PrimeSet
-    k: int
-    a_param: float
-    psi: float
 
 
 @lru_cache(maxsize=4)
@@ -336,54 +317,55 @@ def _thm3_table(x: int, tset: PrimeSet) -> tuple[float, int, np.ndarray, np.ndar
     return harmonic_sums(full).h, len(complement), counts.keys, counts.tallies
 
 
-def check_thm3(cfg: Thm3Config) -> TheoremReport:
-    """Exact conditional deviation probability against exp(-psi^2/3).
+def check_thm3(x: int, tset: PrimeSet, k: int, a_param: float, psi: float) -> TheoremReport:
+    """Conditional concentration: given omega(n) = k, the count over T should
+    concentrate around alpha*k, alpha = h(T)/h(all primes <= x).
 
-    lhs = P(|omega(n, T) - alpha*k| >= psi*sqrt(alpha*(1-alpha)*k) given
-    omega(n) = k), computed from the exact two-set joint counts of (T,
-    complement) restricted to total count k.
+    The exact conditional deviation probability lhs = P(|omega(n, T) -
+    alpha*k| >= psi*sqrt(alpha*(1-alpha)*k) given omega(n) = k), computed
+    from the exact two-set joint counts of (T, complement) restricted to
+    total count k, is compared against exp(-psi^2/3).
+
+    Requires 1 <= k <= a_param * loglog(x), a_param > 1, and
+    0 <= psi <= sqrt(alpha*k).
     """
-    if cfg.a_param <= 1.0:
-        raise DomainError(f"a_param must be > 1, got {cfg.a_param}")
-    if len(cfg.tset) == 0:
+    if a_param <= 1.0:
+        raise DomainError(f"a_param must be > 1, got {a_param}")
+    if len(tset) == 0:
         raise DomainError("T must be nonempty")
-    loglog = math.log(math.log(cfg.x))
-    if not 1 <= cfg.k <= cfg.a_param * loglog:
-        raise DomainError(
-            f"need 1 <= k <= a_param*loglog(x) = {cfg.a_param * loglog:.6f}, got k={cfg.k}"
-        )
+    loglog = math.log(math.log(x))
+    if not 1 <= k <= a_param * loglog:
+        raise DomainError(f"need 1 <= k <= a_param*loglog(x) = {a_param * loglog:.6f}, got k={k}")
 
-    h_s, complement_size, keys, tallies = _thm3_table(cfg.x, cfg.tset)
-    alpha = harmonic_sums(cfg.tset).h / h_s
-    if not 0.0 <= cfg.psi <= math.sqrt(alpha * cfg.k):
-        raise DomainError(
-            f"need 0 <= psi <= sqrt(alpha*k) = {math.sqrt(alpha * cfg.k):.6f}, got {cfg.psi}"
-        )
+    h_s, complement_size, keys, tallies = _thm3_table(x, tset)
+    alpha = harmonic_sums(tset).h / h_s
+    if not 0.0 <= psi <= math.sqrt(alpha * k):
+        raise DomainError(f"need 0 <= psi <= sqrt(alpha*k) = {math.sqrt(alpha * k):.6f}, got {psi}")
 
-    threshold = cfg.psi * math.sqrt(alpha * (1.0 - alpha) * cfg.k)
+    threshold = psi * math.sqrt(alpha * (1.0 - alpha) * k)
     a, b = keys.T.astype(np.int64)
-    on = a + b == cfg.k
+    on = a + b == k
     conditioned = int(tallies[on].sum())
-    deviating = int(tallies[on & (np.abs(a - alpha * cfg.k) >= threshold)].sum())
+    deviating = int(tallies[on & (np.abs(a - alpha * k) >= threshold)].sum())
     if conditioned == 0:
-        raise EmptyConditionError(f"no n <= {cfg.x} has exactly {cfg.k} distinct prime factors")
+        raise EmptyConditionError(f"no n <= {x} has exactly {k} distinct prime factors")
 
     lhs = deviating / conditioned
-    rhs = math.exp(-cfg.psi**2 / 3.0)
+    rhs = math.exp(-psi**2 / 3.0)
     params = {
-        "x": cfg.x,
-        "k": cfg.k,
-        "psi": cfg.psi,
-        "a_param": cfg.a_param,
+        "x": x,
+        "k": k,
+        "psi": psi,
+        "a_param": a_param,
         "alpha": alpha,
         "threshold": threshold,
-        "t_size": len(cfg.tset),
+        "t_size": len(tset),
         "complement_size": complement_size,
         "conditioned_count": conditioned,
         "deviating_count": deviating,
     }
     return TheoremReport(
-        name=f"thm3[x={cfg.x},k={cfg.k},psi={cfg.psi}]",
+        name=f"thm3[x={x},k={k},psi={psi}]",
         lhs=lhs,
         rhs=rhs,
         params=params,

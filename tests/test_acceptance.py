@@ -26,8 +26,6 @@ from primepoisson import (
     PrimeSet,
     SetSpec,
     Thm1Config,
-    Thm2Config,
-    Thm3Config,
     binomial_pmf,
     binomial_tail_bound,
     check_cor32,
@@ -309,14 +307,14 @@ def test_criterion_09_uniform_upper_bound_sweep():
             continue
         sets = tuple(PrimeSet(g) for g in groups)
         ks = tuple(rng.choice(k_choices) for _ in range(r))
-        rep = check_thm2(Thm2Config(10**6, sets, ks))
+        rep = check_thm2(10**6, sets, ks)
         worst = max(worst, rep.ratio if rep.ratio is not None else 0.0)
 
     # degenerate covering case: every prime <= x in some set, all targets zero
     allp = sieve_primes(10**6)
     half = PrimeSet(allp.primes[: len(allp.primes) // 2])
     rest = allp.difference(half)
-    rep0 = check_thm2(Thm2Config(10**6, (half, rest), (0, 0)))
+    rep0 = check_thm2(10**6, (half, rest), (0, 0))
     xi = rep0.params["xi"]
     degenerate_ok = xi == 1 and rep0.lhs == 1 / 10**6 and rep0.ratio <= 1.0
 
@@ -340,9 +338,8 @@ def test_criterion_10_conditional_concentration_sweep():
     cells = 0
     for k in range(2, 9):
         for psi in (0.5, 1.0, 1.5, 2.0):
-            cfg = Thm3Config(x=10**6, tset=tset, k=k, a_param=3.0, psi=psi)
             try:
-                rep = check_thm3(cfg)
+                rep = check_thm3(x=10**6, tset=tset, k=k, a_param=3.0, psi=psi)
             except DomainError as e:
                 error_rows.append((k, psi, str(e)))
                 continue
@@ -353,8 +350,8 @@ def test_criterion_10_conditional_concentration_sweep():
     k8_errors = [row for row in error_rows if row[0] == 8]
 
     comp = sieve_primes(10**6).difference(tset)
-    a = check_thm3(Thm3Config(x=10**6, tset=tset, k=4, a_param=3.0, psi=1.0))
-    b = check_thm3(Thm3Config(x=10**6, tset=comp, k=4, a_param=3.0, psi=1.0))
+    a = check_thm3(x=10**6, tset=tset, k=4, a_param=3.0, psi=1.0)
+    b = check_thm3(x=10**6, tset=comp, k=4, a_param=3.0, psi=1.0)
     symmetric = a.lhs == b.lhs
 
     band = BANDS["thm3-sweep-max-ratio"]

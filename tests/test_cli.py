@@ -101,16 +101,34 @@ def test_exit_code_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seg", ["0", "-5"])
-def test_segment_size_below_one_exits_2_without_traceback(tmp_path, seg):
-    proc = subprocess.run(
-        [sys.executable, "-m", "primepoisson", "counts", "--x", "100", "--set", "list:2",
-         "--segment-size", seg, "--out-dir", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert "segment_size must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, *args, option, "x"]
+        for command, args in [
+            ("sieve", ["--limit", "100"]),
+            ("harmonic", ["--set", "list:2"]),
+            ("counts", ["--x", "100", "--set", "list:2"]),
+            ("model", ["--set", "list:2"]),
+        ]
+        for option in ("--band-file", "--band-name")
+    ]
+    + [["counts", "--x", "100", "--set", "list:2", "--segment-size", "7"]],
+)
+def test_options_without_effect_are_refused(argv, capsys):
+    # these commands never return a band value, and no count output depends
+    # on the segment size, so argparse refuses the options
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_uncertified_prime_exits_2(capsys):
+    psi12 = 318665857834031151167461  # a strong pseudoprime to every Miller-Rabin base used
+    assert main(["harmonic", "--set", f"list:{psi12}"]) == 2
+    assert "certified primality bound" in capsys.readouterr().err
+    assert main(["harmonic", "--set", f"list:{2**64 + 13}"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -163,10 +181,10 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys):
 )
 def test_bad_band_file_exits_2_before_any_work(tmp_path, monkeypatch, capsys, content):
     calls = []
-    monkeypatch.setitem(cli._HANDLERS, "harmonic", lambda ns, out: calls.append(ns))
+    monkeypatch.setitem(cli._HANDLERS, "cor32", lambda ns, out: calls.append(ns))
     bands = tmp_path / "bands.json"
     bands.write_text(content)
-    code, out = run(["harmonic", "--set", "list:2", "--band-file", str(bands)], tmp_path)
+    code, out = run(["cor32", "--set", "list:2", "--band-file", str(bands)], tmp_path)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: band") and "Traceback" not in err
     assert calls == [] and not out.exists()
@@ -231,6 +249,14 @@ def test_thm2_sieves_pi_x_once(tmp_path, monkeypatch):
     code, _ = run(argv, tmp_path)
     assert code == 0
     assert calls == [1000]
+
+
+def test_thm2_cap_refuses_before_sieving_pi_x(monkeypatch, capsys):
+    from primepoisson import theorems
+
+    monkeypatch.setattr(theorems, "count_primes", lambda limit: pytest.fail("pi(x) was sieved"))
+    assert main(["thm2", "--x", "1e13", "--set", "list:2", "--k", "1"]) == 3
+    assert "refused: x=10000000000000 exceeds the cap" in capsys.readouterr().err
 
 
 def test_exit_code_band_failure(tmp_path):

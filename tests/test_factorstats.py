@@ -14,7 +14,6 @@ from primepoisson import (
     DomainError,
     PrimeSet,
     SetSpec,
-    iter_segment_counts,
     JointPmf,
     joint_factor_counts,
     oracle_factor_counts,
@@ -99,23 +98,6 @@ def test_segment_size_invariance():
     base = joint_factor_counts(10**4, specs, segment_size=1 << 20).counts
     for seg in (64, 1000, 4096):
         assert joint_factor_counts(10**4, specs, segment_size=seg).counts == base
-
-
-def test_segment_stream_partials_merge_to_totals():
-    specs = (dspec(2, 3), mspec(5))
-    merged: dict = {}
-    hi_seen = 0
-    for seg_lo, seg_hi, keys, tallies in iter_segment_counts(1000, specs, segment_size=128):
-        assert seg_lo == hi_seen + 1  # contiguous inclusive segments
-        hi_seen = seg_hi
-        assert keys.dtype == np.uint8 and keys.shape == (tallies.size, 2)
-        assert tallies.dtype == np.int64 and tallies.sum() == seg_hi - seg_lo + 1
-        rows = keys.tolist()
-        assert all(a < b for a, b in zip(rows, rows[1:]))
-        for key, c in zip(map(tuple, rows), tallies.tolist()):
-            merged[key] = merged.get(key, 0) + c
-    assert hi_seen == 1000
-    assert merged == joint_factor_counts(1000, specs).counts
 
 
 @pytest.mark.parametrize("seg", [7, 128, 1 << 20])
@@ -331,7 +313,5 @@ def test_smooth_parts_above_sqrt_x_match_factorization():
 def test_segment_size_below_one_is_a_domain_error(seg):
     with pytest.raises(DomainError, match="segment_size"):
         joint_factor_counts(100, (dspec(2),), segment_size=seg)
-    with pytest.raises(DomainError, match="segment_size"):
-        list(iter_segment_counts(100, (dspec(2),), segment_size=seg))
     with pytest.raises(DomainError, match="segment_size"):
         smooth_part_distribution(100, 10, segment_size=seg)

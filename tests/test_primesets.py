@@ -15,9 +15,7 @@ from primepoisson import (
     expexp_cutoff,
     harmonic_sums,
     is_prime,
-    load_prime_set,
     primes_in_interval,
-    save_prime_set,
     sieve_primes,
 )
 
@@ -81,6 +79,16 @@ def test_is_prime_spans_table_boundary():
                 break
             d += 1
         assert is_prime(n) == truth, n
+
+
+def test_primality_is_refused_at_the_certified_bound():
+    # psi_12 is a strong pseudoprime to all twelve bases 2..37
+    psi12 = 399165290221 * 798330580441
+    for check in (is_prime, lambda n: PrimeSet((n,))):
+        with pytest.raises(DomainError, match="certified primality bound"):
+            check(psi12)
+    big = 2**64 + 13  # a prime far above the table, below the bound
+    assert is_prime(big) and PrimeSet((2, big)).primes == (2, big)
 
 
 def test_harmonic_hand_case():
@@ -160,14 +168,6 @@ def test_prime_set_membership_and_difference():
     assert 29 in ps and 28 not in ps
     rest = ps.difference(PrimeSet((2, 3, 5)))
     assert rest.primes == (7, 11, 13, 17, 19, 23, 29)
-
-
-def test_prime_set_roundtrip(tmp_path):
-    ps = sieve_primes(100, label="to100")
-    path = tmp_path / "primes.txt"
-    save_prime_set(ps, path)
-    again = load_prime_set(path)
-    assert again.primes == ps.primes
 
 
 @settings(max_examples=25)

@@ -14,8 +14,6 @@ from primepoisson import (
     PrimeSet,
     SetSpec,
     Thm1Config,
-    Thm2Config,
-    Thm3Config,
     check_cor32,
     check_corollary1,
     check_halasz,
@@ -105,7 +103,7 @@ def test_thm1_report_is_deterministic():
 
 
 def test_thm2_single_prime_hand_case():
-    rep = check_thm2(Thm2Config(100, (PrimeSet((2,)),), (1,)))
+    rep = check_thm2(100, (PrimeSet((2,)),), (1,))
     assert rep.lhs == 0.5
     assert rep.params["eta"] == 1 and rep.params["xi"] == 0
     assert rep.rhs > rep.lhs  # bound comfortably holds here
@@ -116,21 +114,19 @@ def test_thm2_all_zero_full_cover_degenerate_case():
     primes = sieve_primes(100)
     half = PrimeSet(primes.primes[:12])
     rest = primes.difference(half)
-    rep = check_thm2(Thm2Config(100, (half, rest), (0, 0)))
+    rep = check_thm2(100, (half, rest), (0, 0))
     assert rep.params["eta"] == 0 and rep.params["xi"] == 1
     assert rep.lhs == 1 / 100  # only n=1 has no prime factor at all
     assert rep.ratio <= 1.0
 
 
 def test_thm2_rejects_overlap():
-    cfg = Thm2Config(100, (PrimeSet((2, 3)), PrimeSet((3, 5))), (1, 1))
     with pytest.raises(DomainError):
-        check_thm2(cfg)
+        check_thm2(100, (PrimeSet((2, 3)), PrimeSet((3, 5))), (1, 1))
 
 
 def test_thm2_reports_second_bound():
-    cfg = Thm2Config(1000, (PrimeSet((2, 3)), PrimeSet((5,))), (2, 1))
-    rep = check_thm2(cfg)
+    rep = check_thm2(1000, (PrimeSet((2, 3)), PrimeSet((5,))), (2, 1))
     assert rep.params["rhs_second"] > 0
     assert rep.lhs <= rep.params["rhs_second"] + 1e-12
 
@@ -139,8 +135,7 @@ def test_thm2_reports_second_bound():
 
 
 def test_thm3_zero_psi_is_vacuous():
-    cfg = Thm3Config(x=10**4, tset=sieve_primes(10), k=2, a_param=3.0, psi=0.0)
-    rep = check_thm3(cfg)
+    rep = check_thm3(x=10**4, tset=sieve_primes(10), k=2, a_param=3.0, psi=0.0)
     assert rep.lhs == 1.0  # every conditioned n deviates by >= 0
     assert rep.rhs == 1.0
     assert rep.ratio == 1.0
@@ -150,31 +145,31 @@ def test_thm3_complement_symmetry_exact():
     x = 10**4
     tset = sieve_primes(7)
     comp = sieve_primes(x).difference(tset)
-    a = check_thm3(Thm3Config(x=x, tset=tset, k=3, a_param=3.0, psi=0.5))
-    b = check_thm3(Thm3Config(x=x, tset=comp, k=3, a_param=3.0, psi=0.5))
+    a = check_thm3(x=x, tset=tset, k=3, a_param=3.0, psi=0.5)
+    b = check_thm3(x=x, tset=comp, k=3, a_param=3.0, psi=0.5)
     assert a.lhs == b.lhs
     assert a.params["alpha"] == pytest.approx(1.0 - b.params["alpha"], abs=1e-12)
 
 
 def test_thm3_domain_checks():
     with pytest.raises(DomainError):
-        check_thm3(Thm3Config(x=10**4, tset=sieve_primes(10), k=50, a_param=3.0, psi=0.0))
+        check_thm3(x=10**4, tset=sieve_primes(10), k=50, a_param=3.0, psi=0.0)
     with pytest.raises(DomainError):
-        check_thm3(Thm3Config(x=10**4, tset=sieve_primes(10), k=2, a_param=3.0, psi=5.0))
+        check_thm3(x=10**4, tset=sieve_primes(10), k=2, a_param=3.0, psi=5.0)
     with pytest.raises(DomainError):
-        check_thm3(Thm3Config(x=10**4, tset=sieve_primes(10), k=2, a_param=1.0, psi=0.0))
+        check_thm3(x=10**4, tset=sieve_primes(10), k=2, a_param=1.0, psi=0.0)
 
 
 def test_thm3_cells_share_one_table_per_x_and_t(monkeypatch):
     from primepoisson import theorems
 
     cfgs = [
-        Thm3Config(x=10**4, tset=sieve_primes(30), k=k, a_param=3.0, psi=psi)
+        dict(x=10**4, tset=sieve_primes(30), k=k, a_param=3.0, psi=psi)
         for k in (1, 2, 3)
         for psi in (0.0, 0.5)
     ]
     theorems._thm3_table.cache_clear()
-    first = [check_thm3(cfg).as_json() for cfg in cfgs]
+    first = [check_thm3(**cfg).as_json() for cfg in cfgs]
     calls = []
     real = theorems.joint_factor_counts
 
@@ -184,9 +179,9 @@ def test_thm3_cells_share_one_table_per_x_and_t(monkeypatch):
 
     monkeypatch.setattr(theorems, "joint_factor_counts", counting)
     theorems._thm3_table.cache_clear()
-    again = [check_thm3(cfg).as_json() for cfg in cfgs]
+    again = [check_thm3(**cfg).as_json() for cfg in cfgs]
     assert again == first and len(calls) == 1
-    check_thm3(Thm3Config(x=10**4 + 1, tset=sieve_primes(30), k=2, a_param=3.0, psi=0.5))
+    check_thm3(x=10**4 + 1, tset=sieve_primes(30), k=2, a_param=3.0, psi=0.5)
     assert len(calls) == 2  # another x is another table
 
 
@@ -221,7 +216,7 @@ def test_thm1_sparse_exact_law_needs_no_box():
 def test_thm3_empty_condition_is_distinct_error():
     # at x=100 no integer has 5 distinct prime factors (2*3*5*7*11 > 100)
     with pytest.raises(EmptyConditionError):
-        check_thm3(Thm3Config(x=100, tset=PrimeSet((2, 3)), k=5, a_param=11.0, psi=0.0))
+        check_thm3(x=100, tset=PrimeSet((2, 3)), k=5, a_param=11.0, psi=0.0)
 
 
 # ----------------------------------------------------------------- halasz
