@@ -46,8 +46,8 @@ MATRIX = [
     ["counts", "--x", "1e4", *M, "--oracle"],
     ["model", "--set", "list:2,3"],
     ["model", "--set", "list:2,3:multiplicity"],
-    ["model", "--set", "interval:2..100", "--samples", "50", "--sample-y", "30", "--seed", "1"],
-    ["model", "--samples", "20", "--sample-y", "10", "--emit-samples"],
+    ["model"],
+    ["thm3", "--x", "1", "--set", "list:2", "--k", "1", "--psi", "0.5"],
     ["model-tv", "--x", "1e5", "--y", "100"],
     ["thm1", "--x", "1e5", "--y", "31", *D],
     ["thm1", "--x", "1e5", "--y", "31", *M, "--no-decomposition"],

@@ -23,11 +23,7 @@ from .factorstats import (
     oracle_factor_counts,
     smooth_part_distribution,
 )
-from .kubilius import (
-    model_exact_pmf,
-    model_tv_exact,
-    sample_exponent_matrix,
-)
+from .kubilius import model_exact_pmf, model_tv_exact
 from .primesets import (
     HarmonicSums,
     PrimeSet,
@@ -89,7 +85,6 @@ __all__ = [
     "poisson_pmf",
     "primes_in_interval",
     "product_joint",
-    "sample_exponent_matrix",
     "sieve_primes",
     "smooth_part_distribution",
     "tv_distance",

@@ -18,13 +18,12 @@ Files are written only with ``--out-dir DIR``; without it a command prints
 its summary lines and writes nothing.  With it, every command writes its
 report ``<command>_report.json`` (``-`` becomes ``_``) and ``manifest.json``,
 and some also write a table: ``sieve`` writes ``primes.txt``, ``counts``
-``counts_table.csv``, ``model`` ``model_pmf.csv`` (with ``--set``) and
-``model_samples.csv`` (with ``--samples``), and ``halasz``, ``thm4`` and
-``sweep`` write ``<command>_table.csv``.
+``counts_table.csv``, ``model`` ``model_pmf.csv``, and ``halasz``, ``thm4``
+and ``sweep`` write ``<command>_table.csv``.
 
 Reports are JSON with sorted keys and repr-precision floats, so a fixed
-config and seed reproduce byte-identical files; timestamps and wall-clock
-times live only in the run manifest.  Exit codes: 0 success/recorded,
+config reproduces byte-identical files; timestamps and wall-clock times live
+only in the run manifest.  Exit codes: 0 success/recorded,
 1 regression-band failure, 2 usage or domain error (including a malformed
 band file, refused before any work), 3 cap refusal, 4 internal error.
 """
@@ -47,8 +46,6 @@ from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dist import DEFAULT_TAIL_EPS
 from .errors import CapError, DomainError
@@ -58,7 +55,7 @@ from .factorstats import (
     joint_factor_counts,
     oracle_factor_counts,
 )
-from .kubilius import model_exact_pmf, model_tv_exact, sample_exponent_matrix
+from .kubilius import model_exact_pmf, model_tv_exact
 from .primesets import (
     PrimeSet,
     expexp_block,
@@ -298,48 +295,13 @@ def _cmd_counts(ns, out: RunWriter | None) -> CommandResult:
 
 
 def _cmd_model(ns, out: RunWriter | None) -> CommandResult:
-    if not ns.set and ns.samples is None:
-        raise DomainError("model needs --set and/or --samples")
-    tail_eps = parse_float(ns.tail_eps)
-    payload: dict = {}
-    lines: list[str] = []
-    name = "model"
-    if ns.set:
-        spec = parse_set_spec(ns.set)
-        pmf = model_exact_pmf(spec.primes, spec.mode, tail_eps)
-        payload["set"] = ns.set
-        payload["mode"] = spec.mode.value
-        payload["pmf"] = pmf.as_json()
-        payload["mean"] = pmf.mean()
-        name = f"model[{ns.set}]"
-        lines.append(f"support={len(pmf)} mean={pmf.mean()!r} tail_bound={pmf.tail_bound!r}")
-        if out:
-            out.csv("model_pmf.csv", ["index", "probability"], enumerate(pmf.probs.tolist()))
-    if ns.samples is not None:
-        if ns.sample_y is None:
-            raise DomainError("--sample-y is required with --samples")
-        y = parse_count(ns.sample_y)
-        n_samples = parse_count(ns.samples)
-        seed = parse_count(ns.seed)
-        primes, matrix = sample_exponent_matrix(y, seed, n_samples)
-        payload["samples"] = {"y": y, "seed": seed, "n": n_samples}
-        name = f"model-samples[y={y},n={n_samples}]" if not ns.set else name
-        lines.append(f"samples={n_samples} primes={len(primes)}")
-        if out:
-            if ns.emit_samples:
-                rows = [
-                    [i, p, int(matrix[i, j])]
-                    for i in range(n_samples)
-                    for j, p in enumerate(primes)
-                ]
-                out.csv("model_samples.csv", ["sample", "p", "exponent"], rows)
-            else:
-                rows = []
-                for j, p in enumerate(primes):
-                    values, tallies = np.unique(matrix[:, j], return_counts=True)
-                    rows.extend([p, int(v), int(c)] for v, c in zip(values, tallies))
-                out.csv("model_samples.csv", ["p", "exponent", "count"], rows)
-    return CommandResult(name, payload, lines=lines)
+    spec = parse_set_spec(ns.set)
+    pmf = model_exact_pmf(spec.primes, spec.mode, parse_float(ns.tail_eps))
+    payload = {"set": ns.set, "mode": spec.mode.value, "pmf": pmf.as_json(), "mean": pmf.mean()}
+    if out:
+        out.csv("model_pmf.csv", ["index", "probability"], enumerate(pmf.probs.tolist()))
+    line = f"support={len(pmf)} mean={pmf.mean()!r} tail_bound={pmf.tail_bound!r}"
+    return CommandResult(f"model[{ns.set}]", payload, lines=[line])
 
 
 def _cmd_model_tv(ns, out: RunWriter | None) -> CommandResult:
@@ -467,6 +429,13 @@ def _run_sweep_row(indexed_row: tuple[int, dict]) -> dict:
                 ) from None
         if ns.command == "sweep":
             raise DomainError("sweep rows cannot nest another sweep")
+        inert = [
+            k for k in ("band_file", "band_name", "out_dir") if getattr(ns, k, None) is not None
+        ]
+        if inert:
+            raise DomainError(
+                f"sweep rows take no {', '.join(inert)}: a row writes no files and checks no band"
+            )
         result = _HANDLERS[ns.command](ns, None)
         record.update(
             {
@@ -590,17 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", required=True, help="repeatable set spec")
     p.add_argument("--oracle", action="store_true", help="use the slow trial-division route")
 
-    p = sub.add_parser("model", help="exact model law of a factor count; optional sampling")
-    p.add_argument("--set", default=None, help="set spec for the exact law")
+    p = sub.add_parser("model", help="exact model law of a factor count")
+    p.add_argument("--set", required=True, help="set spec (interval:/list:/expexp:)")
     p.add_argument("--tail-eps", default=repr(DEFAULT_TAIL_EPS))
-    p.add_argument("--samples", default=None, help="number of exponent-vector samples")
-    p.add_argument("--sample-y", default=None, help="sample vectors over primes <= y")
-    p.add_argument("--seed", default="0")
-    p.add_argument(
-        "--emit-samples",
-        action="store_true",
-        help="write raw (sample, p, exponent) rows instead of aggregated counts",
-    )
 
     p = sub.add_parser("model-tv", help="exact model-vs-truth distance over exponent vectors")
     p.add_argument("--x", required=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .dist import DEFAULT_TAIL_EPS, Pmf, TvResult, exact_sum
 from .errors import DomainError
 from .factorstats import CountMode, iter_smooth_parts
-from .primesets import PrimeSet, prime_array, sieve_primes
+from .primesets import PrimeSet, prime_array
 
 # Exponent pmfs are truncated deep enough that the stored coefficients double
 # as the factor's power series on the disc |z| <= SERIES_RADIUS, which is what
@@ -65,44 +65,6 @@ def model_exact_pmf(
         acc = np.convolve(acc, factor)
         dropped.append(float(p) ** (-(cutoff + 1)))
     return Pmf(acc, math.fsum(dropped))
-
-
-_SAMPLE_BLOCK = 4096
-
-
-def _block_uniforms(seed: int, block_index: int, shape: tuple[int, int]) -> np.ndarray:
-    """Deterministic uniforms for one sample block from a counter-based
-    generator keyed by (seed, block index); draw (i, j) within the block is
-    the fixed stream position i * n_primes + j, so results do not depend on
-    how blocks are scheduled."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(shape)
-
-
-def sample_exponent_matrix(y: int, seed: int, n_samples: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Sample model exponent vectors for all primes p <= y, vectorized.
-
-    Returns (primes, matrix) with matrix[i, j] the exponent of primes[j] in
-    sample i.  Deterministic for fixed (y, seed, n_samples), independent of
-    platform and of any parallel scheduling of the underlying blocks.
-    """
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    if n_samples < 0:
-        raise DomainError(f"n_samples must be >= 0, got {n_samples}")
-    primes = sieve_primes(y).primes
-    n_p = len(primes)
-    log_p = np.log(np.asarray(primes, dtype=float))
-    out = np.empty((n_samples, n_p), dtype=np.int64)
-    for block_start in range(0, n_samples, _SAMPLE_BLOCK):
-        block_len = min(_SAMPLE_BLOCK, n_samples - block_start)
-        u = _block_uniforms(seed, block_start // _SAMPLE_BLOCK, (_SAMPLE_BLOCK, n_p))
-        u = u[:block_len]
-        # P(X_p >= j) = p^-j: invert the survival function of 1-u in (0, 1].
-        v = -np.log1p(-u)
-        out[block_start : block_start + block_len] = np.floor(v / log_p).astype(np.int64)
-    return primes, out
 
 
 def model_tv_exact(x: int, y: int) -> TvResult:

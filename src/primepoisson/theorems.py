@@ -25,17 +25,15 @@ from .dist import (
     tv_distance_joint,
     tv_distance_sparse,
 )
-from .errors import DomainError, EmptyConditionError
-from .factorstats import CountMode, SetSpec, joint_factor_counts
+from .errors import CapError, DomainError, EmptyConditionError
+from .factorstats import CountMode, JointCounts, SetSpec, joint_factor_counts
 from .kubilius import model_exact_pmf, model_tv_exact
-from .primesets import (
-    PrimeSet,
-    count_primes,
-    expexp_block,
-    expexp_cutoff,
-    harmonic_sums,
-    sieve_primes,
-)
+from .primesets import PrimeSet, expexp_block, expexp_cutoff, harmonic_sums, sieve_primes
+
+# halasz and thm4 build one report per k; 10^5 of them take 0.7-0.9 s and
+# 50-60 MiB (2-vCPU VM), so a k range with more values than this is refused
+# before any work.
+MAX_REPORT_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,11 @@ class TheoremReport:
 
 def _ratio(lhs: float, rhs: float) -> float | None:
     return None if rhs == 0.0 else lhs / rhs
+
+
+def _check_report_rows(n_rows: int) -> None:
+    if n_rows > MAX_REPORT_ROWS:
+        raise CapError(f"{n_rows} report rows exceed the cap of {MAX_REPORT_ROWS}")
 
 
 def _poisson_mass(rate: float, k: int) -> float:
@@ -245,11 +248,13 @@ def check_corollary1(
     )
 
 
-def _thm2_flags(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> tuple[int, int]:
+def _thm2_flags(counts: JointCounts, ks: Sequence[int]) -> tuple[int, int]:
     """The covering flags (eta, xi): eta is 0 exactly when the sets jointly
     cover every prime <= x (1 otherwise); xi is 1 exactly when eta is 0 and
-    every k_j is 0."""
-    eta = 0 if sum(len(s) for s in sets) == count_primes(x) else 1
+    every k_j is 0.  The sets cover every prime <= x exactly when n = 1 is the
+    only n <= x with no prime factor in them, that is when the zero count
+    vector (the first key row) has tally 1."""
+    eta = 0 if counts.tallies[0] == 1 else 1
     return eta, 1 if eta == 0 and all(k == 0 for k in ks) else 0
 
 
@@ -260,8 +265,7 @@ def check_thm2(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> TheoremRe
     rhs_first = prod_j e^{-h_j} h1_j^{k_j} / k_j! * (eta + sum k_j/h1_j) + xi;
     rhs_second = prod_j e^{-h_j} (h_j+2)^{k_j} / k_j!.  Both ratios are
     reported; the headline ratio uses rhs_first.  The flags eta and xi are
-    derived from the sets and counts (_thm2_flags) after the count, so its
-    caps refuse a large x before pi(x) is sieved; both are echoed in params.
+    derived from the counts (_thm2_flags) and echoed in params.
     """
     r, ks = len(sets), tuple(int(k) for k in ks)
     if r == 0 or len(ks) != r:
@@ -271,8 +275,10 @@ def check_thm2(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> TheoremRe
 
     specs = tuple(SetSpec(s, CountMode.DISTINCT) for s in sets)
     counts = joint_factor_counts(x, specs)
-    lhs = counts.counts.get(ks, 0) / x
-    eta, xi = _thm2_flags(x, sets, ks)
+    # a count vector is a row of uint8, so a target above 255 matches no row
+    target = np.array([min(k, 256) for k in ks])
+    lhs = int(counts.tallies[(counts.keys == target).all(axis=1)].sum()) / x
+    eta, xi = _thm2_flags(counts, ks)
 
     summaries = [_set_summary(s) for s in specs]
     log_first = []
@@ -326,9 +332,11 @@ def check_thm3(x: int, tset: PrimeSet, k: int, a_param: float, psi: float) -> Th
     from the exact two-set joint counts of (T, complement) restricted to
     total count k, is compared against exp(-psi^2/3).
 
-    Requires 1 <= k <= a_param * loglog(x), a_param > 1, and
+    Requires x >= 2, 1 <= k <= a_param * loglog(x), a_param > 1, and
     0 <= psi <= sqrt(alpha*k).
     """
+    if x < 2:
+        raise DomainError(f"x must be >= 2, got {x}")
     if a_param <= 1.0:
         raise DomainError(f"a_param must be > 1, got {a_param}")
     if len(tset) == 0:
@@ -377,8 +385,10 @@ def check_halasz(x: int, tset: PrimeSet, k_range: Sequence[int]) -> list[Theorem
 
     For each k, lhs is the exact P(count = k) and rhs the Poisson(h) mass at
     k.  params carries the alternative Poisson(h1) ratio and the error shape
-    |k-h|/h + 1/sqrt(h) for context; nothing is asserted here.
+    |k-h|/h + 1/sqrt(h) for context; nothing is asserted here.  More than
+    MAX_REPORT_ROWS values of k are refused (CapError) before the count.
     """
+    _check_report_rows(len(k_range))
     ks = [int(k) for k in k_range]
     if not ks:
         raise DomainError("k_range must be nonempty")
@@ -423,15 +433,18 @@ def check_thm4_local(
     With rate H (h for distinct mode, h1 for multiplicity mode):
       k <= 1.9*H: rhs = h2 * Pois(H){k} * (1/(k+1) + ((k-H)/H)^2)
       k >  1.9*H: rhs = h2 * e^(0.9*H) / 1.9^k
+    More than MAX_REPORT_ROWS values of k (k_max + 1) are refused (CapError)
+    before the model law is built.
     """
     if len(tset) == 0:
         raise DomainError("T must be nonempty")
     hs = harmonic_sums(tset)
     rate = hs.h if mode is CountMode.DISTINCT else hs.h1
-    model = model_exact_pmf(tset, mode, tail_eps)
-    pois = poisson_pmf(rate, tail_eps)
     if k_max is None:
         k_max = math.ceil(3.0 * rate) + 10
+    _check_report_rows(k_max + 1)
+    model = model_exact_pmf(tset, mode, tail_eps)
+    pois = poisson_pmf(rate, tail_eps)
 
     reports = []
     for k in range(k_max + 1):

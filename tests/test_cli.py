@@ -113,11 +113,16 @@ def test_exit_code_usage_error(tmp_path, capsys):
         ]
         for option in ("--band-file", "--band-name")
     ]
-    + [["counts", "--x", "100", "--set", "list:2", "--segment-size", "7"]],
+    + [["counts", "--x", "100", "--set", "list:2", "--segment-size", "7"]]
+    + [
+        ["model", "--set", "list:2", option, value]
+        for option, value in [("--samples", "10"), ("--sample-y", "5"), ("--seed", "1")]
+    ],
 )
 def test_options_without_effect_are_refused(argv, capsys):
-    # these commands never return a band value, and no count output depends
-    # on the segment size, so argparse refuses the options
+    # these commands never return a band value, no count output depends on
+    # the segment size, and the model law is exact, so argparse refuses the
+    # options
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -207,6 +212,40 @@ def test_exit_code_cap_refusal(tmp_path, capsys):
     code, _ = run(["counts", "--x", "1e13", "--set", "list:2"], tmp_path)
     assert code == 3
     assert "refused:" in capsys.readouterr().err
+    assert main(["thm2", "--x", "1e13", "--set", "list:2", "--k", "1"]) == 3
+    assert "refused: x=10000000000000 exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"command": "halasz", "x": "1e4", "set": "list:2", "k_lo": 0, "k_hi": "1e12"},
+        {"command": "thm4", "set": "list:2", "k_max": "1e12"},
+    ],
+    ids=["halasz", "thm4"],
+)
+def test_huge_k_range_refused_before_any_work(tmp_path, monkeypatch, capsys, row):
+    from primepoisson import theorems
+
+    def no_work(*args):
+        pytest.fail("a kernel ran before the k range was checked")
+
+    monkeypatch.setattr(theorems, "joint_factor_counts", no_work)
+    monkeypatch.setattr(theorems, "model_exact_pmf", no_work)
+    assert main(cli._row_to_argv(row)) == 3
+    assert "refused: 1000000000001 report rows exceed the cap" in capsys.readouterr().err
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": [row, {"command": "harmonic", "set": "list:2"}]}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in report["rows"]] == ["refused", "ok"]
+
+
+@pytest.mark.parametrize("x", ["1", "0"])
+def test_thm3_x_below_2_exits_2(capsys, x):
+    assert main(["thm3", "--x", x, "--set", "list:2", "--k", "1", "--psi", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: x must be >= 2, got {x}\n"
 
 
 def _raise_internal(ns, out):
@@ -231,32 +270,6 @@ def test_sweep_crashed_row_isolated(tmp_path, monkeypatch):
     report = json.loads((out / "sweep_report.json").read_text())
     assert [r["status"] for r in report["rows"]] == ["crashed", "ok"]
     assert report["rows"][0]["error"] == "RuntimeError: count total 99 != x=100"
-
-
-def test_thm2_sieves_pi_x_once(tmp_path, monkeypatch):
-    from primepoisson import theorems
-
-    calls = []
-    real = theorems.count_primes
-
-    def spy(limit, **kw):
-        calls.append(limit)
-        return real(limit, **kw)
-
-    argv = ["thm2", "--x", "1000", "--set", "interval:2..10", "--set", "interval:11..100"]
-    argv += ["--k", "1,1"]
-    monkeypatch.setattr(theorems, "count_primes", spy)
-    code, _ = run(argv, tmp_path)
-    assert code == 0
-    assert calls == [1000]
-
-
-def test_thm2_cap_refuses_before_sieving_pi_x(monkeypatch, capsys):
-    from primepoisson import theorems
-
-    monkeypatch.setattr(theorems, "count_primes", lambda limit: pytest.fail("pi(x) was sieved"))
-    assert main(["thm2", "--x", "1e13", "--set", "list:2", "--k", "1"]) == 3
-    assert "refused: x=10000000000000 exceeds the cap" in capsys.readouterr().err
 
 
 def test_exit_code_band_failure(tmp_path):
@@ -304,15 +317,6 @@ def test_reports_byte_identical_across_runs(tmp_path):
         m.pop("wall_clock_seconds")
         m["config"].pop("out_dir")
     assert m1 == m2
-
-
-def test_model_sampling_deterministic(tmp_path):
-    argv = ["model", "--sample-y", "10", "--samples", "2000", "--seed", "5"]
-    _, out1 = run(argv, tmp_path, "a")
-    _, out2 = run(argv, tmp_path, "b")
-    assert (out1 / "model_samples.csv").read_bytes() == (
-        out2 / "model_samples.csv"
-    ).read_bytes()
 
 
 # Bytes recorded while pmfs were tuples of Python floats.  A numpy scalar
@@ -402,6 +406,21 @@ def test_sweep_bad_float_row_isolated(tmp_path):
     assert code == 0
     report = json.loads((out / "sweep_report.json").read_text())
     assert [r["status"] for r in report["rows"]] == ["error", "ok"]
+
+
+def test_sweep_row_refuses_options_without_effect(tmp_path):
+    inert = {"band_file": "/nonexistent.json", "band_name": "zz", "out_dir": "/x"}
+    rows = [
+        {"command": "model-tv", "x": 100, "y": 10, **inert},
+        {"command": "harmonic", "set": "list:2"},
+    ]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": rows}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in report["rows"]] == ["error", "ok"]
+    assert report["rows"][0]["error"].startswith("sweep rows take no band_file, band_name, out_dir")
 
 
 def test_sweep_thm1_over_cap_row_refused(tmp_path):
@@ -504,10 +523,7 @@ ARTIFACT_CASES = {
     "sieve": (["--limit", "30"], {"primes.txt"}),
     "harmonic": (["--set", "list:2,3,5"], set()),
     "counts": (["--x", "100", "--set", "list:2,3"], {"counts_table.csv"}),
-    "model": (
-        ["--set", "list:2,3", "--samples", "10", "--sample-y", "5"],
-        {"model_pmf.csv", "model_samples.csv"},
-    ),
+    "model": (["--set", "list:2,3"], {"model_pmf.csv"}),
     "model-tv": (["--x", "100", "--y", "5"], set()),
     "thm1": (["--x", "1000", "--y", "10", "--set", "interval:2..10"], set()),
     "thm2": (["--x", "100", "--set", "interval:2..10", "--k", "1"], set()),

@@ -1,4 +1,4 @@
-"""Independent-factor model: exact laws, generating functions, sampling."""
+"""Independent-factor model: exact laws, generating functions, model-vs-truth TV."""
 
 import itertools
 import math
@@ -15,7 +15,6 @@ from primepoisson import (
     harmonic_sums,
     model_exact_pmf,
     model_tv_exact,
-    sample_exponent_matrix,
     sieve_primes,
     smooth_part_distribution,
 )
@@ -87,34 +86,6 @@ def test_mgf_product_identities_spot_checks():
 def test_radius_validation():
     with pytest.raises(DomainError):
         model_exact_pmf(PrimeSet((2,)), CountMode.WITH_MULTIPLICITY, tail_eps=0.0)
-
-
-def test_sampler_is_deterministic():
-    p1, m1 = sample_exponent_matrix(10, 123, 5000)
-    p2, m2 = sample_exponent_matrix(10, 123, 5000)
-    assert p1 == p2
-    assert np.array_equal(m1, m2)
-    _, m3 = sample_exponent_matrix(10, 124, 5000)
-    assert not np.array_equal(m1, m3)
-
-
-def test_sampler_prefix_stability():
-    # growing the sample count must not change earlier draws
-    _, small = sample_exponent_matrix(10, 7, 1000)
-    _, large = sample_exponent_matrix(10, 7, 9000)
-    assert np.array_equal(large[:1000], small)
-
-
-def test_empirical_frequencies_one_million():
-    primes, matrix = sample_exponent_matrix(3, 2024, 10**6)
-    assert primes == (2, 3)
-    frac_pos = float(np.mean(matrix[:, 0] >= 1))
-    assert abs(frac_pos - 0.5) < 0.002
-
-    w = matrix.sum(axis=1)
-    sample_mean = float(w.mean())
-    sigma = float(w.std(ddof=1)) / math.sqrt(len(w))
-    assert abs(sample_mean - 1.5) < 3.5 * sigma
 
 
 def test_model_tv_dyadic_hand_case():

@@ -2,9 +2,12 @@
 
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primepoisson import (
     CapError,
@@ -21,7 +24,9 @@ from primepoisson import (
     check_thm2,
     check_thm3,
     check_thm4_local,
+    count_primes,
     harmonic_sums,
+    joint_factor_counts,
     sieve_primes,
 )
 
@@ -118,6 +123,36 @@ def test_thm2_all_zero_full_cover_degenerate_case():
     assert rep.params["eta"] == 0 and rep.params["xi"] == 1
     assert rep.lhs == 1 / 100  # only n=1 has no prime factor at all
     assert rep.ratio <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(2, 3000),
+    n_sets=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    ks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+)
+def test_thm2_flags_match_prime_count(x, n_sets, seed, ks):
+    # eta is read off the zero vector's tally; pi(x) is the independent route
+    rng = random.Random(seed)
+    primes = list(sieve_primes(x).primes)
+    rng.shuffle(primes)
+    n_sets = min(n_sets, len(primes))
+    kept = primes[: rng.choice([len(primes), rng.randint(n_sets, len(primes))])]
+    cuts = [0, *sorted(rng.sample(range(1, len(kept)), n_sets - 1)), len(kept)]
+    sets = tuple(PrimeSet(tuple(sorted(kept[a:b]))) for a, b in zip(cuts, cuts[1:]))
+    ks = tuple(ks[:n_sets])
+    rep = check_thm2(x, sets, ks)
+    eta = 0 if sum(len(s) for s in sets) == count_primes(x) else 1
+    assert (rep.params["eta"], rep.params["xi"]) == (eta, int(eta == 0 and not any(ks)))
+    counts = joint_factor_counts(x, tuple(dspec(s) for s in sets))
+    assert rep.lhs == counts.counts.get(ks, 0) / x
+
+
+def test_thm2_x_1_sets_cover_every_prime_vacuously():
+    rep = check_thm2(1, (PrimeSet((2,)),), (0,))
+    assert (rep.params["eta"], rep.params["xi"]) == (0, 1)
+    assert (rep.lhs, rep.rhs, rep.ratio) == (1.0, 1.0, 1.0)
 
 
 def test_thm2_rejects_overlap():
