@@ -67,6 +67,10 @@ MATRIX = [
     ["counts", "--x", "1e13", "--set", "list:2"],
     ["harmonic", "--set", "list:2", "--band-name", "x"],
     ["thm2", "--x", "1e13", "--set", "list:2", "--k", "1"],
+    ["counts", "--x", "1e6", "--set", "interval:2..100",
+     "--set", "interval:101..1000000:multiplicity"],
+    ["thm2", "--x", "100", "--set", "interval:24..28", "--k", "0"],
+    ["halasz", "--x", "100", "--set", "interval:24..28", "--k-lo", "0", "--k-hi", "1"],
 ]
 
 

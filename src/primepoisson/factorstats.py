@@ -6,14 +6,13 @@ tally the exact number of integers n <= x realizing each count vector.
 
 The main path is one segmented kernel.  It sieves set primes p <= sqrt(x)
 (and their powers, in multiplicity mode) directly.  A prime > sqrt(x) divides
-n at most once, and n has at most one.  A cost estimate from the numbers of
-set primes above and below sqrt(x) picks their route: few are sieved directly
-too; many go through a cofactor pass that multiplies out n's sqrt(x)-smooth
-part s, so n // s is 1 or a prime > sqrt(x), and binary searches in the sets'
-sorted large primes find its set.  A trial-division oracle is an independent
-slow route for cross-checking.
+n at most once, and n has at most one, so one k-major pass counts them all:
+for each k, the large set primes p with p*k in the segment are one slice of
+their sorted array, found by binary search, and the (p, k) pairs bump their
+n's counter in blocks.  A trial-division oracle is an independent slow route
+for cross-checking.
 
-The y-smooth parts of n <= x come from the same _small_part kernel in one
+The y-smooth parts of n <= x come from the _small_part kernel in one
 streamed pass: count(s) = R(x // s), R(t) being the number of m <= t without
 a prime factor <= y, so no table of all parts is ever built.
 """
@@ -35,10 +34,8 @@ MAX_SETS = 8
 MAX_X = 1 << 40
 ORACLE_MAX_X = 10**6
 
-# One strided pass over a segment takes as long as this many elements of the
-# cofactor pass (2.4-2.9 us against 75-85 ns on a 2-vCPU Xeon VM).  The
-# cofactor lookup runs in blocks of _BLOCK to keep its temporaries small.
-_PASS_COST = 32
+# The large-prime pass expands its (p, k) pairs _BLOCK at a time to keep its
+# temporaries small.
 _BLOCK = 1 << 16
 
 # Counters are one byte per (set, n); counts within the caps never reach the
@@ -133,14 +130,14 @@ def _small_part(seg_lo: int, seg_hi: int, primes: list[int]) -> np.ndarray:
     return acc
 
 
-def _count_keys(x: int, specs: tuple[SetSpec, ...], segments: int):
+def _count_keys(x: int, specs: tuple[SetSpec, ...]):
     """The count kernel: keys(seg_lo, seg_hi) holds each n's count vector,
     one byte per set, as one unsigned integer in the vectors' lexicographic
     order (set 0's byte is the most significant)."""
     root = math.isqrt(x)
     width = 1 << max(1, (len(specs) - 1).bit_length())  # key bytes: 2, 4 or 8
     direct: list[tuple[int, int]] = []  # (modulus, key byte) sieved directly
-    large: list[tuple[int, np.ndarray]] = []  # (key byte, its set's primes in (root, x])
+    large: list[tuple[np.ndarray, int]] = []  # (a set's primes in (root, x], key byte)
     for spec, i in zip(specs, range(width - 1, -1, -1)):
         ps = spec.primes.primes
         cut, stop = bisect_right(ps, root), bisect_right(ps, x)
@@ -149,13 +146,8 @@ def _count_keys(x: int, specs: tuple[SetSpec, ...], segments: int):
             while q <= x and (q == p or spec.mode is CountMode.WITH_MULTIPLICITY):
                 direct.append((q, i))
                 q *= p
-        if stop > cut:
-            large.append((i, np.array(ps[cut:stop], dtype=np.min_scalar_type(x))))
-    small = prime_array(1, root).tolist()
-    n_large = sum(primes.size for _, primes in large)
-    if n_large * segments * _PASS_COST <= len(small) * segments * _PASS_COST + x:
-        direct += [(p, i) for i, primes in large for p in primes.tolist()]
-        large = []
+        if stop > cut:  # p*k <= x below: int32 holds it for x < 2^31
+            large.append((np.array(ps[cut:stop], dtype=np.int32 if x < 2**31 else np.int64), i))
 
     def keys(seg_lo: int, seg_hi: int) -> np.ndarray:
         n_seg = seg_hi - seg_lo + 1
@@ -164,16 +156,20 @@ def _count_keys(x: int, specs: tuple[SetSpec, ...], segments: int):
             start = -seg_lo % q
             if start < n_seg:
                 counters[start::q, i] += 1
-        if large:  # the cofactor pass
-            smooth = _small_part(seg_lo, seg_hi, small)
-            for b in range(0, n_seg, _BLOCK):
-                n = np.arange(seg_lo + b, seg_lo + min(b + _BLOCK, n_seg), dtype=smooth.dtype)
-                cof = n // smooth[b : b + n.size]
-                at = np.flatnonzero(cof > 1)
-                at = at[np.argsort(cof[at])]  # sorted queries search faster
-                for i, primes in large:
-                    idx = np.minimum(np.searchsorted(primes, cof[at]), primes.size - 1)
-                    counters[b + at[primes[idx] == cof[at]], i] += 1
+        for primes, i in large:  # the k-major pass: the large primes p with p*k in the segment
+            k = np.arange(max(1, seg_lo // primes[-1]), seg_hi // primes[0] + 1, dtype=primes.dtype)
+            first = np.searchsorted(primes, -(-seg_lo // k))
+            lengths = np.searchsorted(primes, seg_hi // k, "right") - first
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+            total = int(ends[-1]) if k.size else 0  # k is empty below the smallest prime
+            for j in range(0, total, _BLOCK):  # pairs j..j_end-1 come from the k in lo..hi-1
+                j_end = min(j + _BLOCK, total)
+                lo, hi = np.searchsorted(ends, (j, j_end - 1), "right") + (0, 1)
+                span = np.minimum(ends[lo:hi], j_end) - np.maximum(starts[lo:hi], j)
+                at = np.repeat(first[lo:hi] - starts[lo:hi], span) + np.arange(j, j_end)
+                n = np.repeat(k[lo:hi], span) * primes[at]
+                counters[n - seg_lo, i] += 1  # n has one prime > root: no repeats
         return counters.view(f"<u{width}").ravel()
 
     return keys
@@ -193,7 +189,7 @@ def joint_factor_counts(
     """
     specs = _validate_request(x, specs)
     bounds = segment_bounds(1, x, segment_size)
-    keys = _count_keys(x, specs, -(-x // segment_size))
+    keys = _count_keys(x, specs)
     parts = [np.unique(keys(seg_lo, seg_hi), return_counts=True) for seg_lo, seg_hi in bounds]
     values, at = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
     tallies = np.zeros(values.size, dtype=np.int64)

@@ -272,6 +272,8 @@ def check_thm2(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> TheoremRe
         raise DomainError(f"need matching sets and counts, got {r} sets, {len(ks)} counts")
     if any(k < 0 for k in ks):
         raise DomainError("target counts must be >= 0")
+    if any(len(s) == 0 for s in sets):
+        raise DomainError("T must be nonempty")
 
     specs = tuple(SetSpec(s, CountMode.DISTINCT) for s in sets)
     counts = joint_factor_counts(x, specs)
@@ -394,6 +396,8 @@ def check_halasz(x: int, tset: PrimeSet, k_range: Sequence[int]) -> list[Theorem
         raise DomainError("k_range must be nonempty")
     if any(k < 0 for k in ks):
         raise DomainError("k values must be >= 0")
+    if len(tset) == 0:
+        raise DomainError("T must be nonempty")
     counts = joint_factor_counts(x, (SetSpec(tset, CountMode.WITH_MULTIPLICITY),))
     marginal = counts.marginal(0)
     hs = harmonic_sums(tset)

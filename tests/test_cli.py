@@ -272,6 +272,34 @@ def test_sweep_crashed_row_isolated(tmp_path, monkeypatch):
     assert report["rows"][0]["error"] == "RuntimeError: count total 99 != x=100"
 
 
+EMPTY_SET_ARGV = [
+    ["thm2", "--x", "100", "--set", "interval:24..28", "--k", "0"],
+    ["halasz", "--x", "100", "--set", "interval:24..28", "--k-lo", "0", "--k-hi", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_SET_ARGV)
+def test_empty_set_exits_2_without_traceback(capsys, argv):
+    # 24..28 holds no prime: log of its harmonic sum would be a domain fault
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: T must be nonempty\n" and "Traceback" not in err
+
+
+def test_sweep_empty_set_row_is_an_error_not_a_crash(tmp_path):
+    rows = [
+        {"command": "thm2", "x": 100, "set": "interval:24..28", "k": 0},
+        {"command": "harmonic", "set": "list:2"},
+    ]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": rows}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in report["rows"]] == ["error", "ok"]
+    assert report["rows"][0]["error"] == "T must be nonempty"
+
+
 def test_exit_code_band_failure(tmp_path):
     band_file = tmp_path / "bands.json"
     band_file.write_text(json.dumps({"model_tv[x=10,y=2]": [0.0, 0.01]}))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from primepoisson import (
     smooth_part_distribution,
     tv_distance_sparse,
 )
+from primepoisson import factorstats
 
 
 def dspec(*primes):
@@ -245,44 +247,51 @@ def test_x_below_four_counts_two_as_a_large_prime():
             assert joint_factor_counts(x, specs).counts == oracle_factor_counts(x, specs).counts
 
 
-def _counts_and_route(monkeypatch, x, specs, seg=1 << 20):
-    """Counts plus whether the cofactor pass ran (it alone multiplies out
-    sqrt(x)-smooth parts during counting)."""
-    from primepoisson import factorstats
-
-    calls = []
-    real = factorstats._small_part
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(factorstats, "_small_part", spy)
-    return joint_factor_counts(x, specs, segment_size=seg).counts, bool(calls)
-
-
 @pytest.mark.parametrize("seg", [64, 1 << 20])
-def test_each_large_prime_route_matches_oracle(monkeypatch, seg):
+def test_large_prime_pass_matches_oracle(seg):
     x = 97 * 97 + 1
     primes = sieve_primes(x).primes
     large = [p for p in primes if p > 97]
     many = (dspec(*primes[:10]), mspec(*large))
     few = (mspec(2, 3, 5), dspec(*large[:3]), dspec(97, large[-1]))
-    for specs, cofactor in ((many, True), (few, False)):
-        counts, route = _counts_and_route(monkeypatch, x, specs, seg)
-        assert route is cofactor
+    for specs in (many, few):
+        counts = joint_factor_counts(x, specs, segment_size=seg).counts
         assert counts == oracle_factor_counts(x, specs).counts
 
 
-def test_cofactor_route_at_one_million_matches_first_moment(monkeypatch):
-    # (T, complement) as in Theorem 3: the complement's large primes take the cofactor route
+def test_large_prime_pass_at_one_million_matches_first_moment():
+    # (T, complement) as in Theorem 3: the complement's large primes take the large-prime pass
     x = 10**6
     full = sieve_primes(x)
     t = sieve_primes(100)
     specs = (SetSpec(t, CountMode.DISTINCT), SetSpec(full.difference(t), CountMode.DISTINCT))
-    counts, route = _counts_and_route(monkeypatch, x, specs)
-    assert route and sum(counts.values()) == x
+    counts = joint_factor_counts(x, specs).counts
+    assert sum(counts.values()) == x
     assert sum(k[1] * c for k, c in counts.items()) == sum(x // p for p in full.primes if p > 100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=1, max_value=8),
+    st.randoms(use_true_random=False),
+)
+def test_large_prime_pass_matches_oracle_on_random_specs(x, m, rng):
+    # each prime <= x joins one of m sets or none, so sets straddle sqrt(x);
+    # segments of 1 and 7 start below the smallest prime above sqrt(x), and
+    # blocks of 3 (p, k) pairs split the slices of one k across blocks
+    sets: list[list[int]] = [[] for _ in range(m)]
+    for p in sieve_primes(max(x, 2)).primes:
+        if p <= x and rng.random() < 0.8:
+            sets[rng.randrange(m)].append(p)
+    specs = tuple(SetSpec(PrimeSet(tuple(ps)), rng.choice(list(CountMode))) for ps in sets)
+    slow = oracle_factor_counts(x, specs)
+    for seg, block in [(seg, factorstats._BLOCK) for seg in (1, 7, 64, 1 << 20)] + [(64, 3)]:
+        if seg == 1 and x > 1000:
+            continue  # one segment per n: kept to the smaller x
+        with mock.patch.object(factorstats, "_BLOCK", block):
+            jc = joint_factor_counts(x, specs, segment_size=seg)
+        assert np.array_equal(jc.keys, slow.keys) and np.array_equal(jc.tallies, slow.tallies), seg
 
 
 def test_smooth_parts_above_sqrt_x_match_factorization():

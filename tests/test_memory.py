@@ -8,7 +8,14 @@ import tracemalloc
 
 import numpy as np
 
-from primepoisson import CountMode, SetSpec, model_tv_exact, sieve_primes
+from primepoisson import (
+    CountMode,
+    SetSpec,
+    joint_factor_counts,
+    model_tv_exact,
+    primes_in_interval,
+    sieve_primes,
+)
 from primepoisson.dist import exact_sum
 from primepoisson.factorstats import _validate_request
 
@@ -42,3 +49,14 @@ def test_exact_sum_works_block_by_block():
     terms = np.random.default_rng(0).random(1 << 20)  # 8 MiB
     peak = traced_peak(lambda: exact_sum([terms]))
     assert peak < 1 << 20, peak
+
+
+def test_large_prime_pass_works_block_by_block():
+    # 8 segments of 2^20, two bytes per n: the peak is about 6.3 MiB.  The
+    # second set's 81,461 primes above sqrt(x) give about 0.5 (p, k) pairs
+    # per n; expanded in one piece per segment they take about 11 MiB
+    small = SetSpec(sieve_primes(100), CountMode.DISTINCT)  # a first call fills lazy caches
+    joint_factor_counts(2**12, (small, SetSpec(primes_in_interval(101, 2**12), CountMode.DISTINCT)))
+    x, specs = 2**23, (small, SetSpec(primes_in_interval(2**12 + 1, 2**20), CountMode.DISTINCT))
+    peak = traced_peak(lambda: joint_factor_counts(x, specs))
+    assert peak < 8 << 20, peak
