@@ -4,17 +4,19 @@ tail mass.
 There is one law type: a JointPmf is a read-only float64 array, dense over a
 box from the origin to a truncation point on each axis, together with a
 tail_bound that certifies how much mass the stored array can miss.  A Pmf is
-its one-axis case, with 1-D helpers.  Total-variation distances report that
+its one-axis case, with 1-D helpers; the model pmfs store their support only
+up to the last nonzero entry.  Total-variation distances report that
 missing mass as an explicit uncertainty instead of silently ignoring it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
+import mpmath
 import numpy as np
 
 from .errors import CapError, DomainError
@@ -24,15 +26,16 @@ MASS_SLACK = 1e-12
 DEFAULT_TAIL_EPS = 1e-12
 
 
-def _check_mass(probs: np.ndarray, tail_bound: float, what: str) -> None:
+def _check_mass(probs: np.ndarray, tail_bound: float, what: str, mass: float | None) -> None:
     """The invariant of a pmf: tail_bound and every entry finite and
     >= 0 (NaN and infinities are refused before exact_sum, whose bit
-    arithmetic needs finite values), and the exact sum in the mass window."""
+    arithmetic needs finite values), and the exact sum in the mass window.
+    mass, when not None, is exact_sum([probs]) as the caller computed it."""
     if not 0.0 <= tail_bound < math.inf:
         raise DomainError(f"tail_bound must be finite and >= 0, got {tail_bound}")
     if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) < math.inf):
         raise DomainError(f"{what} entries must be finite and nonnegative")
-    s = exact_sum([probs])
+    s = exact_sum([probs]) if mass is None else mass
     if s > 1.0 + MASS_SLACK or s < 1.0 - tail_bound - MASS_SLACK:
         raise DomainError(
             f"{what} mass {s} outside [1 - tail_bound, 1] window (tail_bound={tail_bound})"
@@ -44,18 +47,20 @@ class JointPmf:
     """Joint pmf on m-tuples of nonnegative integers, dense over its support
     box: probs[k_1, ..., k_m] approximates P(X = (k_1, ..., k_m)), tuples
     outside the box have probability zero, and the missing mass is at most
-    tail_bound."""
+    tail_bound.  mass is exact_sum([probs]) when the caller already has it;
+    it only spares the mass check a second pass and is not stored."""
 
     probs: np.ndarray
     tail_bound: float = 0.0
+    mass: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, mass):
         probs = np.asarray(self.probs, dtype=np.float64).view()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         if probs.ndim < 1:
             raise DomainError("a joint pmf needs at least one axis")
-        _check_mass(probs, self.tail_bound, type(self).__name__)
+        _check_mass(probs, self.tail_bound, type(self).__name__, mass)
 
     @property
     def dims(self) -> int:
@@ -70,12 +75,14 @@ class JointPmf:
 @dataclass(frozen=True, eq=False)
 class Pmf(JointPmf):
     """The one-axis joint law: a pmf on {0, 1, 2, ...}, probs[k] approximates
-    P(X = k) and the mass the vector misses is at most tail_bound."""
+    P(X = k) and the mass the vector misses is at most tail_bound.  The
+    stored support may end before the law's (model_exact_pmf stops at its
+    last nonzero entry); prob(k) is 0.0 past it."""
 
-    def __post_init__(self):
+    def __post_init__(self, mass):
         if np.ndim(self.probs) != 1 or np.size(self.probs) == 0:
             raise DomainError("a pmf needs one axis and at least one entry")
-        super().__post_init__()
+        super().__post_init__(mass)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -276,11 +283,16 @@ def product_joint(components: Sequence[Pmf]) -> JointPmf:
     exact_product = math.prod(exact_sum([c.probs]) for c in comps)
     rounding_loss = max(0.0, exact_product - kept)
     tail = math.fsum(c.tail_bound for c in comps) + rounding_loss
-    return JointPmf(out, tail_bound=min(tail, 1.0))
+    return JointPmf(out, tail_bound=min(tail, 1.0), mass=kept)
 
 
 def binomial_pmf(k: int, alpha: float) -> Pmf:
-    """Binomial(k, alpha) pmf, exact support [0, k], tail_bound 0."""
+    """Binomial(k, alpha) pmf, exact support [0, k], tail_bound 0.
+
+    Up to k = 1000 the entries are float products of comb(k, m) and powers
+    built one factor a step.  Beyond that they run the ratio recurrence
+    p(m+1) = p(m) (k-m)/(m+1) alpha/(1-alpha) in mpmath with 64 + 2 log2(k)
+    guard bits, so each entry is rounded to float64 once."""
     if k < 0:
         raise DomainError(f"trial count must be >= 0, got {k}")
     if not 0.0 <= alpha <= 1.0:
@@ -294,12 +306,13 @@ def binomial_pmf(k: int, alpha: float) -> Pmf:
         pb = np.multiply.accumulate(np.r_[1.0, np.full(k, 1.0 - alpha)])
         probs = comb * pa * pb[::-1]
     else:
-        la, lb = math.log(alpha), math.log1p(-alpha)
-        probs = np.array([
-            math.exp(math.lgamma(k + 1) - math.lgamma(m + 1) - math.lgamma(k - m + 1)
-                     + m * la + (k - m) * lb)
-            for m in range(k + 1)
-        ])
+        with mpmath.workprec(53 + 64 + 2 * k.bit_length()):
+            a = mpmath.mpf(alpha)
+            ratio, v = a / (1 - a), (1 - a) ** k
+            probs = np.empty(k + 1)
+            for m in range(k + 1):
+                probs[m] = float(v)
+                v = v * ratio * (k - m) / (m + 1)
     return Pmf(probs, 0.0)
 
 

@@ -5,8 +5,9 @@ For each prime p the model exponent X_p has P(X_p = k) = p^(-k) * (1 - 1/p).
 The number of primes of a set T that "divide" the model integer is then a sum
 of independent Bernoulli(1/p) indicators, and the total exponent count over T
 is a sum of the X_p themselves.  Both laws are computed exactly by sequential
-convolution; the model-vs-truth total variation over exponent vectors is
-summed over the y-smooth parts of n <= x, streamed one segment at a time.
+convolution, and their stored support ends at the last nonzero entry; the
+model-vs-truth total variation over exponent vectors is summed over the
+y-smooth parts of n <= x, streamed one segment at a time.
 """
 
 from __future__ import annotations
@@ -40,31 +41,35 @@ def model_exact_pmf(
 ) -> Pmf:
     """Exact model law of the factor count over a prime set.
 
-    Distinct mode convolves the Bernoulli(1/p) indicator laws (exact support
-    0..|T|, tail_bound 0).  Multiplicity mode convolves the geometric-type
-    exponent laws, each truncated at a certified depth; tail_bound aggregates
-    the exact per-factor dropped mass sum(p^-(cutoff+1)).
+    One factor law per prime, convolved in turn: Bernoulli(1/p) in distinct
+    mode (tail_bound 0), or the geometric-type exponent law truncated at a
+    certified depth in multiplicity mode (tail_bound the exact dropped mass
+    sum(p^-(cutoff+1))).  After each convolution the trailing entries that
+    underflowed to exactly 0.0 are dropped, so the stored support ends at the
+    last nonzero entry (at most |T| in distinct mode) and no mass moves.
     """
     if not 0.0 < tail_eps < 1.0:
         raise DomainError(f"tail_eps must be in (0, 1), got {tail_eps}")
-    ps = tuple(primes.primes)
-    if not ps:
-        return Pmf(np.ones(1), 0.0)
-
+    ps = primes.primes
+    inv = 1.0 / np.array(ps, dtype=np.float64)
     if mode is CountMode.DISTINCT:
-        acc = np.array([1.0])
-        for p in ps:
-            acc = np.convolve(acc, [1.0 - 1.0 / p, 1.0 / p])
-        return Pmf(acc, 0.0)
+        factors = np.stack([1.0 - inv, inv], axis=1)
+        tail_bound = 0.0
+    else:
+        cutoffs = [_exponent_cutoff(p, len(ps), tail_eps) for p in ps]
+        factors = [
+            (1.0 - q) * np.power(q, np.arange(c + 1)) for q, c in zip(inv.tolist(), cutoffs)
+        ]
+        tail_bound = math.fsum(float(p) ** (-(c + 1)) for p, c in zip(ps, cutoffs))
 
-    acc = np.array([1.0])
-    dropped = []
-    for p in ps:
-        cutoff = _exponent_cutoff(p, len(ps), tail_eps)
-        factor = (1.0 - 1.0 / p) * np.power(1.0 / p, np.arange(cutoff + 1))
+    acc = np.ones(1)
+    for factor in factors:
         acc = np.convolve(acc, factor)
-        dropped.append(float(p) ** (-(cutoff + 1)))
-    return Pmf(acc, math.fsum(dropped))
+        end = acc.size
+        while acc[end - 1] == 0.0:  # stops at acc[0], a product of the 1 - 1/p > 0
+            end -= 1
+        acc = acc[:end]
+    return Pmf(acc, tail_bound)
 
 
 def model_tv_exact(x: int, y: int) -> TvResult:

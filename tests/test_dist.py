@@ -28,7 +28,7 @@ from primepoisson import (
     tv_distance_joint,
     tv_distance_sparse,
 )
-from primepoisson.dist import exact_sum
+from primepoisson.dist import MASS_SLACK, exact_sum
 
 
 def test_pmf_basic_accessors():
@@ -254,6 +254,43 @@ def test_binomial_hand_cases():
     assert binomial_pmf(2, 0.5).probs.tolist() == [0.25, 0.5, 0.25]
     expected = math.comb(10, 3) * 0.3**3 * 0.7**7
     assert binomial_pmf(10, 0.3).prob(3) == pytest.approx(expected, abs=1e-16)
+
+
+def test_product_joint_sums_its_grid_once(monkeypatch):
+    from primepoisson import dist
+
+    sizes = []
+
+    def spy(arrays):
+        arrays = list(arrays)
+        sizes.extend(a.size for a in arrays)
+        return exact_sum(arrays)
+
+    monkeypatch.setattr(dist, "exact_sum", spy)
+    joint = product_joint([poisson_pmf(1.0), poisson_pmf(2.0), poisson_pmf(3.0)])
+    assert sizes.count(joint.probs.size) == 1
+    # a caller's mass goes through the same window check
+    with pytest.raises(DomainError, match="window"):
+        JointPmf(np.array([0.5, 0.25]), mass=0.75)
+
+
+BINOMIAL_LARGE_K = [(3000, 0.2), (5000, 0.2), (10000, 0.5), (1080, 0.35973308349377253)]
+
+
+@pytest.mark.parametrize("k, alpha", BINOMIAL_LARGE_K)
+def test_binomial_large_k_entries_are_rounded_once(k, alpha):
+    # these cells failed their own mass check on the old lgamma route
+    pmf = binomial_pmf(k, alpha)
+    assert 1.0 - MASS_SLACK <= exact_sum([pmf.probs]) <= 1.0 + MASS_SLACK
+    assert pmf.tail_bound == 0.0
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        for m, got in enumerate(pmf.probs.tolist()):
+            want = mpmath.binomial(k, m) * a**m * (1 - a) ** (k - m)
+            if want >= 2.0**-1022:
+                assert abs(got - want) <= 1e-13 * want, m
+            else:  # below the normal range only the absolute ulp is kept
+                assert abs(got - want) <= 2.0**-1074, m
 
 
 def test_binomial_large_k_log_route_consistent():

@@ -18,6 +18,7 @@ from primepoisson import (
     sieve_primes,
     smooth_part_distribution,
 )
+from primepoisson.kubilius import _exponent_cutoff
 
 
 def test_distinct_two_primes_hand_case():
@@ -81,6 +82,51 @@ def test_mgf_product_identities_spot_checks():
             for p in ps:
                 expected_w *= (p - 1) / (p - z)
             assert mult.series(z) == pytest.approx(expected_w, abs=1e-9)
+
+
+def untrimmed_model_pmf(primes, mode, tail_eps):
+    """Reference: the sequential convolution that keeps every index up to the
+    sum of the truncation depths, zero tail included."""
+    ps = tuple(primes.primes)
+    acc, dropped = np.array([1.0]), []
+    for p in ps:
+        if mode is CountMode.DISTINCT:
+            acc = np.convolve(acc, [1.0 - 1.0 / p, 1.0 / p])
+            continue
+        cutoff = _exponent_cutoff(p, len(ps), tail_eps)
+        acc = np.convolve(acc, (1.0 - 1.0 / p) * np.power(1.0 / p, np.arange(cutoff + 1)))
+        dropped.append(float(p) ** (-(cutoff + 1)))
+    return acc, math.fsum(dropped)
+
+
+PRIMES_TO_20000 = list(sieve_primes(20_000).primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(CountMode),
+    st.integers(1, len(PRIMES_TO_20000)),
+    st.randoms(use_true_random=False),
+    st.sampled_from([1e-12, 1e-6, 1e-14]),
+)
+def test_trimmed_law_is_the_untrimmed_prefix(mode, size, rng, tail_eps):
+    # sets of a few thousand primes underflow far before the sum of the depths
+    ps = PrimeSet(tuple(sorted(rng.sample(PRIMES_TO_20000, size))))
+    pmf = model_exact_pmf(ps, mode, tail_eps)
+    ref, ref_tail = untrimmed_model_pmf(ps, mode, tail_eps)
+    n = len(pmf)
+    assert pmf.probs.tobytes() == ref[:n].tobytes()
+    assert not ref[n:].any()
+    assert pmf.tail_bound == ref_tail
+    assert pmf.probs[-1] != 0.0
+
+
+@pytest.mark.parametrize(
+    "mode, support", [(CountMode.WITH_MULTIPLICITY, 887), (CountMode.DISTINCT, 179)]
+)
+def test_support_ends_at_the_last_nonzero_entry(mode, support):
+    # the untrimmed laws had 42,128 and 9,593 entries
+    assert len(model_exact_pmf(sieve_primes(10**5), mode)) == support
 
 
 def test_radius_validation():
