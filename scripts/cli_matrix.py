@@ -74,6 +74,9 @@ MATRIX = [
     ["cor32", "--set", "interval:2..100000:multiplicity"],
     ["thm4", "--set", "interval:2..10000:multiplicity"],
     ["model", "--set", "interval:2..100:multiplicity"],
+    ["harmonic", "--set", "list:2,4294967311,2305843009213693951,18446744073709551629"],
+    ["sieve", "--lo", "2097152", "--hi", "2300000"],
+    ["sieve", "--lo", "1e9", "--hi", "1000001000"],
 ]
 
 

@@ -44,6 +44,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -419,10 +420,9 @@ def _run_sweep_row(indexed_row: tuple[int, dict]) -> dict:
     record: dict = {"row": index, "command": command, "config": row}
     try:
         argv = _row_to_argv(row)
-        parser = build_parser()
         with contextlib.redirect_stderr(io.StringIO()) as captured:
             try:
-                ns = parser.parse_args(argv)
+                ns = _parser().parse_args(argv)
             except SystemExit:
                 raise DomainError(
                     "invalid row config: " + " ".join(captured.getvalue().split())
@@ -619,9 +619,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by main and every sweep row (forked
+    pool workers inherit it); parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         band_file = getattr(ns, "band_file", None)
         bands = load_bands(band_file) if band_file else {}

@@ -20,7 +20,6 @@ a prime factor <= y, so no table of all parts is ever built.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -106,12 +105,12 @@ def _validate_request(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> tup
     if len(specs) > MAX_SETS:
         raise CapError(f"{len(specs)} sets exceed the cap of {MAX_SETS}")
     for spec in specs:
-        ps = spec.primes.primes
+        ps = spec.primes.array
         # x=1 is exempt: n=1 has no prime factors, so any spec is answerable
-        if x > 1 and ps and ps[-1] > x:
-            raise DomainError(f"prime {ps[bisect_right(ps, x)]} exceeds x={x}")
+        if x > 1 and ps.size and ps[-1] > x:
+            raise DomainError(f"prime {ps[np.searchsorted(ps, x, 'right')]} exceeds x={x}")
     if len(specs) > 1:  # each set is strictly increasing, so a repeat is across sets
-        members = np.sort(np.concatenate([np.asarray(s.primes.primes, np.int64) for s in specs]))
+        members = np.sort(np.concatenate([s.primes.array for s in specs]))
         repeats = members[1:][members[1:] == members[:-1]]
         if repeats.size:
             raise DomainError(f"sets must be pairwise disjoint; {repeats[0]} repeats")
@@ -139,15 +138,15 @@ def _count_keys(x: int, specs: tuple[SetSpec, ...]):
     direct: list[tuple[int, int]] = []  # (modulus, key byte) sieved directly
     large: list[tuple[np.ndarray, int]] = []  # (a set's primes in (root, x], key byte)
     for spec, i in zip(specs, range(width - 1, -1, -1)):
-        ps = spec.primes.primes
-        cut, stop = bisect_right(ps, root), bisect_right(ps, x)
-        for p in ps[:cut]:
+        ps = spec.primes.array
+        cut, stop = np.searchsorted(ps, (root, x), "right").tolist()
+        for p in ps[:cut].tolist():
             q = p
             while q <= x and (q == p or spec.mode is CountMode.WITH_MULTIPLICITY):
                 direct.append((q, i))
                 q *= p
         if stop > cut:  # p*k <= x below: int32 holds it for x < 2^31
-            large.append((np.array(ps[cut:stop], dtype=np.int32 if x < 2**31 else np.int64), i))
+            large.append((ps[cut:stop].astype(np.int32 if x < 2**31 else np.int64), i))
 
     def keys(seg_lo: int, seg_hi: int) -> np.ndarray:
         n_seg = seg_hi - seg_lo + 1

@@ -13,6 +13,7 @@ y-smooth parts of n <= x, streamed one segment at a time.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -51,15 +52,20 @@ def model_exact_pmf(
     if not 0.0 < tail_eps < 1.0:
         raise DomainError(f"tail_eps must be in (0, 1), got {tail_eps}")
     ps = primes.primes
-    inv = 1.0 / np.array(ps, dtype=np.float64)
+    inv = 1.0 / primes.array.astype(np.float64)
     if mode is CountMode.DISTINCT:
         factors = np.stack([1.0 - inv, inv], axis=1)
         tail_bound = 0.0
     else:
         cutoffs = [_exponent_cutoff(p, len(ps), tail_eps) for p in ps]
-        factors = [
-            (1.0 - q) * np.power(q, np.arange(c + 1)) for q, c in zip(inv.tolist(), cutoffs)
-        ]
+        factors, start = [], 0
+        for c, run in groupby(cutoffs):  # one np.power per run of equal cutoffs, a row per prime
+            stop = start + sum(1 for _ in run)
+            q = inv[start:stop, None]
+            rows = np.power(q, np.arange(c + 1))
+            rows *= 1.0 - q  # the same product as (1 - q) * q^k, without a second table
+            factors.extend(rows)
+            start = stop
         tail_bound = math.fsum(float(p) ** (-(c + 1)) for p, c in zip(ps, cutoffs))
 
     acc = np.ones(1)

@@ -1,23 +1,29 @@
 """Prime enumeration, validated prime-set containers, and harmonic sums over primes.
 
 One segmented sieve of Eratosthenes serves enumeration, counting and PrimeSet
-validation.  Validation indexes a cached byte table below 2^21; above it, one
+validation.  A PrimeSet keeps its members both as a tuple of Python ints and
+as one read-only int64 array.  The sieve hands its int64 output to PrimeSet
+directly, and validation, set difference and the harmonic sums work on the
+array.  Validation indexes a cached byte table below 2^21; above it, one
 sieve over the members' span when that is cheaper than a Miller-Rabin test
-per member (sparse sets keep Miller-Rabin).  Harmonic sums use math.fsum.
+per member (sparse sets keep Miller-Rabin).  Harmonic sums are
+dist.exact_sum of the terms, the same floats as math.fsum; members at or
+above 2^53 have their terms formed from exact Python ints.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator
 
 import mpmath
 import numpy as np
 
+from .dist import exact_sum
 from .errors import DomainError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
@@ -31,6 +37,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461
 # One Miller-Rabin test takes about as long as sieving this many integers.
 _MR_COST = 1000
+# Integers below 2^53 are exact float64 values.
+_FLOAT_EXACT = 1 << 53
 
 
 @lru_cache(maxsize=1)
@@ -64,41 +72,72 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_members(arr: np.ndarray) -> None:
+    """Refuse unless arr is strictly increasing, starts above 1 and holds
+    only primes below the certified bound; the first fault is named."""
+    prev = np.concatenate(([1], arr))[:-1]
+    out_of_order = np.flatnonzero(arr <= prev)
+    if out_of_order.size:
+        i = out_of_order[0]
+        raise DomainError(f"primes must be strictly increasing, got {arr[i]} after {prev[i]}")
+    if arr.size and arr[-1] >= _MR_LIMIT:
+        raise DomainError(f"{arr[-1]} is at or above the certified primality bound {_MR_LIMIT}")
+    split = int(np.searchsorted(arr, _TABLE_LIMIT))
+    small, big = arr[:split].astype(np.int64, copy=False), arr[split:]
+    bad = small[np.frombuffer(_prime_table(), dtype=np.uint8)[small] == 0]
+    if bad.size:
+        raise DomainError(f"{bad[0]} is not prime")
+    if not big.size:
+        return
+    lo, hi = int(big[0]), int(big[-1])
+    segments = (hi - lo) // DEFAULT_SEGMENT_SIZE + 1
+    # a sieve over the span also runs its base primes <= sqrt(max) per segment
+    if big.dtype == np.int64 and hi - lo + math.isqrt(hi) * (1 + segments) < big.size * _MR_COST:
+        for seg_lo, flags in _sieve(lo - 1, hi, DEFAULT_SEGMENT_SIZE):
+            i, j = np.searchsorted(big, (seg_lo, seg_lo + flags.size))
+            bad = big[i:j][~flags[big[i:j] - seg_lo]]
+            if bad.size:
+                raise DomainError(f"{bad[0]} is not prime")
+    else:
+        for p in big.tolist():
+            if not is_prime(p):
+                raise DomainError(f"{p} is not prime")
+
+
 @dataclass(frozen=True)
 class PrimeSet:
     """A strictly increasing tuple of primes with an optional label.
 
-    Every element is checked for primality on every construction (sieve
-    output included), so a PrimeSet in hand is a valid finite set of primes.
+    primes may be given as any sequence of integers or as an integer ndarray
+    (the sieve passes its own); it is stored as a tuple of Python ints, and
+    array holds the same members as a read-only copy (int64, or object for a
+    member >= 2^63) that takes no part in equality, hashing or repr.  Every
+    element is checked for primality on every construction (sieve output
+    included), so a PrimeSet in hand is a valid finite set of primes.
     """
 
     primes: tuple[int, ...]
     label: str | None = None
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ps = tuple(map(int, self.primes))
+        ps = self.primes
+        if isinstance(ps, np.ndarray) and ps.dtype.kind == "i":
+            arr, ps = ps.astype(np.int64, copy=False), None
+        else:  # a sequence's Python ints are kept, not duplicated
+            ps = tuple(map(int, ps))
+            try:
+                arr = np.array(ps, dtype=np.int64)
+            except OverflowError:  # a member >= 2^63: the Python ints in an object array
+                arr = np.array(ps, dtype=object)
+        _check_members(arr)
+        if ps is None:
+            # the set's own copy, which later writes to the input do not reach, is
+            # made once tolist's list is freed: the two are never alive at once
+            ps, arr = tuple(arr.tolist()), arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
         object.__setattr__(self, "primes", ps)
-        prev = (1, *ps)
-        if not all(map(operator.lt, prev, ps)):
-            i = next(i for i, (a, b) in enumerate(zip(prev, ps)) if a >= b)
-            raise DomainError(f"primes must be strictly increasing, got {ps[i]} after {prev[i]}")
-        if ps and ps[-1] >= _MR_LIMIT:
-            raise DomainError(f"{ps[-1]} is at or above the certified primality bound {_MR_LIMIT}")
-        split = bisect_left(ps, _TABLE_LIMIT)
-        small, big = np.array(ps[:split], dtype=np.int64), ps[split:]
-        bad = small[np.frombuffer(_prime_table(), dtype=np.uint8)[small] == 0].tolist()
-        span = big[-1] - big[0] if big else 0
-        segments = span // DEFAULT_SEGMENT_SIZE + 1
-        # a sieve over the span also runs its base primes <= sqrt(max) per segment
-        if big and span + math.isqrt(big[-1]) * (1 + segments) < len(big) * _MR_COST:
-            members = np.array(big, dtype=np.int64)
-            for seg_lo, flags in _sieve(big[0] - 1, big[-1], DEFAULT_SEGMENT_SIZE):
-                i, j = np.searchsorted(members, (seg_lo, seg_lo + flags.size))
-                bad += members[i:j][~flags[members[i:j] - seg_lo]].tolist()
-        else:
-            bad += [p for p in big if not is_prime(p)]
-        if bad:
-            raise DomainError(f"{bad[0]} is not prime")
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -111,8 +150,8 @@ class PrimeSet:
         return i < len(self.primes) and self.primes[i] == p
 
     def difference(self, other: "PrimeSet", label: str | None = None) -> "PrimeSet":
-        drop = set(other.primes)
-        return PrimeSet(tuple(p for p in self.primes if p not in drop), label=label)
+        keep = ~np.isin(self.array, other.array)  # the kept members' ints are shared
+        return PrimeSet(tuple(compress(self.primes, keep.tolist())), label=label)
 
 
 @dataclass(frozen=True)
@@ -157,12 +196,22 @@ def prime_array(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> n
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
 
+def _check_sieve_end(hi: int) -> None:
+    """Refuse, before any sieving, an upper end whose primes PrimeSet could
+    not certify."""
+    if hi >= _MR_LIMIT:
+        raise DomainError(
+            f"sieve upper end {hi} is at or above the certified primality bound {_MR_LIMIT}"
+        )
+
+
 def sieve_primes(limit: int, *, label: str | None = None,
                  segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
     """All primes p <= limit, ascending.  limit < 2 is a domain error."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    return PrimeSet(tuple(prime_array(1, int(limit), segment_size).tolist()), label=label)
+    _check_sieve_end(limit)
+    return PrimeSet(prime_array(1, int(limit), segment_size), label=label)
 
 
 def primes_in_interval(lo: int, hi: int, *, label: str | None = None,
@@ -172,7 +221,8 @@ def primes_in_interval(lo: int, hi: int, *, label: str | None = None,
         raise DomainError(f"empty interval: hi={hi} < lo={lo}")
     if lo < 2:
         raise DomainError(f"interval lower endpoint must be >= 2, got {lo}")
-    return PrimeSet(tuple(prime_array(int(lo), int(hi), segment_size).tolist()), label=label)
+    _check_sieve_end(hi)
+    return PrimeSet(prime_array(int(lo), int(hi), segment_size), label=label)
 
 
 def count_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
@@ -181,15 +231,22 @@ def count_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int
 
 
 def harmonic_sums(ps: PrimeSet) -> HarmonicSums:
-    """Compensated harmonic sums over a prime set, ascending order.
+    """Correctly rounded harmonic sums over a prime set.
 
-    Uses exact float summation, so the result is deterministic and does not
-    depend on how the set might be partitioned.
+    Each term is the float Python gives for 1/p, 1/(p-1) and 1/(p*p), and the
+    terms are summed exactly (dist.exact_sum, equal to math.fsum), so the
+    result does not depend on how the set might be partitioned.  Below 2^53 a
+    member is an exact float, so its terms come from float arithmetic (the
+    float square is p*p correctly rounded); at or above it they come from
+    exact Python ints, one member at a time.
     """
-    h = math.fsum(1.0 / p for p in ps.primes)
-    h1 = math.fsum(1.0 / (p - 1) for p in ps.primes)
-    h2 = math.fsum(1.0 / (p * p) for p in ps.primes)
-    return HarmonicSums(h=h, h1=h1, h2=h2)
+    split = int(np.searchsorted(ps.array, _FLOAT_EXACT))
+    p, big = ps.array[:split].astype(np.float64), ps.array[split:].tolist()
+    return HarmonicSums(
+        h=exact_sum([1.0 / p, np.array([1.0 / q for q in big])]),
+        h1=exact_sum([1.0 / (p - 1.0), np.array([1.0 / (q - 1) for q in big])]),
+        h2=exact_sum([1.0 / (p * p), np.array([1.0 / (q * q) for q in big])]),
+    )
 
 
 _EXPEXP_MAX_K = 10

@@ -320,9 +320,11 @@ def _thm3_table(x: int, tset: PrimeSet) -> tuple[float, int, np.ndarray, np.ndar
     complement = full.difference(tset)
     if len(complement) == 0:
         raise DomainError("T must be a proper subset of the primes <= x")
+    h_full = harmonic_sums(full).h
+    del full  # the complement shares its ints; its tuple and array go before counting
     specs = (SetSpec(tset, CountMode.DISTINCT), SetSpec(complement, CountMode.DISTINCT))
     counts = joint_factor_counts(x, specs)
-    return harmonic_sums(full).h, len(complement), counts.keys, counts.tallies
+    return h_full, len(complement), counts.keys, counts.tallies
 
 
 def check_thm3(x: int, tset: PrimeSet, k: int, a_param: float, psi: float) -> TheoremReport:

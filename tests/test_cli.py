@@ -272,6 +272,55 @@ def test_sweep_crashed_row_isolated(tmp_path, monkeypatch):
     assert report["rows"][0]["error"] == "RuntimeError: count total 99 != x=100"
 
 
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_sweep_builds_the_parser_once(tmp_path, monkeypatch, fresh_parser):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    rows = [
+        {"command": "harmonic", "set": "list:2"},
+        {"command": "sieve", "limit": "100"},
+        {"command": "cor32", "set": "list:11", "tail_eps": "abc"},
+    ]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": rows}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0 and len(built) == 1
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in report["rows"]] == ["ok", "ok", "error"]
+
+
+def test_reused_parser_keeps_each_rows_append_list(tmp_path, fresh_parser):
+    rows = [
+        {"command": "thm2", "x": 1000, "set": ["interval:2..10", "interval:11..100"], "k": "1,1"},
+        {"command": "thm2", "x": 1000, "set": ["interval:2..10"], "k": "1"},
+    ]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": rows}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["name"] for r in report["rows"]] == ["thm2[x=1000,r=2,k=1,1]", "thm2[x=1000,r=1,k=1]"]
+    parser = cli._parser()
+    first = parser.parse_args(["counts", "--x", "10", "--set", "list:2", "--set", "list:3"])
+    second = parser.parse_args(["counts", "--x", "10", "--set", "list:5"])
+    assert (first.set, second.set) == (["list:2", "list:3"], ["list:5"])
+
+
+def test_expexp_block_past_the_bound_exits_2_before_sieving(monkeypatch, capsys):
+    from primepoisson import primesets
+
+    monkeypatch.setattr(primesets, "_sieve", lambda *a: pytest.fail(f"sieved {a}"))
+    assert main(["harmonic", "--set", "expexp:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sieve upper end 514843556263457213182265 is at or above")
+
+
 EMPTY_SET_ARGV = [
     ["thm2", "--x", "100", "--set", "interval:24..28", "--k", "0"],
     ["halasz", "--x", "100", "--set", "interval:24..28", "--k-lo", "0", "--k-hi", "1"],

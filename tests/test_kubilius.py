@@ -129,6 +129,19 @@ def test_support_ends_at_the_last_nonzero_entry(mode, support):
     assert len(model_exact_pmf(sieve_primes(10**5), mode)) == support
 
 
+@pytest.mark.parametrize("tail_eps", [1e-12, 1e-6])
+def test_grouped_factor_rows_equal_the_per_prime_rows(monkeypatch, tail_eps):
+    ps = sieve_primes(10**5)
+    rows, convolve = [], np.convolve
+    monkeypatch.setattr(np, "convolve", lambda acc, row: rows.append(row) or convolve(acc, row))
+    model_exact_pmf(ps, CountMode.WITH_MULTIPLICITY, tail_eps)
+    monkeypatch.undo()
+    assert len(rows) == len(ps)
+    for p, row in zip(ps.primes, rows):
+        q, c = 1.0 / p, _exponent_cutoff(p, len(ps), tail_eps)
+        assert row.tobytes() == ((1 - q) * np.power(q, np.arange(c + 1))).tobytes(), p
+
+
 def test_radius_validation():
     with pytest.raises(DomainError):
         model_exact_pmf(PrimeSet((2,)), CountMode.WITH_MULTIPLICITY, tail_eps=0.0)

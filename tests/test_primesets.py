@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,3 +232,212 @@ def test_count_primes_across_segment_sizes():
         assert count_primes(1000, segment_size=seg) == 168
         assert sieve_primes(1000, segment_size=seg).primes == tuple(naive_primes(1000))
     assert count_primes(1) == count_primes(0) == count_primes(-7) == 0
+
+
+# ------------------------------------------- validation on the member array
+
+PSI12 = 399165290221 * 798330580441
+# a dense run of primes across the table's edge 2^21; above it a long run is sieved
+EDGE_RUN = primes_in_interval(2**21 - 2000, 2**21 + 30_000).primes
+# far-apart members (Miller-Rabin) at and past 2^53 and 2^63, and psi_12 itself
+SPARSE = (1000000007, 2**53 - 111, 2**53 + 5, 2**61 - 1, 2**63 - 25, 2**63 + 29, 2**64 + 13, PSI12)
+# 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+COMPOSITES = (0, 1, 4, 2**21 - 1, 2**21 + 1, 1451 * 1453, 3215031751, 2**53 + 1, 2**63 + 1, 2**64 + 1)
+
+
+def oracle_refusal(members):
+    """The message a PrimeSet of members must be refused with, or None,
+    found member by member."""
+    prev = 1
+    for p in members:
+        if p <= prev:
+            return f"primes must be strictly increasing, got {p} after {prev}"
+        prev = p
+    if members and members[-1] >= PSI12:
+        return f"{members[-1]} is at or above the certified primality bound {PSI12}"
+    return next((f"{p} is not prime" for p in members if not is_prime(p)), None)
+
+
+def input_forms(members):
+    """The same members as a tuple, a list and integer arrays (an object
+    array when a member does not fit int64)."""
+    forms = [tuple(members), list(members)]
+    if all(-(2**63) <= p < 2**63 for p in members):
+        forms.append(np.array(members, dtype=np.int64))
+        if all(-(2**31) <= p < 2**31 for p in members):
+            forms.append(np.array(members, dtype=np.int32))
+    else:
+        forms.append(np.array(members, dtype=object))
+    return forms
+
+
+def assert_matches_oracle(members):
+    expected = oracle_refusal(members)
+    for form in input_forms(members):
+        try:
+            ps = PrimeSet(form)
+        except DomainError as e:
+            assert str(e) == expected, type(form)
+            continue
+        assert expected is None, type(form)
+        assert ps.primes == tuple(members) and all(type(p) is int for p in ps.primes)
+        assert ps.array.tolist() == list(members) and not ps.array.flags.writeable
+
+
+def validation_route(monkeypatch, members):
+    """Which checks validated the members above 2^21: 'sieve', 'mr' or 'table'."""
+    from primepoisson import primesets
+
+    used = set()
+
+    def spy(name, fn):
+        def wrapped(*args):
+            used.add(name)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(primesets, "_sieve", spy("sieve", primesets._sieve))
+    monkeypatch.setattr(primesets, "is_prime", spy("mr", primesets.is_prime))
+    assert_matches_oracle(members)
+    monkeypatch.undo()
+    return "+".join(sorted(used)) or "table"
+
+
+VALIDATION_CASES = {
+    "empty": ((), "table"),
+    "repeat in the table": ((2, 3, 3), "table"),
+    "repeat in a sieved run": (EDGE_RUN[:1500] + EDGE_RUN[1499:1600], "table"),
+    "out of order across 2^21": ((2097169, 2097143), "table"),
+    "out of order past 2^64": ((2**64 + 13, 2**63 + 29), "table"),
+    "zero": ((0, 2), "table"),
+    "composite below 2^21": ((2, 3, 2**21 - 1), "table"),
+    "primes across 2^21, sieved": (EDGE_RUN, "sieve"),
+    "composite in a sieved run": (tuple(sorted(EDGE_RUN[:1500] + (2**21 + 1,))), "sieve"),
+    "sparse pair across 2^21": ((2097143, 2097169), "mr"),
+    "pseudoprime, Miller-Rabin": ((1000000007, 3215031751), "mr"),
+    "members past 2^53": ((3, 2**53 - 111, 2**53 + 5), "mr"),
+    "composite past 2^53": ((3, 2**53 + 1), "mr"),
+    "members past 2^63": ((2**61 - 1, 2**63 - 25, 2**63 + 29, 2**64 + 13), "mr"),
+    "composite past 2^64": ((2**63 + 29, 2**64 + 1), "mr"),
+    "psi_12": ((2, PSI12), "table"),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATION_CASES))
+def test_validation_matches_the_oracle_on_both_routes(monkeypatch, case):
+    members, route = VALIDATION_CASES[case]
+    assert validation_route(monkeypatch, list(members)) == route
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_validation_matches_a_per_member_oracle(data):
+    start = data.draw(st.integers(0, len(EDGE_RUN)), label="start")
+    length = data.draw(st.sampled_from([0, 1, 3, 30, 300, 2000]), label="run length")
+    extra = data.draw(st.sets(st.sampled_from(SPARSE + COMPOSITES), max_size=4), label="extra")
+    members = sorted(set(EDGE_RUN[start : start + length]) | extra)
+    for fault in data.draw(st.lists(st.sampled_from(["repeat", "swap"]), max_size=2), label="faults"):
+        if members:
+            i = data.draw(st.integers(0, len(members) - 1))
+            j = min(i + 1, len(members) - 1)
+            if fault == "repeat":
+                members.insert(i, members[i])
+            else:
+                members[i], members[j] = members[j], members[i]
+    assert_matches_oracle(members)
+
+
+def test_set_does_not_follow_later_writes_to_its_input():
+    for dtype in (np.int64, np.int32):
+        source = np.array(EDGE_RUN[:100], dtype=dtype)
+        ps = PrimeSet(source)
+        source[:] = 4
+        assert ps.primes == EDGE_RUN[:100] and ps.array.tolist() == list(EDGE_RUN[:100])
+        with pytest.raises(ValueError):
+            ps.array[0] = 4
+
+
+def test_kept_array_takes_no_part_in_equality_hash_or_repr():
+    a, b = sieve_primes(100), PrimeSet(sieve_primes(100).primes)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "array" not in repr(a)
+
+
+def test_sieves_refuse_an_end_past_the_certified_bound_before_sieving(monkeypatch):
+    from primepoisson import primesets
+
+    class Reached(Exception):
+        pass
+
+    def no_sieve(*args):
+        raise Reached(args)
+
+    monkeypatch.setattr(primesets, "_sieve", no_sieve)
+    refused = [
+        lambda: sieve_primes(PSI12),
+        lambda: primes_in_interval(10**20, PSI12 + 1),
+        lambda: expexp_block(3),  # (t_3, t_4], t_4 ~ 5.1e23
+    ]
+    for call in refused:
+        with pytest.raises(DomainError, match="upper end .* certified primality bound"):
+            call()
+    with pytest.raises(Reached):  # one below the bound goes on to the sieve
+        primes_in_interval(PSI12 - 100, PSI12 - 1)
+
+
+# ----------------------------------------------- harmonic sums, bit for bit
+
+
+def fsum_reference(members):
+    return (
+        math.fsum(1.0 / p for p in members),
+        math.fsum(1.0 / (p - 1) for p in members),
+        math.fsum(1.0 / (p * p) for p in members),
+    )
+
+
+HARMONIC_CASES = {
+    "empty": (),
+    "primes to 1e5": sieve_primes(10**5).primes,
+    "p*p across 2^53": primes_in_interval(94906265 - 3000, 94906265 + 3000).primes,
+    "p*p across 2^63": primes_in_interval(3037000499 - 3000, 3037000499 + 3000).primes,
+    "members past 2^53": (2, 3, 2**53 - 111, 2**53 + 5, 2**61 - 1),
+    "members past 2^63": (2**53 + 5, 2**63 - 25, 2**63 + 29, 2**64 + 13),
+    "long set with big members": sieve_primes(20_000).primes + (2**53 + 5, 2**63 + 29, 2**64 + 13),
+}
+
+
+@pytest.mark.parametrize("case", list(HARMONIC_CASES))
+def test_harmonic_sums_equal_fsum_bit_for_bit(case):
+    members = HARMONIC_CASES[case]
+    hs = harmonic_sums(PrimeSet(members))
+    assert [v.hex() for v in (hs.h, hs.h1, hs.h2)] == [v.hex() for v in fsum_reference(members)]
+
+
+HARMONIC_POOL = sorted(
+    set(naive_primes(300))
+    | set(HARMONIC_CASES["p*p across 2^53"][::7])
+    | set(HARMONIC_CASES["p*p across 2^63"][::7])
+    | set(HARMONIC_CASES["members past 2^63"])
+    | {2**61 - 1, 2**53 - 111}
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(HARMONIC_POOL), max_size=60))
+def test_harmonic_sums_equal_fsum_on_random_sets(members):
+    members = tuple(sorted(members))
+    hs = harmonic_sums(PrimeSet(members))
+    assert (hs.h, hs.h1, hs.h2) == fsum_reference(members)
+
+
+def test_difference_keeps_order_and_label():
+    full = sieve_primes(10**4)
+    rest = full.difference(PrimeSet((2, 97, 9973, 2**64 + 13)), label="rest")
+    assert rest.primes == tuple(p for p in full.primes if p not in (2, 97, 9973))
+    assert rest.label == "rest" and rest.array.tolist() == list(rest.primes)
+    big = PrimeSet((3, 2**63 + 29, 2**64 + 13), label="big")
+    assert big.difference(PrimeSet((2**63 + 29,))).primes == (3, 2**64 + 13)
+    assert big.difference(full).label is None
+    assert full.difference(PrimeSet(())) == full
