@@ -77,6 +77,8 @@ MATRIX = [
     ["harmonic", "--set", "list:2,4294967311,2305843009213693951,18446744073709551629"],
     ["sieve", "--lo", "2097152", "--hi", "2300000"],
     ["sieve", "--lo", "1e9", "--hi", "1000001000"],
+    ["sieve", "--limit", "100", "--lo", "10", "--hi", "20"],
+    ["thm4", "--set", "list:2,3", "--k-max", "-5"],
 ]
 
 

@@ -118,9 +118,11 @@ def parse_set_spec(text: str) -> SetSpec:
     """Parse the set mini-language into a SetSpec."""
     parts = text.split(":")
     kind = parts[0].strip().lower()
+    if kind not in ("interval", "list", "expexp"):
+        raise DomainError(f"unknown set kind {parts[0]!r} (want interval, list, or expexp)")
+    if len(parts) not in (2, 3):
+        raise DomainError(f"bad {kind} spec {text!r}")
     if kind == "interval":
-        if len(parts) not in (2, 3):
-            raise DomainError(f"bad interval spec {text!r}")
         bounds = parts[1].split("..")
         if len(bounds) != 2:
             raise DomainError(f"bad interval bounds in {text!r} (want a..b)")
@@ -129,24 +131,15 @@ def parse_set_spec(text: str) -> SetSpec:
             raise DomainError(f"empty interval in {text!r}")
         if b < 2:
             raise DomainError(f"interval in {text!r} contains no primes")
-        ps = sieve_primes(b, label=text) if a <= 2 else primes_in_interval(a - 1, b, label=text)
-        mode = _parse_mode(parts[2]) if len(parts) == 3 else CountMode.DISTINCT
+        ps = sieve_primes(b) if a <= 2 else primes_in_interval(a - 1, b)
     elif kind == "list":
-        if len(parts) not in (2, 3):
-            raise DomainError(f"bad list spec {text!r}")
         values = sorted(parse_count(tok) for tok in parts[1].split(",") if tok.strip())
         if not values:
             raise DomainError(f"empty prime list in {text!r}")
-        ps = PrimeSet(tuple(values), label=text)
-        mode = _parse_mode(parts[2]) if len(parts) == 3 else CountMode.DISTINCT
-    elif kind == "expexp":
-        if len(parts) not in (2, 3):
-            raise DomainError(f"bad expexp spec {text!r}")
-        ps = expexp_block(parse_count(parts[1]), label=text)
-        mode = _parse_mode(parts[2]) if len(parts) == 3 else CountMode.DISTINCT
+        ps = PrimeSet(values)
     else:
-        raise DomainError(f"unknown set kind {parts[0]!r} (want interval, list, or expexp)")
-    return SetSpec(ps, mode)
+        ps = expexp_block(parse_count(parts[1]))
+    return SetSpec(ps, _parse_mode(parts[2]) if len(parts) == 3 else CountMode.DISTINCT)
 
 
 def load_bands(path: str | Path) -> dict[str, tuple[float, float]]:
@@ -241,6 +234,8 @@ def _cmd_sieve(ns, out: RunWriter | None) -> CommandResult:
     if (ns.lo is None) != (ns.hi is None):
         raise DomainError("--lo and --hi must be given together")
     if ns.lo is not None:
+        if ns.limit is not None:
+            raise DomainError("--limit cannot be given with --lo/--hi")
         lo, hi = parse_count(ns.lo), parse_count(ns.hi)
         ps = primes_in_interval(lo, hi)
         payload = {"lo": lo, "hi": hi, "count": len(ps)}
@@ -252,10 +247,10 @@ def _cmd_sieve(ns, out: RunWriter | None) -> CommandResult:
         ps = sieve_primes(limit)
         payload = {"limit": limit, "count": len(ps)}
         name = f"sieve[{limit}]"
-    payload["first"] = ps.primes[0] if ps.primes else None
-    payload["last"] = ps.primes[-1] if ps.primes else None
+    members = ps.array.tolist()
+    payload["first"], payload["last"] = (members[0], members[-1]) if members else (None, None)
     if out:
-        out.text("primes.txt", "".join(f"{p}\n" for p in ps.primes))
+        out.text("primes.txt", "".join(f"{p}\n" for p in members))
     return CommandResult(name, payload, lines=[f"count={len(ps)}"])
 
 

@@ -51,12 +51,12 @@ def model_exact_pmf(
     """
     if not 0.0 < tail_eps < 1.0:
         raise DomainError(f"tail_eps must be in (0, 1), got {tail_eps}")
-    ps = primes.primes
     inv = 1.0 / primes.array.astype(np.float64)
     if mode is CountMode.DISTINCT:
         factors = np.stack([1.0 - inv, inv], axis=1)
         tail_bound = 0.0
     else:
+        ps = primes.array.tolist()
         cutoffs = [_exponent_cutoff(p, len(ps), tail_eps) for p in ps]
         factors, start = [], 0
         for c, run in groupby(cutoffs):  # one np.power per run of equal cutoffs, a row per prime

@@ -1,12 +1,13 @@
 """Prime enumeration, validated prime-set containers, and harmonic sums over primes.
 
 One segmented sieve of Eratosthenes serves enumeration, counting and PrimeSet
-validation.  A PrimeSet keeps its members both as a tuple of Python ints and
-as one read-only int64 array.  The sieve hands its int64 output to PrimeSet
-directly, and validation, set difference and the harmonic sums work on the
-array.  Validation indexes a cached byte table below 2^21; above it, one
-sieve over the members' span when that is cheaper than a Miller-Rabin test
-per member (sparse sets keep Miller-Rabin).  Harmonic sums are
+validation.  A PrimeSet stores its members once, as one read-only int64
+array (object for a member at or above 2^63); its primes tuple is a view
+built on demand, which no count path reads.  The sieve hands its int64 output
+to PrimeSet directly, and validation, set difference and the harmonic sums
+work on the array.  Validation indexes a cached byte table below 2^21; above
+it, one sieve over the members' span when that is cheaper than a Miller-Rabin
+test per member (sparse sets keep Miller-Rabin).  Harmonic sums are
 dist.exact_sum of the terms, the same floats as math.fsum; members at or
 above 2^53 have their terms formed from exact Python ints.
 """
@@ -14,10 +15,9 @@ above 2^53 have their terms formed from exact Python ints.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from typing import Iterator
 
 import mpmath
@@ -104,54 +104,59 @@ def _check_members(arr: np.ndarray) -> None:
                 raise DomainError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class PrimeSet:
-    """A strictly increasing tuple of primes with an optional label.
+def _member(p) -> int:
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise DomainError(f"prime set members must be integers, got {p}") from None
 
-    primes may be given as any sequence of integers or as an integer ndarray
-    (the sieve passes its own); it is stored as a tuple of Python ints, and
-    array holds the same members as a read-only copy (int64, or object for a
-    member >= 2^63) that takes no part in equality, hashing or repr.  Every
-    element is checked for primality on every construction (sieve output
-    included), so a PrimeSet in hand is a valid finite set of primes.
+
+@dataclass(frozen=True, eq=False)
+class PrimeSet:
+    """A strictly increasing set of primes, stored once as a read-only array.
+
+    array takes any sequence of integers or an integer ndarray (the sieve
+    passes its own) and keeps a read-only copy: int64, or object when a member
+    is >= 2^63.  A member that is not an integer (2.0, 3.7) is refused, not
+    truncated.  Every member is checked on every construction, so a PrimeSet
+    in hand is a valid finite set of primes.  Sets with the same members are
+    equal; primes is a tuple view built on each access.
     """
 
-    primes: tuple[int, ...]
-    label: str | None = None
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray
 
     def __post_init__(self):
-        ps = self.primes
-        if isinstance(ps, np.ndarray) and ps.dtype.kind == "i":
-            arr, ps = ps.astype(np.int64, copy=False), None
-        else:  # a sequence's Python ints are kept, not duplicated
-            ps = tuple(map(int, ps))
+        members = self.array
+        if isinstance(members, np.ndarray) and np.can_cast(members.dtype, np.int64):
+            arr = members.astype(np.int64)  # a copy: later writes to the input do not reach it
+        else:  # sequences and other arrays: a cast would wrap a uint64 member >= 2^63 negative
+            ints = list(map(_member, members))
             try:
-                arr = np.array(ps, dtype=np.int64)
+                arr = np.array(ints, dtype=np.int64)
             except OverflowError:  # a member >= 2^63: the Python ints in an object array
-                arr = np.array(ps, dtype=object)
+                arr = np.array(ints, dtype=object)
         _check_members(arr)
-        if ps is None:
-            # the set's own copy, which later writes to the input do not reach, is
-            # made once tolist's list is freed: the two are never alive at once
-            ps, arr = tuple(arr.tolist()), arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "primes", ps)
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PrimeSet) and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:  # O(1): size, first and last member
+        return hash((self.array.size, *self.array[:1].tolist(), *self.array[-1:].tolist()))
 
     def __len__(self) -> int:
-        return len(self.primes)
+        return self.array.size
 
     def __iter__(self):
-        return iter(self.primes)
+        return iter(self.array.tolist())
 
-    def __contains__(self, p: int) -> bool:
-        i = bisect_left(self.primes, p)
-        return i < len(self.primes) and self.primes[i] == p
-
-    def difference(self, other: "PrimeSet", label: str | None = None) -> "PrimeSet":
-        keep = ~np.isin(self.array, other.array)  # the kept members' ints are shared
-        return PrimeSet(tuple(compress(self.primes, keep.tolist())), label=label)
+    def difference(self, other: "PrimeSet") -> "PrimeSet":
+        return PrimeSet(self.array[~np.isin(self.array, other.array)])
 
 
 @dataclass(frozen=True)
@@ -205,24 +210,22 @@ def _check_sieve_end(hi: int) -> None:
         )
 
 
-def sieve_primes(limit: int, *, label: str | None = None,
-                 segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
+def sieve_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
     """All primes p <= limit, ascending.  limit < 2 is a domain error."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     _check_sieve_end(limit)
-    return PrimeSet(prime_array(1, int(limit), segment_size), label=label)
+    return PrimeSet(prime_array(1, int(limit), segment_size))
 
 
-def primes_in_interval(lo: int, hi: int, *, label: str | None = None,
-                       segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
+def primes_in_interval(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
     """Primes in the half-open interval (lo, hi].  Requires 2 <= lo <= hi."""
     if hi < lo:
         raise DomainError(f"empty interval: hi={hi} < lo={lo}")
     if lo < 2:
         raise DomainError(f"interval lower endpoint must be >= 2, got {lo}")
     _check_sieve_end(hi)
-    return PrimeSet(prime_array(int(lo), int(hi), segment_size), label=label)
+    return PrimeSet(prime_array(int(lo), int(hi), segment_size))
 
 
 def count_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
@@ -272,7 +275,6 @@ def expexp_cutoff(k: int) -> int:
     return val
 
 
-def expexp_block(k: int, *, label: str | None = None) -> PrimeSet:
+def expexp_block(k: int) -> PrimeSet:
     """Primes in the doubly exponential block (t_k, t_{k+1}], t_k = floor(exp(exp(k)))."""
-    lo, hi = expexp_cutoff(k), expexp_cutoff(k + 1)
-    return primes_in_interval(lo, hi, label=label or f"expexp:{k}")
+    return primes_in_interval(expexp_cutoff(k), expexp_cutoff(k + 1))

@@ -118,10 +118,10 @@ def check_thm1(cfg: Thm1Config) -> TheoremReport:
     """
     if cfg.y < 2 or cfg.y > cfg.x:
         raise DomainError(f"need 2 <= y <= x, got y={cfg.y}, x={cfg.x}")
-    for spec in cfg.specs:
-        for p in spec.primes:
-            if p > cfg.y:
-                raise DomainError(f"prime {p} exceeds the smoothness bound y={cfg.y}")
+    for ps in (spec.primes.array for spec in cfg.specs):
+        if ps.size and ps[-1] > cfg.y:
+            p = ps[np.searchsorted(ps, cfg.y, "right")]
+            raise DomainError(f"prime {p} exceeds the smoothness bound y={cfg.y}")
 
     u = math.log(cfg.x) / math.log(cfg.y)
     summaries = [_set_summary(s) for s in cfg.specs]
@@ -321,7 +321,7 @@ def _thm3_table(x: int, tset: PrimeSet) -> tuple[float, int, np.ndarray, np.ndar
     if len(complement) == 0:
         raise DomainError("T must be a proper subset of the primes <= x")
     h_full = harmonic_sums(full).h
-    del full  # the complement shares its ints; its tuple and array go before counting
+    del full  # its array goes before counting
     specs = (SetSpec(tset, CountMode.DISTINCT), SetSpec(complement, CountMode.DISTINCT))
     counts = joint_factor_counts(x, specs)
     return h_full, len(complement), counts.keys, counts.tallies
@@ -439,11 +439,13 @@ def check_thm4_local(
     With rate H (h for distinct mode, h1 for multiplicity mode):
       k <= 1.9*H: rhs = h2 * Pois(H){k} * (1/(k+1) + ((k-H)/H)^2)
       k >  1.9*H: rhs = h2 * e^(0.9*H) / 1.9^k
-    More than MAX_REPORT_ROWS values of k (k_max + 1) are refused (CapError)
-    before the model law is built.
+    A negative k_max is a DomainError; more than MAX_REPORT_ROWS values of k
+    (k_max + 1) are refused (CapError), both before the model law is built.
     """
     if len(tset) == 0:
         raise DomainError("T must be nonempty")
+    if k_max is not None and k_max < 0:
+        raise DomainError(f"k_max must be >= 0, got {k_max}")
     hs = harmonic_sums(tset)
     rate = hs.h if mode is CountMode.DISTINCT else hs.h1
     if k_max is None:

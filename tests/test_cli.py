@@ -349,6 +349,34 @@ def test_sweep_empty_set_row_is_an_error_not_a_crash(tmp_path):
     assert report["rows"][0]["error"] == "T must be nonempty"
 
 
+CONFLICTING_ARGV = [
+    (["sieve", "--limit", "100", "--lo", "10", "--hi", "20"], "--limit cannot be given with --lo/--hi"),
+    (["thm4", "--set", "list:2,3", "--k-max", "-5"], "k_max must be >= 0, got -5"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CONFLICTING_ARGV)
+def test_conflicting_or_negative_options_exit_2(tmp_path, capsys, argv, message):
+    code, out = run(argv, tmp_path)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sweep_conflicting_or_negative_option_rows_are_errors(tmp_path):
+    rows = [
+        {"command": "sieve", "limit": 100, "lo": 10, "hi": 20},
+        {"command": "thm4", "set": "list:2,3", "k_max": -5},
+        {"command": "sieve", "lo": 10, "hi": 20},
+    ]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": rows}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in report["rows"]] == ["error", "error", "ok"]
+    assert [r["error"] for r in report["rows"][:2]] == [m for _, m in CONFLICTING_ARGV]
+
+
 def test_exit_code_band_failure(tmp_path):
     band_file = tmp_path / "bands.json"
     band_file.write_text(json.dumps({"model_tv[x=10,y=2]": [0.0, 0.01]}))

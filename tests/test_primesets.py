@@ -162,6 +162,10 @@ def test_prime_set_validation():
         PrimeSet((3, 2))
     with pytest.raises(DomainError):
         PrimeSet((2, 2))
+    # a non-integral member is refused by name, not truncated to an integer
+    for members, bad in [((2.0, 3.7), "2.0"), (np.array([2.9, 5.2]), "2.9"), ([2, "3"], "3")]:
+        with pytest.raises(DomainError, match=f"^prime set members must be integers, got {bad}$"):
+            PrimeSet(members)
 
 
 def test_prime_set_membership_and_difference():
@@ -260,7 +264,8 @@ def oracle_refusal(members):
 
 def input_forms(members):
     """The same members as a tuple, a list and integer arrays (an object
-    array when a member does not fit int64)."""
+    array when a member does not fit int64, uint64 when every member fits
+    it, so a member >= 2^63 must not wrap negative)."""
     forms = [tuple(members), list(members)]
     if all(-(2**63) <= p < 2**63 for p in members):
         forms.append(np.array(members, dtype=np.int64))
@@ -268,20 +273,26 @@ def input_forms(members):
             forms.append(np.array(members, dtype=np.int32))
     else:
         forms.append(np.array(members, dtype=object))
+    if all(0 <= p < 2**64 for p in members):
+        forms.append(np.array(members, dtype=np.uint64))
     return forms
 
 
 def assert_matches_oracle(members):
     expected = oracle_refusal(members)
+    built = []
     for form in input_forms(members):
         try:
             ps = PrimeSet(form)
         except DomainError as e:
-            assert str(e) == expected, type(form)
+            assert str(e) == expected, form.dtype if isinstance(form, np.ndarray) else type(form)
             continue
         assert expected is None, type(form)
         assert ps.primes == tuple(members) and all(type(p) is int for p in ps.primes)
         assert ps.array.tolist() == list(members) and not ps.array.flags.writeable
+        built.append(ps)
+    # every input form gives the same set: equal, with one hash
+    assert all(ps == built[0] and hash(ps) == hash(built[0]) for ps in built)
 
 
 def validation_route(monkeypatch, members):
@@ -319,6 +330,7 @@ VALIDATION_CASES = {
     "members past 2^53": ((3, 2**53 - 111, 2**53 + 5), "mr"),
     "composite past 2^53": ((3, 2**53 + 1), "mr"),
     "members past 2^63": ((2**61 - 1, 2**63 - 25, 2**63 + 29, 2**64 + 13), "mr"),
+    "members past 2^63, below 2^64": ((3, 2**63 - 25, 2**63 + 29), "mr"),
     "composite past 2^64": ((2**63 + 29, 2**64 + 1), "mr"),
     "psi_12": ((2, PSI12), "table"),
 }
@@ -358,10 +370,15 @@ def test_set_does_not_follow_later_writes_to_its_input():
             ps.array[0] = 4
 
 
-def test_kept_array_takes_no_part_in_equality_hash_or_repr():
+def test_equality_hash_and_repr_follow_the_members():
     a, b = sieve_primes(100), PrimeSet(sieve_primes(100).primes)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert "array" not in repr(a)
+    assert a == PrimeSet(list(a)) == PrimeSet(a.array.astype(np.uint64)) == PrimeSet(a.array[::-1][::-1])
+    # same size, first and last member (one hash), other members: not equal
+    c, d = PrimeSet((2, 3, 5, 97)), PrimeSet((2, 3, 7, 97))
+    assert hash(c) == hash(d) and c != d and a != c
+    assert PrimeSet(()) == PrimeSet(np.zeros(0, dtype=np.int64)) != PrimeSet((2,))
+    assert a != a.primes and a.primes == sieve_primes(100).primes
 
 
 def test_sieves_refuse_an_end_past_the_certified_bound_before_sieving(monkeypatch):
@@ -432,12 +449,12 @@ def test_harmonic_sums_equal_fsum_on_random_sets(members):
     assert (hs.h, hs.h1, hs.h2) == fsum_reference(members)
 
 
-def test_difference_keeps_order_and_label():
+def test_difference_keeps_order():
     full = sieve_primes(10**4)
-    rest = full.difference(PrimeSet((2, 97, 9973, 2**64 + 13)), label="rest")
+    rest = full.difference(PrimeSet((2, 97, 9973, 2**64 + 13)))
     assert rest.primes == tuple(p for p in full.primes if p not in (2, 97, 9973))
-    assert rest.label == "rest" and rest.array.tolist() == list(rest.primes)
-    big = PrimeSet((3, 2**63 + 29, 2**64 + 13), label="big")
+    assert rest.array.tolist() == list(rest.primes)
+    big = PrimeSet((3, 2**63 + 29, 2**64 + 13))
     assert big.difference(PrimeSet((2**63 + 29,))).primes == (3, 2**64 + 13)
-    assert big.difference(full).label is None
+    assert big.difference(PrimeSet((2**63 + 29, 2**64 + 13))).array.dtype == np.int64
     assert full.difference(PrimeSet(())) == full

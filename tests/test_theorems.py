@@ -89,6 +89,10 @@ def test_thm1_rejects_bad_configs():
         check_thm1(Thm1Config(x=100, y=200, specs=(dspec(PrimeSet((2,))),)))
     with pytest.raises(DomainError):
         check_thm1(Thm1Config(x=100, y=10, specs=(dspec(PrimeSet((13,))),)))
+    # the message names the first prime above y, which may sit past a member equal to y
+    sets = (dspec(PrimeSet((2, 3))), dspec(PrimeSet((7, 11, 13, 17))))
+    with pytest.raises(DomainError, match="^prime 13 exceeds the smoothness bound y=11$"):
+        check_thm1(Thm1Config(x=100, y=11, specs=sets))
     with pytest.raises(DomainError):
         check_thm1(
             Thm1Config(
@@ -218,6 +222,26 @@ def test_thm3_cells_share_one_table_per_x_and_t(monkeypatch):
     assert again == first and len(calls) == 1
     check_thm3(x=10**4 + 1, tset=sieve_primes(30), k=2, a_param=3.0, psi=0.5)
     assert len(calls) == 2  # another x is another table
+
+
+def test_thm3_table_is_shared_by_equal_sets_from_any_spec(monkeypatch):
+    from primepoisson import cli, theorems
+
+    calls = []
+    real = theorems.joint_factor_counts
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, "joint_factor_counts", counting)
+    theorems._thm3_table.cache_clear()
+    listed = "list:" + ",".join(map(str, sieve_primes(97)))
+    reports = [
+        check_thm3(10**4, cli.parse_set_spec(text).primes, 2, 3.0, 0.5).as_json()
+        for text in ("interval:2..100", listed)
+    ]
+    assert reports[0] == reports[1] and len(calls) == 1
 
 
 def test_thm1_grid_over_cap_refused_before_counting(monkeypatch):
