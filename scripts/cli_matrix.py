@@ -79,6 +79,9 @@ MATRIX = [
     ["sieve", "--lo", "1e9", "--hi", "1000001000"],
     ["sieve", "--limit", "100", "--lo", "10", "--hi", "20"],
     ["thm4", "--set", "list:2,3", "--k-max", "-5"],
+    ["counts", "--x", "1e100000", "--set", "list:2"],
+    ["halasz", "--x", "100", "--set", "list:2", "--k-lo", "0", "--k-hi", "1e19"],
+    ["cor1", "--x", "1e5", "--lo", "0", "--hi", "10"],
 ]
 
 

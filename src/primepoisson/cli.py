@@ -11,15 +11,17 @@ Set arguments use a mini-language: ``interval:a..b[:mode]`` (primes in
 [a, b]), ``list:p1,p2,...[:mode]``, or ``expexp:k[:mode]`` (primes in the
 doubly exponential block (t_k, t_{k+1}]).  The mode is ``distinct`` (default)
 or ``multiplicity``.  Integer arguments accept scientific notation when it is
-exact (``1e6`` works, ``1.23e1`` does not).  Float arguments (``--tail-eps``,
+exact (``1e6`` works, ``1.23e1`` does not); one of more than 30 digits is
+refused (exit 3) before it is built.  Float arguments (``--tail-eps``,
 ``--a-param``, ``--psi``) must be finite numbers.
 
-Files are written only with ``--out-dir DIR``; without it a command prints
-its summary lines and writes nothing.  With it, every command writes its
-report ``<command>_report.json`` (``-`` becomes ``_``) and ``manifest.json``,
-and some also write a table: ``sieve`` writes ``primes.txt``, ``counts``
-``counts_table.csv``, ``model`` ``model_pmf.csv``, and ``halasz``, ``thm4``
-and ``sweep`` write ``<command>_table.csv``.
+Handlers only compute: each returns its report payload, stdout lines and
+tables, and ``main`` writes every file, only with ``--out-dir DIR``.  A DIR
+that is a file or lies under one is refused (exit 2) before any work.  Every
+command writes its tables, then ``<command>_report.json`` (``-`` becomes
+``_``), then ``manifest.json``.  The tables: ``sieve`` writes ``primes.txt``,
+``counts`` ``counts_table.csv``, ``model`` ``model_pmf.csv``, and ``halasz``,
+``thm4`` and ``sweep`` write ``<command>_table.csv``.
 
 Reports are JSON with sorted keys and repr-precision floats, so a fixed
 config reproduces byte-identical files; timestamps and wall-clock times live
@@ -37,9 +39,10 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -83,12 +86,21 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
+# every cap in the package is below psi_12 ~ 3.2e23 (24 digits); a longer count
+# is refused before its int is built, in time quadratic in its digits
+MAX_COUNT_DIGITS = 30
+
+
 def parse_count(text: str) -> int:
     """Parse an integer, allowing scientific notation only when exact."""
     try:
         d = Decimal(text)
     except InvalidOperation:
         raise DomainError(f"not a number: {text!r}") from None
+    if not d.is_finite():
+        raise DomainError(f"not a finite number: {text!r}")
+    if d.adjusted() >= MAX_COUNT_DIGITS:
+        raise CapError(f"count {reprlib.repr(text)} has more than {MAX_COUNT_DIGITS} digits")
     if d != d.to_integral_value():
         raise DomainError(f"not an exact integer: {text!r}")
     return int(d)
@@ -161,46 +173,53 @@ def load_bands(path: str | Path) -> dict[str, tuple[float, float]]:
 
 
 class RunWriter:
-    """Writes a command's artifacts under one output directory."""
+    """Writes a run's files under one output directory, made on the first
+    write, and lists them in the order written."""
 
     def __init__(self, out_dir: str | Path):
         self.out_dir = Path(out_dir)
         self.files: list[str] = []
 
-    def path(self, filename: str) -> Path:
-        """Where to write filename; the directory is made on the first write."""
+    def write(self, filename: str, headers: list[str] | None, rows: Iterable) -> None:
+        """Write text lines (``headers`` None) or CSV rows, floats at repr precision."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir / filename
-
-    def text(self, filename: str, text: str) -> None:
-        self.path(filename).write_text(text)
-        self.files.append(filename)
-
-    def json(self, filename: str, obj) -> None:
-        self.text(filename, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-    def csv(self, filename: str, headers: list[str], rows: Iterable[Sequence]) -> None:
-        with open(self.path(filename), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(headers)
-            for row in rows:
-                w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        with open(self.out_dir / filename, "w", newline="") as fh:
+            if headers is None:
+                fh.writelines(rows)
+            else:
+                w = csv.writer(fh)
+                w.writerow(headers)
+                w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
         self.files.append(filename)
 
 
 @dataclass
 class CommandResult:
-    """What a handler computed: a report payload, an optional band value, and
-    stdout lines.  ``main`` writes the payload as the command's report."""
+    """What a handler computed: a report payload, an optional band value,
+    stdout lines, and tables by file name: CSV headers (None for a text file)
+    and a function of the rows (lines) that only ``main`` calls, to write them."""
 
     name: str
     payload: dict
     band_value: float | None = None
     lines: list[str] = field(default_factory=list)
+    tables: dict[str, tuple[list[str] | None, Callable[[], Iterable]]] = field(default_factory=dict)
 
 
-def _blank_if_none(v):
-    return "" if v is None else v
+# exception class -> exit code, stderr prefix, sweep-row status; first match wins
+_FAILURES = (
+    (CapError, EXIT_CAP, "refused", "refused"),
+    (DomainError, EXIT_USAGE, "error", "error"),
+    (Exception, EXIT_INTERNAL, "internal error", "crashed"),  # never a band failure (exit 1)
+)
+
+
+def _failure(e: Exception) -> tuple[int, str, str, str]:
+    """Exit code, stderr prefix, sweep-row status and message of a failure;
+    an internal fault's message names its type."""
+    code, prefix, status = next(f[1:] for f in _FAILURES if isinstance(e, f[0]))
+    message = f"{type(e).__name__}: {e}" if code == EXIT_INTERNAL else str(e)
+    return code, prefix, status, message
 
 
 def _theorem_result(report: TheoremReport) -> CommandResult:
@@ -210,27 +229,23 @@ def _theorem_result(report: TheoremReport) -> CommandResult:
 
 
 def _report_list_result(
-    out: RunWriter | None,
-    table: str,
-    name: str,
-    reports: list[TheoremReport],
-    key: str,
-    band_value: float | None,
+    command: str, name: str, reports: list[TheoremReport], key: str, band_value: float | None
 ) -> CommandResult:
     """Result of a check that returns one report per k: the reports plus
-    their band value under ``key``, and one table row per report."""
-    if out:
-        rows = [[r.name, r.lhs, r.rhs, _blank_if_none(r.ratio), r.uncertainty] for r in reports]
-        out.csv(table, ["name", "lhs", "rhs", "ratio", "uncertainty"], rows)
+    their band value under ``key``, and one row per report in
+    ``<command>_table.csv``."""
     payload = {"reports": [r.as_json() for r in reports], key: band_value}
     line = f"reports={len(reports)} {key}={band_value!r}"
-    return CommandResult(name, payload, band_value=band_value, lines=[line])
+    headers = ["name", "lhs", "rhs", "ratio", "uncertainty"]
+    table = f"{command}_table.csv"
+    tables = {table: (headers, lambda: ([getattr(r, h) for h in headers] for r in reports))}
+    return CommandResult(name, payload, band_value=band_value, lines=[line], tables=tables)
 
 
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_sieve(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_sieve(ns) -> CommandResult:
     if (ns.lo is None) != (ns.hi is None):
         raise DomainError("--lo and --hi must be given together")
     if ns.lo is not None:
@@ -247,14 +262,13 @@ def _cmd_sieve(ns, out: RunWriter | None) -> CommandResult:
         ps = sieve_primes(limit)
         payload = {"limit": limit, "count": len(ps)}
         name = f"sieve[{limit}]"
-    members = ps.array.tolist()
-    payload["first"], payload["last"] = (members[0], members[-1]) if members else (None, None)
-    if out:
-        out.text("primes.txt", "".join(f"{p}\n" for p in members))
-    return CommandResult(name, payload, lines=[f"count={len(ps)}"])
+    first_last = (int(ps.array[0]), int(ps.array[-1])) if len(ps) else (None, None)
+    payload["first"], payload["last"] = first_last
+    tables = {"primes.txt": (None, lambda: (f"{p}\n" for p in ps.array.tolist()))}
+    return CommandResult(name, payload, lines=[f"count={len(ps)}"], tables=tables)
 
 
-def _cmd_harmonic(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_harmonic(ns) -> CommandResult:
     spec = parse_set_spec(ns.set)
     hs = harmonic_sums(spec.primes)
     payload = {
@@ -268,39 +282,36 @@ def _cmd_harmonic(ns, out: RunWriter | None) -> CommandResult:
     return CommandResult(f"harmonic[{ns.set}]", payload, lines=[line])
 
 
-def _cmd_counts(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_counts(ns) -> CommandResult:
     x = parse_count(ns.x)
     specs = tuple(parse_set_spec(s) for s in ns.set)
-    if ns.oracle:
-        counts = oracle_factor_counts(x, specs)
-    else:
-        counts = joint_factor_counts(x, specs)
+    counts = (oracle_factor_counts if ns.oracle else joint_factor_counts)(x, specs)
     payload = counts.as_json()
     payload["route"] = "oracle" if ns.oracle else "sieve"
     payload["specs"] = list(ns.set)
-    if out:
-        m = len(specs)
-        headers = [f"k_{i+1}" for i in range(m)] + ["count"]
-        rows = [k + [c] for k, c in zip(counts.keys.tolist(), counts.tallies.tolist())]
-        out.csv("counts_table.csv", headers, rows)
+    headers = [f"k_{i+1}" for i in range(len(specs))] + ["count"]
+
+    def rows():
+        return (k + [c] for k, c in zip(counts.keys.tolist(), counts.tallies.tolist()))
+
     return CommandResult(
         f"counts[x={x},m={len(specs)}]",
         payload,
         lines=[f"vectors={len(counts.tallies)} total={counts.total()}"],
+        tables={"counts_table.csv": (headers, rows)},
     )
 
 
-def _cmd_model(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_model(ns) -> CommandResult:
     spec = parse_set_spec(ns.set)
     pmf = model_exact_pmf(spec.primes, spec.mode, parse_float(ns.tail_eps))
     payload = {"set": ns.set, "mode": spec.mode.value, "pmf": pmf.as_json(), "mean": pmf.mean()}
-    if out:
-        out.csv("model_pmf.csv", ["index", "probability"], enumerate(pmf.probs.tolist()))
     line = f"support={len(pmf)} mean={pmf.mean()!r} tail_bound={pmf.tail_bound!r}"
-    return CommandResult(f"model[{ns.set}]", payload, lines=[line])
+    tables = {"model_pmf.csv": (["index", "probability"], lambda: enumerate(pmf.probs.tolist()))}
+    return CommandResult(f"model[{ns.set}]", payload, lines=[line], tables=tables)
 
 
-def _cmd_model_tv(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_model_tv(ns) -> CommandResult:
     x, y = parse_count(ns.x), parse_count(ns.y)
     tv = model_tv_exact(x, y)
     u = math.log(x) / math.log(y)
@@ -322,7 +333,7 @@ def _cmd_model_tv(ns, out: RunWriter | None) -> CommandResult:
     )
 
 
-def _cmd_thm1(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_thm1(ns) -> CommandResult:
     cfg = Thm1Config(
         x=parse_count(ns.x),
         y=parse_count(ns.y),
@@ -333,22 +344,21 @@ def _cmd_thm1(ns, out: RunWriter | None) -> CommandResult:
     return _theorem_result(check_thm1(cfg))
 
 
-def _cmd_thm2(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_thm2(ns) -> CommandResult:
     x = parse_count(ns.x)
     sets = tuple(parse_set_spec(s).primes for s in ns.set)
     ks = tuple(parse_count(tok) for tok in ns.k.split(","))
     return _theorem_result(check_thm2(x, sets, ks))
 
 
-def _cmd_thm3(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_thm3(ns) -> CommandResult:
     spec = parse_set_spec(ns.set)
     x, k = parse_count(ns.x), parse_count(ns.k)
-    return _theorem_result(
-        check_thm3(x, spec.primes, k, parse_float(ns.a_param), parse_float(ns.psi))
-    )
+    a_param, psi = parse_float(ns.a_param), parse_float(ns.psi)
+    return _theorem_result(check_thm3(x, spec.primes, k, a_param, psi))
 
 
-def _cmd_halasz(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_halasz(ns) -> CommandResult:
     spec = parse_set_spec(ns.set)
     k_lo, k_hi = parse_count(ns.k_lo), parse_count(ns.k_hi)
     if k_hi < k_lo:
@@ -357,30 +367,23 @@ def _cmd_halasz(ns, out: RunWriter | None) -> CommandResult:
     reports = check_halasz(x, spec.primes, range(k_lo, k_hi + 1))
     band_value = max((abs(r.ratio - 1.0) for r in reports if r.ratio is not None), default=None)
     name = f"halasz[x={x},k={k_lo}..{k_hi}]"
-    return _report_list_result(
-        out, "halasz_table.csv", name, reports, "max_abs_ratio_minus_1", band_value
-    )
+    return _report_list_result("halasz", name, reports, "max_abs_ratio_minus_1", band_value)
 
 
-def _cmd_thm4(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_thm4(ns) -> CommandResult:
     spec = parse_set_spec(ns.set)
     k_max = parse_count(ns.k_max) if ns.k_max is not None else None
     reports = check_thm4_local(spec.primes, spec.mode, parse_float(ns.tail_eps), k_max)
     band_value = max((r.ratio for r in reports if r.ratio is not None), default=None)
-    return _report_list_result(
-        out, "thm4_table.csv", f"thm4[{ns.set}]", reports, "max_ratio", band_value
-    )
+    return _report_list_result("thm4", f"thm4[{ns.set}]", reports, "max_ratio", band_value)
 
 
-def _cmd_cor1(ns, out: RunWriter | None) -> CommandResult:
-    return _theorem_result(
-        check_corollary1(
-            parse_count(ns.x), parse_count(ns.lo), parse_count(ns.hi), parse_float(ns.tail_eps)
-        )
-    )
+def _cmd_cor1(ns) -> CommandResult:
+    x, lo, hi = parse_count(ns.x), parse_count(ns.lo), parse_count(ns.hi)
+    return _theorem_result(check_corollary1(x, lo, hi, parse_float(ns.tail_eps)))
 
 
-def _cmd_cor32(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_cor32(ns) -> CommandResult:
     spec = parse_set_spec(ns.set)
     return _theorem_result(check_cor32(spec.primes, spec.mode, parse_float(ns.tail_eps)))
 
@@ -408,8 +411,14 @@ def _row_to_argv(row: dict) -> list[str]:
     return argv
 
 
+# what an ok sweep row records of its result; the first five are also
+# sweep_table.csv columns, between the row's index and command and its status
+_ROW_FIELDS = ["name", "band_value", "lhs", "rhs", "ratio", "value", "uncertainty"]
+_SWEEP_COLUMNS = ["row", "command", *_ROW_FIELDS[:5], "status", "error"]
+
+
 def _run_sweep_row(indexed_row: tuple[int, dict]) -> dict:
-    """Execute one sweep row in compute-only mode; never raises."""
+    """Execute one sweep row; never raises, and writes no files."""
     index, row = indexed_row
     command = row.get("command", "") if isinstance(row, dict) else ""
     record: dict = {"row": index, "command": command, "config": row}
@@ -431,30 +440,16 @@ def _run_sweep_row(indexed_row: tuple[int, dict]) -> dict:
             raise DomainError(
                 f"sweep rows take no {', '.join(inert)}: a row writes no files and checks no band"
             )
-        result = _HANDLERS[ns.command](ns, None)
-        record.update(
-            {
-                "status": "ok",
-                "name": result.name,
-                "band_value": result.band_value,
-                "lhs": result.payload.get("lhs"),
-                "rhs": result.payload.get("rhs"),
-                "ratio": result.payload.get("ratio"),
-                "value": result.payload.get("value"),
-                "uncertainty": result.payload.get("uncertainty"),
-                "error": None,
-            }
-        )
-    except CapError as e:
-        record.update({"status": "refused", "error": str(e)})
-    except DomainError as e:
-        record.update({"status": "error", "error": str(e)})
-    except Exception as e:  # an internal fault: this row is lost, the sweep goes on
-        record.update({"status": "crashed", "error": f"{type(e).__name__}: {e}"})
+        result = _HANDLERS[ns.command](ns)
+        fields = {**result.payload, "name": result.name, "band_value": result.band_value}
+        record.update({f: fields.get(f) for f in _ROW_FIELDS}, status="ok", error=None)
+    except Exception as e:  # this row is lost, the sweep goes on
+        _, _, status, message = _failure(e)
+        record.update(status=status, error=message)
     return record
 
 
-def _cmd_sweep(ns, out: RunWriter | None) -> CommandResult:
+def _cmd_sweep(ns) -> CommandResult:
     grid_path = Path(ns.grid)
     try:
         grid = json.loads(grid_path.read_text())
@@ -489,29 +484,16 @@ def _cmd_sweep(ns, out: RunWriter | None) -> CommandResult:
             "max_band_value": summary_value,
         },
     }
-    if out:
-        headers = ["row", "command", "name", "band_value", "lhs", "rhs", "ratio", "status", "error"]
-        table = []
-        for r in records:
-            table.append(
-                [
-                    r["row"],
-                    r["command"],
-                    r.get("name", ""),
-                    _blank_if_none(r.get("band_value")),
-                    _blank_if_none(r.get("lhs")),
-                    _blank_if_none(r.get("rhs")),
-                    _blank_if_none(r.get("ratio")),
-                    r["status"],
-                    r.get("error") or "",
-                ]
-            )
-        out.csv("sweep_table.csv", headers, table)
     lines = [
         f"rows={len(records)} ok={len(ok)} errors={len(records) - len(ok)} "
         f"max_band_value={summary_value!r}"
     ]
-    return CommandResult(name, payload, band_value=summary_value, lines=lines)
+
+    def table_rows():
+        return ([r.get(c) for c in _SWEEP_COLUMNS] for r in records)
+
+    tables = {"sweep_table.csv": (_SWEEP_COLUMNS, table_rows)}
+    return CommandResult(name, payload, band_value=summary_value, lines=lines, tables=tables)
 
 
 _HANDLERS = {
@@ -621,15 +603,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _json_text(obj) -> list[str]:
+    return [json.dumps(obj, sort_keys=True, indent=2) + "\n"]
+
+
 def main(argv: list[str] | None = None) -> int:
     ns = _parser().parse_args(argv)
     try:
         band_file = getattr(ns, "band_file", None)
         bands = load_bands(band_file) if band_file else {}
+        if ns.out_dir is not None:  # a file, or a path under one, is refused before any work
+            nearest = next(p for p in (Path(ns.out_dir), *Path(ns.out_dir).parents) if p.exists())
+            if not nearest.is_dir():
+                raise DomainError(f"--out-dir {ns.out_dir}: {nearest} is not a directory")
         started = time.perf_counter()
-        out = RunWriter(ns.out_dir) if ns.out_dir is not None else None
-        result = _HANDLERS[ns.command](ns, out)
-        elapsed = time.perf_counter() - started
+        result = _HANDLERS[ns.command](ns)
 
         verdicts, code = [], EXIT_OK
         if result.band_value is not None:
@@ -643,32 +631,31 @@ def main(argv: list[str] | None = None) -> int:
                 {"name": lookup, "value": result.band_value, "band": band, "verdict": verdict}
             )
 
-        if out:
-            out.json(f"{ns.command.replace('-', '_')}_report.json", result.payload)
+        if ns.out_dir is not None:
+            out = RunWriter(ns.out_dir)
+            for filename, (headers, rows) in result.tables.items():
+                out.write(filename, headers, rows())
+            report = f"{ns.command.replace('-', '_')}_report.json"
+            out.write(report, None, _json_text(result.payload))
             manifest = {
                 "version": __version__,
                 "command": ns.command,
                 "config": {k: v for k, v in vars(ns).items() if k != "command"},
                 "timestamp": datetime.now(timezone.utc).isoformat(),
-                "wall_clock_seconds": {"total": elapsed},
+                "wall_clock_seconds": {"total": time.perf_counter() - started},
                 "band_verdicts": verdicts,
                 "outputs": out.files,
             }
-            out.json("manifest.json", manifest)
+            out.write("manifest.json", None, _json_text(manifest))
         for line in result.lines:
             print(line)
         for v in verdicts:
             print(f"band {v['name']}: {v['verdict']}")
         return code
-    except CapError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as e:  # an internal fault, never a band failure (exit 1)
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as e:
+        code, prefix, _, message = _failure(e)
+        print(f"{prefix}: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

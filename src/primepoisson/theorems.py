@@ -196,8 +196,8 @@ def check_corollary1(
 
     used, skipped = [], []
     for k in range(xi_lo, xi_hi + 1):
-        t_k, t_k1 = expexp_cutoff(k), expexp_cutoff(k + 1)
-        if t_k**3 <= x and t_k1 <= x:
+        # t_{k+1} is read only when t_k^3 <= x: block 10 never fits, and t_11 does not exist
+        if expexp_cutoff(k) ** 3 <= x and expexp_cutoff(k + 1) <= x:
             used.append(k)
         else:
             skipped.append(k)
@@ -392,7 +392,9 @@ def check_halasz(x: int, tset: PrimeSet, k_range: Sequence[int]) -> list[Theorem
     |k-h|/h + 1/sqrt(h) for context; nothing is asserted here.  More than
     MAX_REPORT_ROWS values of k are refused (CapError) before the count.
     """
-    _check_report_rows(len(k_range))
+    # len() overflows on a range of more than sys.maxsize values; its ends do not
+    ends = isinstance(k_range, range) and k_range
+    _check_report_rows((k_range[-1] - k_range[0]) // k_range.step + 1 if ends else len(k_range))
     ks = [int(k) for k in k_range]
     if not ks:
         raise DomainError("k_range must be nonempty")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from primepoisson import CountMode, DomainError, cli
+from primepoisson import CapError, CountMode, DomainError, cli
 from primepoisson.cli import main, parse_count, parse_float, parse_set_spec
 
 
@@ -60,6 +60,8 @@ def test_parse_count_scientific_notation():
         parse_count("12.3")
     with pytest.raises(DomainError):
         parse_count("abc")
+    with pytest.raises(DomainError, match="not a finite number"):
+        parse_count("inf")
 
 
 def test_parse_float_rejects_non_finite():
@@ -172,6 +174,33 @@ def test_product_grid_over_cap_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counts", "--x", "1e100000", "--set", "list:2"],
+        ["harmonic", "--set", "list:1e100000"],
+        ["thm2", "--x", "100", "--set", "list:2", "--k", "1e100000"],
+    ],
+    ids=["counts", "harmonic", "thm2"],
+)
+def test_huge_count_refused_before_it_is_built(argv):
+    # a subprocess with a timeout, so a count built digit by digit fails instead of hanging
+    proc = subprocess.run(
+        [sys.executable, "-m", "primepoisson", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "refused: count '1e100000' has more than 30 digits\n"
+
+
+def test_parse_count_refuses_more_than_30_digits():
+    assert parse_count("9" * 30) == 10**30 - 1
+    with pytest.raises(CapError, match="more than 30 digits"):
+        parse_count("1" + "0" * 30)
+    with pytest.raises(CapError) as exc:  # the refusal shortens the text it names
+        parse_count("7" * 10**5)
+    assert len(str(exc.value)) < 80
+
+
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys):
     code, out = run(["counts", "--x", "nope", "--set", "list:2"], tmp_path)
     assert code == 2 and not out.exists()
@@ -181,12 +210,26 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys):
     assert {p.name for p in out.iterdir()} == expected
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_out_dir_that_is_or_lies_under_a_file_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, sub
+):
+    monkeypatch.setitem(cli._HANDLERS, "harmonic", lambda ns: pytest.fail("handler ran"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out_dir = blocker / sub if sub else blocker
+    assert main(["harmonic", "--set", "list:2", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out-dir {out_dir}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "keep\n"
+
+
 @pytest.mark.parametrize(
     "content", ['[1, 2]', '{"a": ["x", "y"]}', '{"a": [1, "y"]}', '{"a": [true, 2]}', '{"a": [2, 1]}']
 )
 def test_bad_band_file_exits_2_before_any_work(tmp_path, monkeypatch, capsys, content):
     calls = []
-    monkeypatch.setitem(cli._HANDLERS, "cor32", lambda ns, out: calls.append(ns))
+    monkeypatch.setitem(cli._HANDLERS, "cor32", lambda ns: calls.append(ns))
     bands = tmp_path / "bands.json"
     bands.write_text(content)
     code, out = run(["cor32", "--set", "list:2", "--band-file", str(bands)], tmp_path)
@@ -217,14 +260,16 @@ def test_exit_code_cap_refusal(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "row",
+    "row, n_rows",
     [
-        {"command": "halasz", "x": "1e4", "set": "list:2", "k_lo": 0, "k_hi": "1e12"},
-        {"command": "thm4", "set": "list:2", "k_max": "1e12"},
+        ({"command": "halasz", "x": "1e4", "set": "list:2", "k_lo": 0, "k_hi": "1e12"}, 10**12 + 1),
+        ({"command": "thm4", "set": "list:2", "k_max": "1e12"}, 10**12 + 1),
+        # more values than sys.maxsize, where len() of the range overflows
+        ({"command": "halasz", "x": "100", "set": "list:2", "k_lo": 0, "k_hi": "1e19"}, 10**19 + 1),
     ],
-    ids=["halasz", "thm4"],
+    ids=["halasz", "thm4", "halasz-past-maxsize"],
 )
-def test_huge_k_range_refused_before_any_work(tmp_path, monkeypatch, capsys, row):
+def test_huge_k_range_refused_before_any_work(tmp_path, monkeypatch, capsys, row, n_rows):
     from primepoisson import theorems
 
     def no_work(*args):
@@ -233,7 +278,7 @@ def test_huge_k_range_refused_before_any_work(tmp_path, monkeypatch, capsys, row
     monkeypatch.setattr(theorems, "joint_factor_counts", no_work)
     monkeypatch.setattr(theorems, "model_exact_pmf", no_work)
     assert main(cli._row_to_argv(row)) == 3
-    assert "refused: 1000000000001 report rows exceed the cap" in capsys.readouterr().err
+    assert f"refused: {n_rows} report rows exceed the cap" in capsys.readouterr().err
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"rows": [row, {"command": "harmonic", "set": "list:2"}]}))
     code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
@@ -248,7 +293,7 @@ def test_thm3_x_below_2_exits_2(capsys, x):
     assert capsys.readouterr().err == f"error: x must be >= 2, got {x}\n"
 
 
-def _raise_internal(ns, out):
+def _raise_internal(ns):
     raise RuntimeError("count total 99 != x=100")
 
 

@@ -326,6 +326,14 @@ def test_cor1_infeasible_and_empty_ranges():
         check_corollary1(10**6, 2, 1, 1e-12)
 
 
+def test_cor1_last_block_is_skipped_not_an_error():
+    # block 10 never fits (t_10^3 > x), so its t_11, which does not exist, is never asked for
+    rep = check_corollary1(10**5, 0, 10, 1e-12)
+    assert rep.params["used_blocks"] == [0, 1]
+    assert rep.params["skipped_blocks"] == list(range(2, 11))
+    assert rep.lhs == check_corollary1(10**5, 0, 9, 1e-12).lhs
+
+
 # ------------------------------------------------------------- thm4/cor32
 
 
