@@ -9,7 +9,11 @@ the ``src/`` next to this script, and prints one JSON line: the argv, the
 exit code, sha256 of stdout and of stderr, sha256 of every output file but
 ``manifest.json`` (it holds a timestamp and the wall time), and the
 manifest's ``outputs`` list.  Run it on two checkouts and diff the output to
-see which commands changed bytes.  Standard library only; about 15 s.
+see which commands changed bytes.  Each child gets TIMEOUT_S seconds (a run
+cut there records ``"exit": "timeout"``) and MAX_AS_BYTES of address space,
+so a checkout that starts a huge sieve neither hangs the script nor takes
+the machine's memory.  Standard library only; about 20 s on a checkout that
+refuses every oversized request at once.
 """
 
 from __future__ import annotations
@@ -17,12 +21,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TIMEOUT_S = 60
+MAX_AS_BYTES = 1 << 30
 
 SWEEP_ROWS = [
     {"command": "thm3", "x": 10**5, "set": "interval:2..10", "k": 2, "psi": 0.5},
@@ -82,6 +89,23 @@ MATRIX = [
     ["counts", "--x", "1e100000", "--set", "list:2"],
     ["halasz", "--x", "100", "--set", "list:2", "--k-lo", "0", "--k-hi", "1e19"],
     ["cor1", "--x", "1e5", "--lo", "0", "--hi", "10"],
+    ["sieve", "--limit", "1e12"],
+    ["harmonic", "--set", "interval:2..1e12"],
+    ["sieve", "--lo", "1e20", "--hi", "100000000000000000100"],
+    ["model-tv", "--x", "1e10", "--y", "2e9"],
+    ["cor1", "--x", "1e13", "--lo", "0", "--hi", "2"],
+    ["thm3", "--x", "1e13", "--set", "list:2", "--k", "1", "--psi", "0.5"],
+    ["thm1", "--x", "1e13", "--y", "31", "--set", "list:2,3,5"],
+    ["halasz", "--x", "1e5", "--set", "interval:2..100:distinct", "--k-lo", "0", "--k-hi", "6"],
+    ["halasz", "--x", "1e5", "--set", "interval:2..100:multiplicity", "--k-lo", "0", "--k-hi", "6"],
+    ["thm3", "--x", "1e5", "--set", "interval:2..10:multiplicity", "--k", "2", "--psi", "0.5"],
+    ["thm3", "--x", "1e5", "--set", "interval:2..10:distinct", "--k", "2", "--psi", "0.5"],
+    ["thm2", "--x", "1000", "--set", "interval:2..10:multiplicity", "--set", "interval:11..100",
+     "--k", "1,1"],
+    ["harmonic", "--set", "LIST:2,3,5"],
+    ["counts", "--x", "1e4", "--set", "interval:2..7:with-multiplicity"],
+    ["counts", "--x", "1e99999999999999999999", "--set", "list:2"],
+    ["counts", "--x", "1e-99999999999999999999", "--set", "list:2"],
 ]
 
 
@@ -89,23 +113,34 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def limit_address_space() -> None:
+    """Cap the child's address space; runs in the child, before exec."""
+    resource.setrlimit(resource.RLIMIT_AS, (MAX_AS_BYTES, MAX_AS_BYTES))
+
+
 def fingerprint(argv: list[str], work: Path, index: int) -> dict:
     out = work / f"out{index}"
     argv_run = [str(work / "matrix.json") if a == "GRID" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "primepoisson", *argv_run, "--out-dir", str(out)],
-        capture_output=True,
-        env=env,
-        cwd=work,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "primepoisson", *argv_run, "--out-dir", str(out)],
+            capture_output=True,
+            env=env,
+            cwd=work,
+            timeout=TIMEOUT_S,
+            preexec_fn=limit_address_space,
+        )
+        code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+    except subprocess.TimeoutExpired as e:  # subprocess.run has killed the child
+        code, stdout, stderr = "timeout", e.stdout or b"", e.stderr or b""
     files = sorted(out.iterdir()) if out.exists() else []
     manifest = out / "manifest.json"
     return {
         "argv": argv,
-        "exit": proc.returncode,
-        "stdout": sha(proc.stdout),
-        "stderr": sha(proc.stderr),
+        "exit": code,
+        "stdout": sha(stdout),
+        "stderr": sha(stderr),
         "files": {p.name: sha(p.read_bytes()) for p in files if p.name != "manifest.json"},
         "outputs": json.loads(manifest.read_text())["outputs"] if manifest.exists() else None,
     }

@@ -10,10 +10,15 @@ Examples::
 Set arguments use a mini-language: ``interval:a..b[:mode]`` (primes in
 [a, b]), ``list:p1,p2,...[:mode]``, or ``expexp:k[:mode]`` (primes in the
 doubly exponential block (t_k, t_{k+1}]).  The mode is ``distinct`` (default)
-or ``multiplicity``.  Integer arguments accept scientific notation when it is
-exact (``1e6`` works, ``1.23e1`` does not); one of more than 30 digits is
-refused (exit 3) before it is built.  Float arguments (``--tail-eps``,
-``--a-param``, ``--psi``) must be finite numbers.
+or ``multiplicity``; kinds and modes are spelled exactly so.  ``thm2`` and
+``thm3`` count distinct primes and ``halasz`` counts with multiplicity: a
+suffix naming the other mode is refused (exit 2) before the set is built.
+Integer arguments accept scientific notation when it is exact (``1e6``
+works, ``1.23e1`` does not); one of more than 30 digits, also by an exponent
+too large for Decimal, is refused (exit 3) before it is built.  Float
+arguments (``--tail-eps``, ``--a-param``, ``--psi``) must be finite numbers.
+An x above 2^40 is refused (exit 3) before any sieve, and so is a prime
+list of more than 2^30 integers.
 
 Handlers only compute: each returns its report payload, stdout lines and
 tables, and ``main`` writes every file, only with ``--out-dir DIR``.  A DIR
@@ -39,6 +44,7 @@ import io
 import json
 import math
 import os
+import re
 import reprlib
 import sys
 import time
@@ -89,12 +95,16 @@ EXIT_INTERNAL = 4
 # every cap in the package is below psi_12 ~ 3.2e23 (24 digits); a longer count
 # is refused before its int is built, in time quadratic in its digits
 MAX_COUNT_DIGITS = 30
+# Decimal gives up on an exponent of about 10^18 or more; one of 18 or more
+# digits is read as +-(10^17 - 1), which keeps its verdict: over 30 digits if
+# positive, not an integer if negative (or 0 for a zero mantissa)
+_LONG_EXPONENT = re.compile(r"(?<=[eE])([+-]?)0*[1-9]\d{17,}(?=\s*$)")
 
 
 def parse_count(text: str) -> int:
     """Parse an integer, allowing scientific notation only when exact."""
     try:
-        d = Decimal(text)
+        d = Decimal(_LONG_EXPONENT.sub(r"\g<1>" + "9" * 17, text))
     except InvalidOperation:
         raise DomainError(f"not a number: {text!r}") from None
     if not d.is_finite():
@@ -117,23 +127,26 @@ def parse_float(text: str) -> float:
     return value
 
 
-def _parse_mode(token: str) -> CountMode:
-    t = token.strip().lower()
-    if t == "distinct":
-        return CountMode.DISTINCT
-    if t in ("multiplicity", "with-multiplicity", "with_multiplicity"):
-        return CountMode.WITH_MULTIPLICITY
-    raise DomainError(f"unknown count mode {token!r} (want distinct or multiplicity)")
-
-
-def parse_set_spec(text: str) -> SetSpec:
-    """Parse the set mini-language into a SetSpec."""
+def parse_set_spec(text: str, mode: CountMode | None = None) -> SetSpec:
+    """Parse the set mini-language into a SetSpec.  A command that counts in
+    one fixed mode passes it: a suffix naming the other mode is refused
+    before the set is built, and no suffix means that mode."""
     parts = text.split(":")
-    kind = parts[0].strip().lower()
+    kind = parts[0]
     if kind not in ("interval", "list", "expexp"):
-        raise DomainError(f"unknown set kind {parts[0]!r} (want interval, list, or expexp)")
+        raise DomainError(f"unknown set kind {kind!r} (want interval, list, or expexp)")
     if len(parts) not in (2, 3):
         raise DomainError(f"bad {kind} spec {text!r}")
+    if len(parts) == 3:
+        try:
+            given = CountMode(parts[2])
+        except ValueError:
+            raise DomainError(
+                f"unknown count mode {parts[2]!r} (want distinct or multiplicity)"
+            ) from None
+        if mode not in (None, given):
+            raise DomainError(f"this command counts {mode.value}, not {given.value}: {text!r}")
+        mode = given
     if kind == "interval":
         bounds = parts[1].split("..")
         if len(bounds) != 2:
@@ -151,7 +164,7 @@ def parse_set_spec(text: str) -> SetSpec:
         ps = PrimeSet(values)
     else:
         ps = expexp_block(parse_count(parts[1]))
-    return SetSpec(ps, _parse_mode(parts[2]) if len(parts) == 3 else CountMode.DISTINCT)
+    return SetSpec(ps, mode or CountMode.DISTINCT)
 
 
 def load_bands(path: str | Path) -> dict[str, tuple[float, float]]:
@@ -346,20 +359,20 @@ def _cmd_thm1(ns) -> CommandResult:
 
 def _cmd_thm2(ns) -> CommandResult:
     x = parse_count(ns.x)
-    sets = tuple(parse_set_spec(s).primes for s in ns.set)
+    sets = tuple(parse_set_spec(s, CountMode.DISTINCT).primes for s in ns.set)
     ks = tuple(parse_count(tok) for tok in ns.k.split(","))
     return _theorem_result(check_thm2(x, sets, ks))
 
 
 def _cmd_thm3(ns) -> CommandResult:
-    spec = parse_set_spec(ns.set)
+    spec = parse_set_spec(ns.set, CountMode.DISTINCT)
     x, k = parse_count(ns.x), parse_count(ns.k)
     a_param, psi = parse_float(ns.a_param), parse_float(ns.psi)
     return _theorem_result(check_thm3(x, spec.primes, k, a_param, psi))
 
 
 def _cmd_halasz(ns) -> CommandResult:
-    spec = parse_set_spec(ns.set)
+    spec = parse_set_spec(ns.set, CountMode.WITH_MULTIPLICITY)
     k_lo, k_hi = parse_count(ns.k_lo), parse_count(ns.k_hi)
     if k_hi < k_lo:
         raise DomainError(f"empty k range [{k_lo}, {k_hi}]")

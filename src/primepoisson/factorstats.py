@@ -94,12 +94,18 @@ class JointCounts:
         }
 
 
+def check_x_cap(x: int) -> None:
+    """The one check of MAX_X.  Every check and count that x sizes calls it
+    before any work, so an x over the cap is refused before a sieve starts."""
+    if x > MAX_X:
+        raise CapError(f"x={x} exceeds the cap of 2^40")
+
+
 def _validate_request(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> tuple[SetSpec, ...]:
     specs = tuple(specs)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    if x > MAX_X:
-        raise CapError(f"x={x} exceeds the cap of 2^40")
+    check_x_cap(x)
     if not specs:
         raise DomainError("at least one set spec is required")
     if len(specs) > MAX_SETS:
@@ -253,8 +259,7 @@ def iter_smooth_parts(
         raise DomainError(f"smoothness bound must be >= 2, got {y}")
     if x < y:
         raise DomainError(f"x must be >= y, got x={x} < y={y}")
-    if x > MAX_X:
-        raise CapError(f"x={x} exceeds the cap of 2^40")
+    check_x_cap(x)
     return _smooth_runs(x, y, segment_bounds(1, x, segment_size))
 
 

@@ -10,6 +10,8 @@ it, one sieve over the members' span when that is cheaper than a Miller-Rabin
 test per member (sparse sets keep Miller-Rabin).  Harmonic sums are
 dist.exact_sum of the terms, the same floats as math.fsum; members at or
 above 2^53 have their terms formed from exact Python ints.
+Every prime list, the sieve's base primes included, comes from prime_array,
+the one gate for an upper end at or above psi_12 and a span over 2^30.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import mpmath
 import numpy as np
 
 from .dist import exact_sum
-from .errors import DomainError
+from .errors import CapError, DomainError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
@@ -39,6 +41,9 @@ _MR_LIMIT = 318665857834031151167461
 _MR_COST = 1000
 # Integers below 2^53 are exact float64 values.
 _FLOAT_EXACT = 1 << 53
+# The widest span prime_array lists: 2^30 integers hold at most about 54 M
+# primes, 435 MB as int64; x = 1e8 and the top of expexp:2 (5.3e8) fit.
+MAX_SPAN = 1 << 30
 
 
 @lru_cache(maxsize=1)
@@ -91,8 +96,11 @@ def _check_members(arr: np.ndarray) -> None:
         return
     lo, hi = int(big[0]), int(big[-1])
     segments = (hi - lo) // DEFAULT_SEGMENT_SIZE + 1
-    # a sieve over the span also runs its base primes <= sqrt(max) per segment
-    if big.dtype == np.int64 and hi - lo + math.isqrt(hi) * (1 + segments) < big.size * _MR_COST:
+    # a sieve over the span also runs its base primes <= sqrt(max) per segment,
+    # and needs them within prime_array's span
+    root = math.isqrt(hi)
+    cost = hi - lo + root * (1 + segments)
+    if big.dtype == np.int64 and root <= MAX_SPAN and cost < big.size * _MR_COST:
         for seg_lo, flags in _sieve(lo - 1, hi, DEFAULT_SEGMENT_SIZE):
             i, j = np.searchsorted(big, (seg_lo, seg_lo + flags.size))
             bad = big[i:j][~flags[big[i:j] - seg_lo]]
@@ -196,25 +204,23 @@ def _sieve(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, np.ndarra
 
 
 def prime_array(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """Primes in (lo, hi] as an ascending int64 array (raw sieve output)."""
-    chunks = [np.flatnonzero(flags) + seg_lo for seg_lo, flags in _sieve(lo, hi, segment_size)]
-    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-
-
-def _check_sieve_end(hi: int) -> None:
-    """Refuse, before any sieving, an upper end whose primes PrimeSet could
-    not certify."""
+    """Primes in (lo, hi] as an ascending int64 array (raw sieve output).
+    An upper end whose primes PrimeSet could not certify (DomainError), then a
+    span of more than MAX_SPAN integers (CapError), is refused before sieving."""
     if hi >= _MR_LIMIT:
         raise DomainError(
             f"sieve upper end {hi} is at or above the certified primality bound {_MR_LIMIT}"
         )
+    if hi - lo > MAX_SPAN:
+        raise CapError(f"prime list ({lo}, {hi}] spans {hi - lo} integers, over the cap of 2^30")
+    chunks = [np.flatnonzero(flags) + seg_lo for seg_lo, flags in _sieve(lo, hi, segment_size)]
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
 
 def sieve_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
     """All primes p <= limit, ascending.  limit < 2 is a domain error."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    _check_sieve_end(limit)
     return PrimeSet(prime_array(1, int(limit), segment_size))
 
 
@@ -224,7 +230,6 @@ def primes_in_interval(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_
         raise DomainError(f"empty interval: hi={hi} < lo={lo}")
     if lo < 2:
         raise DomainError(f"interval lower endpoint must be >= 2, got {lo}")
-    _check_sieve_end(hi)
     return PrimeSet(prime_array(int(lo), int(hi), segment_size))
 
 

@@ -26,7 +26,7 @@ from .dist import (
     tv_distance_sparse,
 )
 from .errors import CapError, DomainError, EmptyConditionError
-from .factorstats import CountMode, JointCounts, SetSpec, joint_factor_counts
+from .factorstats import CountMode, JointCounts, SetSpec, check_x_cap, joint_factor_counts
 from .kubilius import model_exact_pmf, model_tv_exact
 from .primesets import PrimeSet, expexp_block, expexp_cutoff, harmonic_sums, sieve_primes
 
@@ -122,6 +122,7 @@ def check_thm1(cfg: Thm1Config) -> TheoremReport:
         if ps.size and ps[-1] > cfg.y:
             p = ps[np.searchsorted(ps, cfg.y, "right")]
             raise DomainError(f"prime {p} exceeds the smoothness bound y={cfg.y}")
+    check_x_cap(cfg.x)
 
     u = math.log(cfg.x) / math.log(cfg.y)
     summaries = [_set_summary(s) for s in cfg.specs]
@@ -205,6 +206,7 @@ def check_corollary1(
         raise DomainError(
             f"infeasible cutoffs: no block in [{xi_lo}, {xi_hi}] fits below x^(1/3) for x={x}"
         )
+    check_x_cap(x)
 
     blocks = [expexp_block(k) for k in used]
     specs = tuple(SetSpec(b, CountMode.DISTINCT) for b in blocks)
@@ -348,6 +350,7 @@ def check_thm3(x: int, tset: PrimeSet, k: int, a_param: float, psi: float) -> Th
     loglog = math.log(math.log(x))
     if not 1 <= k <= a_param * loglog:
         raise DomainError(f"need 1 <= k <= a_param*loglog(x) = {a_param * loglog:.6f}, got k={k}")
+    check_x_cap(x)
 
     h_s, complement_size, keys, tallies = _thm3_table(x, tset)
     alpha = harmonic_sums(tset).h / h_s

@@ -89,7 +89,9 @@ def test_parse_set_spec_kinds():
 
 
 def test_parse_set_spec_rejects_garbage():
-    for bad in ["interval:31..2", "interval:0..1", "ring:2,3", "list:4", "list:", "expexp:x"]:
+    # kinds and modes have exact spellings: no case folding, padding or aliases
+    spellings = ["LIST:2", " list:2", "list:2:with-multiplicity", "list:2:Distinct"]
+    for bad in ["interval:31..2", "interval:0..1", "ring:2,3", "list:4", "list:", "expexp:x"] + spellings:
         with pytest.raises(DomainError):
             parse_set_spec(bad)
 
@@ -199,6 +201,18 @@ def test_parse_count_refuses_more_than_30_digits():
     with pytest.raises(CapError) as exc:  # the refusal shortens the text it names
         parse_count("7" * 10**5)
     assert len(str(exc.value)) < 80
+
+
+def test_parse_count_reads_an_exponent_past_the_decimal_limit():
+    # Decimal itself gives up on these exponents; each keeps the verdict of a smaller one
+    with pytest.raises(CapError, match="^count '1e99999999999999999999' has more than 30 digits$"):
+        parse_count("1e99999999999999999999")
+    with pytest.raises(DomainError, match="^not an exact integer: '1e-99999999999999999999'$"):
+        parse_count("1e-99999999999999999999")
+    assert parse_count("0e-99999999999999999999") == 0
+    assert parse_count("1e0000000000000000000000006") == 10**6  # leading zeros: a small exponent
+    with pytest.raises(DomainError, match="^not a number"):
+        parse_count("ae99999999999999999999")
 
 
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys):
@@ -364,6 +378,118 @@ def test_expexp_block_past_the_bound_exits_2_before_sieving(monkeypatch, capsys)
     assert main(["harmonic", "--set", "expexp:3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sieve upper end 514843556263457213182265 is at or above")
+
+
+@pytest.fixture
+def no_segments(monkeypatch):
+    """Fail the test if a sieve segment is built; the cached byte table is
+    filled first, since any set's validation may read it."""
+    from primepoisson import primesets
+
+    primesets._prime_table()
+    sieve = primesets._sieve
+
+    def segments(lo, hi, segment_size):
+        for _ in sieve(lo, hi, segment_size):  # base primes come first, through prime_array
+            pytest.fail(f"sieved a segment of ({lo}, {hi}]")
+        yield from ()
+
+    monkeypatch.setattr(primesets, "_sieve", segments)
+
+
+SPAN_CAP_ARGV = {
+    "sieve-limit": (["sieve", "--limit", "1e12"], "(1, 1000000000000]"),
+    "harmonic-interval": (["harmonic", "--set", "interval:2..1e12"], "(1, 1000000000000]"),
+    # 101 integers, but the base primes of their sieve run to 1e10
+    "sieve-base-primes": (
+        ["sieve", "--lo", "1e20", "--hi", "100000000000000000100"],
+        "(1, 10000000000]",
+    ),
+    "model-tv-y": (["model-tv", "--x", "1e10", "--y", "2e9"], "(1, 2000000000]"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPAN_CAP_ARGV))
+def test_prime_list_over_the_span_cap_exits_3_before_sieving(no_segments, capsys, case):
+    argv, span = SPAN_CAP_ARGV[case]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"refused: prime list {span} spans") and err.endswith("cap of 2^30\n")
+
+
+X_CAP_ARGV = {
+    "thm1": ["thm1", "--x", "1e13", "--y", "31", "--set", "list:2,3,5"],
+    "thm3": ["thm3", "--x", "1e13", "--set", "list:2", "--k", "1", "--psi", "0.5"],
+    "cor1": ["cor1", "--x", "1e13", "--lo", "0", "--hi", "2"],
+}
+
+
+@pytest.fixture
+def no_lists_or_pmfs(monkeypatch):
+    """Fail the test if a prime list or a model pmf is built."""
+    from primepoisson import primesets, theorems
+
+    primesets._prime_table()
+
+    def no_work(*args):
+        pytest.fail(f"work started before the x cap: {args}")
+
+    monkeypatch.setattr(primesets, "prime_array", no_work)
+    monkeypatch.setattr(theorems, "model_exact_pmf", no_work)
+
+
+@pytest.mark.parametrize("command", list(X_CAP_ARGV))
+def test_x_over_the_cap_exits_3_before_any_work(no_lists_or_pmfs, capsys, command):
+    assert main(X_CAP_ARGV[command]) == 3
+    assert capsys.readouterr().err == "refused: x=10000000000000 exceeds the cap of 2^40\n"
+
+
+def test_sweep_row_over_the_x_cap_is_refused_before_any_work(no_lists_or_pmfs, tmp_path):
+    row = {"command": "thm3", "x": "1e13", "set": "list:2", "k": 1, "psi": 0.5}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": [row, {"command": "harmonic", "set": "list:2"}]}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    rows = json.loads((out / "sweep_report.json").read_text())["rows"]
+    assert [r["status"] for r in rows] == ["refused", "ok"]
+    assert rows[0]["error"] == "x=10000000000000 exceeds the cap of 2^40"
+
+
+# thm2 and thm3 count distinct primes, halasz counts with multiplicity
+FIXED_MODE_ARGV = {
+    "thm2": (["thm2", "--x", "1000", "--set", "SET", "--k", "1"], "distinct"),
+    "thm3": (["thm3", "--x", "1e4", "--set", "SET", "--k", "2", "--psi", "0.5"], "distinct"),
+    "halasz": (["halasz", "--x", "1e4", "--set", "SET", "--k-lo", "0", "--k-hi", "3"], "multiplicity"),
+}
+OTHER_MODE = {"distinct": "multiplicity", "multiplicity": "distinct"}
+
+
+def _with_set(argv, text):
+    return [text if a == "SET" else a for a in argv]
+
+
+@pytest.mark.parametrize("command", list(FIXED_MODE_ARGV))
+def test_mode_suffix_against_the_commands_mode_exits_2_before_any_work(
+    monkeypatch, capsys, command
+):
+    argv, mode = FIXED_MODE_ARGV[command]
+    monkeypatch.setattr(cli, "sieve_primes", lambda *a: pytest.fail("the set was built"))
+    text = f"interval:2..10:{OTHER_MODE[mode]}"
+    assert main(_with_set(argv, text)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: this command counts {mode}, not {OTHER_MODE[mode]}: {text!r}\n"
+
+
+@pytest.mark.parametrize("command", list(FIXED_MODE_ARGV))
+def test_mode_suffix_matching_the_commands_mode_changes_no_byte(tmp_path, capsys, command):
+    argv, mode = FIXED_MODE_ARGV[command]
+    code, plain = run(_with_set(argv, "interval:2..10"), tmp_path, "plain")
+    printed = capsys.readouterr().out
+    assert code == 0
+    code, suffixed = run(_with_set(argv, f"interval:2..10:{mode}"), tmp_path, "suffixed")
+    assert code == 0 and capsys.readouterr().out == printed
+    for name in (p.name for p in plain.iterdir() if p.name != "manifest.json"):
+        assert (suffixed / name).read_bytes() == (plain / name).read_bytes()
 
 
 EMPTY_SET_ARGV = [

@@ -395,12 +395,41 @@ def test_sieves_refuse_an_end_past_the_certified_bound_before_sieving(monkeypatc
         lambda: sieve_primes(PSI12),
         lambda: primes_in_interval(10**20, PSI12 + 1),
         lambda: expexp_block(3),  # (t_3, t_4], t_4 ~ 5.1e23
+        lambda: primesets.prime_array(1, PSI12),  # the end is checked before the span
     ]
     for call in refused:
         with pytest.raises(DomainError, match="upper end .* certified primality bound"):
             call()
     with pytest.raises(Reached):  # one below the bound goes on to the sieve
         primes_in_interval(PSI12 - 100, PSI12 - 1)
+
+
+def test_prime_array_refuses_a_span_over_the_cap_before_sieving(monkeypatch):
+    from primepoisson import CapError, primesets
+    from primepoisson.primesets import MAX_SPAN, prime_array
+
+    class Reached(Exception):
+        pass
+
+    def no_sieve(*args):
+        raise Reached(args)
+
+    monkeypatch.setattr(primesets, "_sieve", no_sieve)
+    span = rf"^prime list \(1, {MAX_SPAN + 2}\] spans {MAX_SPAN + 1} integers"
+    with pytest.raises(CapError, match=span):
+        prime_array(1, MAX_SPAN + 2)
+    with pytest.raises(CapError, match="over the cap of 2\\^30$"):
+        sieve_primes(10**12)
+    with pytest.raises(Reached):  # a span of exactly 2^30 goes on to the sieve
+        prime_array(1, MAX_SPAN + 1)
+
+
+def test_validation_avoids_a_sieve_whose_base_primes_are_over_the_span_cap(monkeypatch):
+    from primepoisson import primesets
+
+    # EDGE_RUN is sieved (VALIDATION_CASES); its base primes run to about 1449
+    monkeypatch.setattr(primesets, "MAX_SPAN", 1000)
+    assert validation_route(monkeypatch, list(EDGE_RUN)) == "mr"
 
 
 # ----------------------------------------------- harmonic sums, bit for bit
