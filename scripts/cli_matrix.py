@@ -78,6 +78,7 @@ MATRIX = [
      "--set", "interval:101..1000000:multiplicity"],
     ["thm2", "--x", "100", "--set", "interval:24..28", "--k", "0"],
     ["halasz", "--x", "100", "--set", "interval:24..28", "--k-lo", "0", "--k-hi", "1"],
+    ["cor32", "--set", "interval:2..100000"],
     ["cor32", "--set", "interval:2..100000:multiplicity"],
     ["thm4", "--set", "interval:2..10000:multiplicity"],
     ["model", "--set", "interval:2..100:multiplicity"],

@@ -97,7 +97,7 @@ EXIT_INTERNAL = 4
 MAX_COUNT_DIGITS = 30
 # Decimal gives up on an exponent of about 10^18 or more; one of 18 or more
 # digits is read as +-(10^17 - 1), which keeps its verdict: over 30 digits if
-# positive, not an integer if negative (or 0 for a zero mantissa)
+# positive, not an integer if negative, and 0 for a zero mantissa
 _LONG_EXPONENT = re.compile(r"(?<=[eE])([+-]?)0*[1-9]\d{17,}(?=\s*$)")
 
 
@@ -109,7 +109,7 @@ def parse_count(text: str) -> int:
         raise DomainError(f"not a number: {text!r}") from None
     if not d.is_finite():
         raise DomainError(f"not a finite number: {text!r}")
-    if d.adjusted() >= MAX_COUNT_DIGITS:
+    if d and d.adjusted() >= MAX_COUNT_DIGITS:  # a zero has no digits, whatever its exponent
         raise CapError(f"count {reprlib.repr(text)} has more than {MAX_COUNT_DIGITS} digits")
     if d != d.to_integral_value():
         raise DomainError(f"not an exact integer: {text!r}")
@@ -282,6 +282,10 @@ def _cmd_sieve(ns) -> CommandResult:
 
 
 def _cmd_harmonic(ns) -> CommandResult:
+    if ns.set.count(":") > 1:
+        raise DomainError(
+            f"harmonic sums do not depend on a count mode: drop the mode suffix of {ns.set!r}"
+        )
     spec = parse_set_spec(ns.set)
     hs = harmonic_sums(spec.primes)
     payload = {

@@ -215,6 +215,22 @@ def test_parse_count_reads_an_exponent_past_the_decimal_limit():
         parse_count("ae99999999999999999999")
 
 
+@pytest.mark.parametrize(
+    "argv, zero",
+    [(["counts", "--x", "X", "--set", "list:2"], "0e100"), (["sieve", "--limit", "X"], "0e40")],
+    ids=["counts", "sieve"],
+)
+def test_a_zero_with_a_large_exponent_is_zero_not_over_the_digit_cap(tmp_path, capsys, argv, zero):
+    assert parse_count(zero) == parse_count("0" + "0" * 40) == 0
+    errors = []
+    for i, text in enumerate(("0", zero)):
+        code, out = run([text if a == "X" else a for a in argv], tmp_path, f"out{i}")
+        assert code == 2 and not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "must be >=" in errors[1]
+
+
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys):
     code, out = run(["counts", "--x", "nope", "--set", "list:2"], tmp_path)
     assert code == 2 and not out.exists()
@@ -492,6 +508,19 @@ def test_mode_suffix_matching_the_commands_mode_changes_no_byte(tmp_path, capsys
         assert (suffixed / name).read_bytes() == (plain / name).read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["distinct", "multiplicity"])
+def test_harmonic_refuses_a_mode_suffix_before_any_work(monkeypatch, tmp_path, capsys, mode):
+    code, _ = run(["harmonic", "--set", "list:2,3"], tmp_path, "plain")
+    assert code == 0
+    assert capsys.readouterr().out.startswith("h=0.8333333333333333 h1=1.5 h2=0.3611111111111111\n")
+    monkeypatch.setattr(cli, "parse_set_spec", lambda *a: pytest.fail("the set was parsed"))
+    text = f"list:2,3:{mode}"
+    code, out = run(["harmonic", "--set", text], tmp_path, mode)
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: harmonic sums do not depend on a count mode: drop the mode suffix of {text!r}\n"
+
+
 EMPTY_SET_ARGV = [
     ["thm2", "--x", "100", "--set", "interval:24..28", "--k", "0"],
     ["halasz", "--x", "100", "--set", "interval:24..28", "--k-lo", "0", "--k-hi", "1"],
@@ -611,8 +640,8 @@ FLOAT_BOUNDARY_CASES = {
         ["model", "--set", "list:2,3:multiplicity"],
         "support=617 mean=1.5 tail_bound=2.912324058756263e-31\n",
         {
-            "model_pmf.csv": "163e9814343578d21f2b3a60e96e49127793b11a230c7e7bdd5b03bc4b7545dd",
-            "model_report.json": "fb5953022d8844c0ca59c3995a5707f80eb68298b67e5bc2fa7e3964127ddb50",
+            "model_pmf.csv": "93d87d1ad76e8361cc918dd190e4ee5dd15badd30e28887f0b3a54926d087231",
+            "model_report.json": "9050cbed380878c23faa288946e22e9220c01aefb230cf0faad74449e71d8e9e",
         },
     ),
     "thm4": (

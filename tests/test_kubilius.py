@@ -2,10 +2,11 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from primepoisson import (
@@ -18,6 +19,8 @@ from primepoisson import (
     sieve_primes,
     smooth_part_distribution,
 )
+from primepoisson import kubilius
+from primepoisson.dist import DEFAULT_TAIL_EPS
 from primepoisson.kubilius import _exponent_cutoff
 
 
@@ -84,19 +87,39 @@ def test_mgf_product_identities_spot_checks():
             assert mult.series(z) == pytest.approx(expected_w, abs=1e-9)
 
 
+def _shift_add(a, b):
+    """Row i is the polynomial product of rows a[i] and b[i], summed in
+    falling order of b's index: one shift-add per coefficient of b."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for j in reversed(range(b.shape[1])):
+        out[:, j : j + a.shape[1]] += a * b[:, j, None]
+    return out
+
+
 def untrimmed_model_pmf(primes, mode, tail_eps):
-    """Reference: the sequential convolution that keeps every index up to the
-    sum of the truncation depths, zero tail included."""
-    ps = tuple(primes.primes)
-    acc, dropped = np.array([1.0]), []
+    """Reference: the same pairwise products, kept at every index up to the
+    sum of the truncation depths, zero tail included.  The rows of a run of
+    equal depth are multiplied adjacent pair by adjacent pair (an odd last
+    row times the unit 1), level by level, and the run products are folded
+    into the law in turn."""
+    ps = primes.primes
+    rows, dropped = [], []
     for p in ps:
         if mode is CountMode.DISTINCT:
-            acc = np.convolve(acc, [1.0 - 1.0 / p, 1.0 / p])
+            rows.append(np.array([1.0 - 1.0 / p, 1.0 / p]))
             continue
         cutoff = _exponent_cutoff(p, len(ps), tail_eps)
-        acc = np.convolve(acc, (1.0 - 1.0 / p) * np.power(1.0 / p, np.arange(cutoff + 1)))
+        rows.append((1.0 - 1.0 / p) * np.power(1.0 / p, np.arange(cutoff + 1)))
         dropped.append(float(p) ** (-(cutoff + 1)))
-    return acc, math.fsum(dropped)
+    acc = None
+    for _, run in itertools.groupby(rows, key=len):
+        block = np.array(list(run))
+        while len(block) > 1:
+            if len(block) % 2:
+                block = np.vstack([block, np.eye(1, block.shape[1])])
+            block = _shift_add(block[0::2], block[1::2])
+        acc = block if acc is None else _shift_add(acc, block)
+    return acc[0], math.fsum(dropped)
 
 
 PRIMES_TO_20000 = list(sieve_primes(20_000).primes)
@@ -122,7 +145,7 @@ def test_trimmed_law_is_the_untrimmed_prefix(mode, size, rng, tail_eps):
 
 
 @pytest.mark.parametrize(
-    "mode, support", [(CountMode.WITH_MULTIPLICITY, 887), (CountMode.DISTINCT, 179)]
+    "mode, support", [(CountMode.WITH_MULTIPLICITY, 890), (CountMode.DISTINCT, 180)]
 )
 def test_support_ends_at_the_last_nonzero_entry(mode, support):
     # the untrimmed laws had 42,128 and 9,593 entries
@@ -132,14 +155,57 @@ def test_support_ends_at_the_last_nonzero_entry(mode, support):
 @pytest.mark.parametrize("tail_eps", [1e-12, 1e-6])
 def test_grouped_factor_rows_equal_the_per_prime_rows(monkeypatch, tail_eps):
     ps = sieve_primes(10**5)
-    rows, convolve = [], np.convolve
-    monkeypatch.setattr(np, "convolve", lambda acc, row: rows.append(row) or convolve(acc, row))
+    seen, factor_blocks = [], kubilius._factor_blocks
+    monkeypatch.setattr(
+        kubilius, "_factor_blocks", lambda *args: seen.append(factor_blocks(*args)) or seen[-1]
+    )
     model_exact_pmf(ps, CountMode.WITH_MULTIPLICITY, tail_eps)
     monkeypatch.undo()
-    assert len(rows) == len(ps)
-    for p, row in zip(ps.primes, rows):
-        q, c = 1.0 / p, _exponent_cutoff(p, len(ps), tail_eps)
+    [(blocks, tail_bound)] = seen
+    cutoffs = [_exponent_cutoff(p, len(ps), tail_eps) for p in ps.primes]
+    # one block per run of equal cutoff, its rows in the order of the primes
+    assert [len(block) for block in blocks] == [len(list(r)) for _, r in itertools.groupby(cutoffs)]
+    rows = [row for block in blocks for row in block]
+    for p, c, row in zip(ps.primes, cutoffs, rows, strict=True):
+        q = 1.0 / p
         assert row.tobytes() == ((1 - q) * np.power(q, np.arange(c + 1))).tobytes(), p
+    assert tail_bound == math.fsum(float(p) ** -(c + 1) for p, c in zip(ps.primes, cutoffs))
+
+
+PRIMES_TO_3000 = sieve_primes(3000).primes
+SCALE = 2**1074  # every finite float times this is an integer
+
+
+def exact_law(rows):
+    """The exact product of the float factor rows, as Fractions: every float
+    is an integer over SCALE, so the product is an integer polynomial over
+    SCALE^len(rows), convolved in object (Python int) arithmetic."""
+    acc = np.array([1], dtype=object)
+    for row in rows:
+        acc = np.convolve(acc, np.array([int(Fraction(x) * SCALE) for x in row], dtype=object))
+    denominator = SCALE ** len(rows)
+    return [Fraction(int(c), denominator) for c in acc]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(CountMode),
+    st.sets(st.sampled_from(PRIMES_TO_3000[:15]), max_size=4),
+    st.sets(st.sampled_from(PRIMES_TO_3000), max_size=40),
+)
+def test_law_matches_the_exact_product_of_its_rows(mode, small, rest):
+    # small primes give wide rows and runs of their own in multiplicity mode
+    assume(small or rest)
+    ps = PrimeSet(sorted(small | rest))
+    pmf = model_exact_pmf(ps, mode)
+    blocks, _ = kubilius._factor_blocks(ps, mode, DEFAULT_TAIL_EPS)
+    exact = exact_law([row.tolist() for block in blocks for row in block])
+    computed = pmf.probs.tolist() + [0.0] * (len(exact) - len(pmf))
+    errors = [Fraction(c) - e for c, e in zip(computed, exact, strict=True)]
+    for k, (err, e) in enumerate(zip(errors, exact)):
+        if e > 1e-250:
+            assert abs(err) <= 1e-13 * e, (k, float(err / e))
+    assert float(sum(map(abs, errors))) <= 1e-15
 
 
 def test_radius_validation():
