@@ -107,6 +107,11 @@ MATRIX = [
     ["counts", "--x", "1e4", "--set", "interval:2..7:with-multiplicity"],
     ["counts", "--x", "1e99999999999999999999", "--set", "list:2"],
     ["counts", "--x", "1e-99999999999999999999", "--set", "list:2"],
+    ["counts", "--x", "1e4", "--set", "interval:2..7", "--set", "list:5,7,11"],
+    ["thm1", "--x", "1e5", "--y", "31", "--set", "interval:2..7", "--set", "list:7,11"],
+    ["thm2", "--x", "1000", "--set", "interval:2..10", "--set", "list:7,11", "--k", "1,1"],
+    ["thm3", "--x", "1e6", "--set", "interval:2..100", "--k", "4", "--psi", "1.0"],
+    ["thm3", "--x", "1e13", "--set", "interval:2..1e8", "--k", "1", "--psi", "0.5"],
 ]
 
 

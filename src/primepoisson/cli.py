@@ -62,6 +62,7 @@ from .errors import CapError, DomainError
 from .factorstats import (
     CountMode,
     SetSpec,
+    check_x_cap,
     joint_factor_counts,
     oracle_factor_counts,
 )
@@ -114,6 +115,14 @@ def parse_count(text: str) -> int:
     if d != d.to_integral_value():
         raise DomainError(f"not an exact integer: {text!r}")
     return int(d)
+
+
+def parse_x(text: str) -> int:
+    """Parse --x and refuse it over the cap: handlers call this before they
+    parse any set spec, so an x over the cap is refused before a set is sieved."""
+    x = parse_count(text)
+    check_x_cap(x)
+    return x
 
 
 def parse_float(text: str) -> float:
@@ -300,7 +309,7 @@ def _cmd_harmonic(ns) -> CommandResult:
 
 
 def _cmd_counts(ns) -> CommandResult:
-    x = parse_count(ns.x)
+    x = parse_x(ns.x)
     specs = tuple(parse_set_spec(s) for s in ns.set)
     counts = (oracle_factor_counts if ns.oracle else joint_factor_counts)(x, specs)
     payload = counts.as_json()
@@ -352,7 +361,7 @@ def _cmd_model_tv(ns) -> CommandResult:
 
 def _cmd_thm1(ns) -> CommandResult:
     cfg = Thm1Config(
-        x=parse_count(ns.x),
+        x=parse_x(ns.x),
         y=parse_count(ns.y),
         specs=tuple(parse_set_spec(s) for s in ns.set),
         tail_eps=parse_float(ns.tail_eps),
@@ -362,25 +371,26 @@ def _cmd_thm1(ns) -> CommandResult:
 
 
 def _cmd_thm2(ns) -> CommandResult:
-    x = parse_count(ns.x)
+    x = parse_x(ns.x)
     sets = tuple(parse_set_spec(s, CountMode.DISTINCT).primes for s in ns.set)
     ks = tuple(parse_count(tok) for tok in ns.k.split(","))
     return _theorem_result(check_thm2(x, sets, ks))
 
 
 def _cmd_thm3(ns) -> CommandResult:
+    x = parse_x(ns.x)
     spec = parse_set_spec(ns.set, CountMode.DISTINCT)
-    x, k = parse_count(ns.x), parse_count(ns.k)
+    k = parse_count(ns.k)
     a_param, psi = parse_float(ns.a_param), parse_float(ns.psi)
     return _theorem_result(check_thm3(x, spec.primes, k, a_param, psi))
 
 
 def _cmd_halasz(ns) -> CommandResult:
+    x = parse_x(ns.x)
     spec = parse_set_spec(ns.set, CountMode.WITH_MULTIPLICITY)
     k_lo, k_hi = parse_count(ns.k_lo), parse_count(ns.k_hi)
     if k_hi < k_lo:
         raise DomainError(f"empty k range [{k_lo}, {k_hi}]")
-    x = parse_count(ns.x)
     reports = check_halasz(x, spec.primes, range(k_lo, k_hi + 1))
     band_value = max((abs(r.ratio - 1.0) for r in reports if r.ratio is not None), default=None)
     name = f"halasz[x={x},k={k_lo}..{k_hi}]"

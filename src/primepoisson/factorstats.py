@@ -1,6 +1,6 @@
 """Exact joint distributions of prime-factor counts for uniform n in [1, x].
 
-For disjoint prime sets T_1..T_m and a counting mode per set (distinct prime
+For any prime sets T_1..T_m and a counting mode per set (distinct prime
 divisors, or prime-power divisors counted with multiplicity), these routines
 tally the exact number of integers n <= x realizing each count vector.
 
@@ -101,6 +101,14 @@ def check_x_cap(x: int) -> None:
         raise CapError(f"x={x} exceeds the cap of 2^40")
 
 
+def check_disjoint(specs: tuple[SetSpec, ...]) -> None:
+    """Refuse sets that share a prime, as Theorems 1 and 2 assume; counting does not."""
+    members = np.sort(np.concatenate([np.empty(0, np.int64), *(s.primes.array for s in specs)]))
+    repeats = members[1:][members[1:] == members[:-1]]  # each set is strictly increasing
+    if repeats.size:
+        raise DomainError(f"sets must be pairwise disjoint; {repeats[0]} repeats")
+
+
 def _validate_request(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> tuple[SetSpec, ...]:
     specs = tuple(specs)
     if x < 1:
@@ -110,16 +118,10 @@ def _validate_request(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> tup
         raise DomainError("at least one set spec is required")
     if len(specs) > MAX_SETS:
         raise CapError(f"{len(specs)} sets exceed the cap of {MAX_SETS}")
-    for spec in specs:
-        ps = spec.primes.array
+    for ps in (spec.primes.array for spec in specs):
         # x=1 is exempt: n=1 has no prime factors, so any spec is answerable
         if x > 1 and ps.size and ps[-1] > x:
             raise DomainError(f"prime {ps[np.searchsorted(ps, x, 'right')]} exceeds x={x}")
-    if len(specs) > 1:  # each set is strictly increasing, so a repeat is across sets
-        members = np.sort(np.concatenate([s.primes.array for s in specs]))
-        repeats = members[1:][members[1:] == members[:-1]]
-        if repeats.size:
-            raise DomainError(f"sets must be pairwise disjoint; {repeats[0]} repeats")
     return specs
 
 
@@ -174,7 +176,7 @@ def _count_keys(x: int, specs: tuple[SetSpec, ...]):
                 span = np.minimum(ends[lo:hi], j_end) - np.maximum(starts[lo:hi], j)
                 at = np.repeat(first[lo:hi] - starts[lo:hi], span) + np.arange(j, j_end)
                 n = np.repeat(k[lo:hi], span) * primes[at]
-                counters[n - seg_lo, i] += 1  # n has one prime > root: no repeats
+                counters[n - seg_lo, i] += 1  # n has one prime > root: no repeats in a set
         return counters.view(f"<u{width}").ravel()
 
     return keys

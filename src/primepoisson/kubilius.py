@@ -121,7 +121,8 @@ def model_exact_pmf(
     products, level by level, and the block products are folded in turn.
     After each product the trailing entries that underflowed to exactly 0.0
     are dropped, so the stored support ends at the last nonzero entry (at
-    most |T| in distinct mode) and no mass moves.
+    most |T| in distinct mode) and no mass moves.  A law that fails the Pmf
+    mass check is the program's fault, not the caller's: RuntimeError.
     """
     if not 0.0 < tail_eps < 1.0:
         raise DomainError(f"tail_eps must be in (0, 1), got {tail_eps}")
@@ -130,7 +131,10 @@ def model_exact_pmf(
     acc = next(products, np.ones((1, 1)))
     for product in products:
         acc = _trim(_times(acc, product))
-    return Pmf(acc[:, 0], tail_bound)
+    try:
+        return Pmf(acc[:, 0], tail_bound)
+    except DomainError as e:
+        raise RuntimeError(f"the model law failed its own check: {e}") from None
 
 
 def model_tv_exact(x: int, y: int) -> TvResult:

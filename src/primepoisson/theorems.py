@@ -26,7 +26,8 @@ from .dist import (
     tv_distance_sparse,
 )
 from .errors import CapError, DomainError, EmptyConditionError
-from .factorstats import CountMode, JointCounts, SetSpec, check_x_cap, joint_factor_counts
+from .factorstats import CountMode, JointCounts, SetSpec, joint_factor_counts
+from .factorstats import check_disjoint, check_x_cap
 from .kubilius import model_exact_pmf, model_tv_exact
 from .primesets import PrimeSet, expexp_block, expexp_cutoff, harmonic_sums, sieve_primes
 
@@ -123,6 +124,7 @@ def check_thm1(cfg: Thm1Config) -> TheoremReport:
             p = ps[np.searchsorted(ps, cfg.y, "right")]
             raise DomainError(f"prime {p} exceeds the smoothness bound y={cfg.y}")
     check_x_cap(cfg.x)
+    check_disjoint(cfg.specs)
 
     u = math.log(cfg.x) / math.log(cfg.y)
     summaries = [_set_summary(s) for s in cfg.specs]
@@ -278,6 +280,7 @@ def check_thm2(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> TheoremRe
         raise DomainError("T must be nonempty")
 
     specs = tuple(SetSpec(s, CountMode.DISTINCT) for s in sets)
+    check_disjoint(specs)
     counts = joint_factor_counts(x, specs)
     # a count vector is a row of uint8, so a target above 255 matches no row
     target = np.array([min(k, 256) for k in ks])
@@ -315,18 +318,13 @@ def check_thm2(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> TheoremRe
 
 @lru_cache(maxsize=4)
 def _thm3_table(x: int, tset: PrimeSet) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """h(primes <= x), the complement's size and the distinct-count table of
-    (T, complement) as read-only keys and tallies, shared by every (k, psi)
-    cell of one (x, T); the specs, with the complement's primes, are not kept."""
+    """h(primes <= x), pi(x) - |T| and the distinct-count table of (T, primes <= x),
+    that is of (omega(n, T), omega(n)), shared by every (k, psi) cell of one (x, T)."""
     full = sieve_primes(x)
-    complement = full.difference(tset)
-    if len(complement) == 0:
+    if np.searchsorted(tset.array, x, "right") == len(full):  # T holds every prime <= x
         raise DomainError("T must be a proper subset of the primes <= x")
-    h_full = harmonic_sums(full).h
-    del full  # its array goes before counting
-    specs = (SetSpec(tset, CountMode.DISTINCT), SetSpec(complement, CountMode.DISTINCT))
-    counts = joint_factor_counts(x, specs)
-    return h_full, len(complement), counts.keys, counts.tallies
+    counts = joint_factor_counts(x, [SetSpec(s, CountMode.DISTINCT) for s in (tset, full)])
+    return harmonic_sums(full).h, len(full) - len(tset), counts.keys, counts.tallies
 
 
 def check_thm3(x: int, tset: PrimeSet, k: int, a_param: float, psi: float) -> TheoremReport:
@@ -335,8 +333,8 @@ def check_thm3(x: int, tset: PrimeSet, k: int, a_param: float, psi: float) -> Th
 
     The exact conditional deviation probability lhs = P(|omega(n, T) -
     alpha*k| >= psi*sqrt(alpha*(1-alpha)*k) given omega(n) = k), computed
-    from the exact two-set joint counts of (T, complement) restricted to
-    total count k, is compared against exp(-psi^2/3).
+    from the exact joint counts of (omega(n, T), omega(n)) restricted to
+    omega(n) = k, is compared against exp(-psi^2/3).
 
     Requires x >= 2, 1 <= k <= a_param * loglog(x), a_param > 1, and
     0 <= psi <= sqrt(alpha*k).
@@ -358,10 +356,10 @@ def check_thm3(x: int, tset: PrimeSet, k: int, a_param: float, psi: float) -> Th
         raise DomainError(f"need 0 <= psi <= sqrt(alpha*k) = {math.sqrt(alpha * k):.6f}, got {psi}")
 
     threshold = psi * math.sqrt(alpha * (1.0 - alpha) * k)
-    a, b = keys.T.astype(np.int64)
-    on = a + b == k
+    in_t, omega = keys.T.astype(np.int64)
+    on = omega == k
     conditioned = int(tallies[on].sum())
-    deviating = int(tallies[on & (np.abs(a - alpha * k) >= threshold)].sum())
+    deviating = int(tallies[on & (np.abs(in_t - alpha * k) >= threshold)].sum())
     if conditioned == 0:
         raise EmptyConditionError(f"no n <= {x} has exactly {k} distinct prime factors")
 

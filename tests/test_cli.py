@@ -347,6 +347,26 @@ def test_sweep_crashed_row_isolated(tmp_path, monkeypatch):
     assert report["rows"][0]["error"] == "RuntimeError: count total 99 != x=100"
 
 
+def test_a_model_law_failing_its_mass_check_exits_4_and_crashes_its_row(
+    monkeypatch, capsys, tmp_path
+):
+    # the input is valid; the program's own law failed its check
+    from primepoisson import kubilius
+
+    times = kubilius._times
+    monkeypatch.setattr(kubilius, "_times", lambda a, b: times(a, b) * 0.999)
+    assert main(["cor32", "--set", "list:2,3,5"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: the model law failed its own check: ")
+    grid = tmp_path / "grid.json"
+    rows = [{"command": "model", "set": "list:2,3,5"}, {"command": "harmonic", "set": "list:2"}]
+    grid.write_text(json.dumps({"rows": rows}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in report["rows"]] == ["crashed", "ok"]
+
+
 @pytest.fixture
 def fresh_parser():
     cli._parser.cache_clear()
@@ -438,6 +458,16 @@ X_CAP_ARGV = {
     "thm3": ["thm3", "--x", "1e13", "--set", "list:2", "--k", "1", "--psi", "0.5"],
     "cor1": ["cor1", "--x", "1e13", "--lo", "0", "--hi", "2"],
 }
+# a set that takes seconds and hundreds of MiB to sieve: the x cap comes first
+BIG_SET = "interval:2..3e8"
+X_CAP_BEFORE_SET_ROWS = {
+    "counts": {"command": "counts", "x": "1e13", "set": BIG_SET},
+    "thm1-big-set": {"command": "thm1", "x": "1e13", "y": 31, "set": BIG_SET},
+    "thm2": {"command": "thm2", "x": "1e13", "set": BIG_SET, "k": 1},
+    "thm3-big-set": {"command": "thm3", "x": "1e13", "set": BIG_SET, "k": 1, "psi": 0.5},
+    "halasz": {"command": "halasz", "x": "1e13", "set": BIG_SET, "k_lo": 0, "k_hi": 1},
+}
+X_CAP_ARGV.update({k: cli._row_to_argv(row) for k, row in X_CAP_BEFORE_SET_ROWS.items()})
 
 
 @pytest.fixture
@@ -469,6 +499,18 @@ def test_sweep_row_over_the_x_cap_is_refused_before_any_work(no_lists_or_pmfs, t
     rows = json.loads((out / "sweep_report.json").read_text())["rows"]
     assert [r["status"] for r in rows] == ["refused", "ok"]
     assert rows[0]["error"] == "x=10000000000000 exceeds the cap of 2^40"
+
+
+def test_sweep_rows_over_the_x_cap_are_refused_before_any_set_is_sieved(
+    no_lists_or_pmfs, tmp_path
+):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rows": list(X_CAP_BEFORE_SET_ROWS.values())}))
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
+    assert code == 0
+    rows = json.loads((out / "sweep_report.json").read_text())["rows"]
+    assert [r["status"] for r in rows] == ["refused"] * len(X_CAP_BEFORE_SET_ROWS)
+    assert {r["error"] for r in rows} == {"x=10000000000000 exceeds the cap of 2^40"}
 
 
 # thm2 and thm3 count distinct primes, halasz counts with multiplicity

@@ -140,19 +140,41 @@ def test_randomized_oracle_equivalence(x, rng):
     assert joint_factor_counts(x, specs).counts == oracle_factor_counts(x, specs).counts
 
 
-def test_overlapping_sets_rejected():
-    with pytest.raises(DomainError):
-        joint_factor_counts(100, (dspec(2, 3), mspec(3, 5)))
+def test_overlapping_sets_are_counted():
+    # disjointness is a hypothesis of Theorems 1 and 2, not a counting rule:
+    # a prime in two sets bumps both counts
+    specs = (dspec(2, 3), mspec(3, 5))
+    jc = joint_factor_counts(100, specs)
+    slow = oracle_factor_counts(100, specs)
+    assert np.array_equal(jc.keys, slow.keys) and np.array_equal(jc.tallies, slow.tallies)
+    twice = joint_factor_counts(100, (dspec(2, 3), dspec(2, 3))).counts
+    assert twice == {(0, 0): 33, (1, 1): 51, (2, 2): 16}
 
 
 def test_validation_messages_name_the_prime():
-    with pytest.raises(DomainError, match="pairwise disjoint; 7 repeats"):
-        joint_factor_counts(100, (dspec(2, 7, 11), dspec(13), mspec(7, 11)))
     with pytest.raises(DomainError, match="prime 11 exceeds x=10"):
         joint_factor_counts(10, (dspec(2, 11, 13),))
-    # every set is checked against x before the sets are checked for repeats
+    # overlapping sets pass, and every set is still checked against x
     with pytest.raises(DomainError, match="prime 11 exceeds x=10"):
         joint_factor_counts(10, (dspec(3), dspec(3), dspec(11)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=1, max_value=4),
+    st.randoms(use_true_random=False),
+)
+def test_overlapping_random_specs_match_the_oracle(x, m, rng):
+    # each prime <= x joins any number of the m sets, so sets overlap below and
+    # above sqrt(x), and a prime may sit in every set
+    primes = sieve_primes(max(x, 2)).array.tolist()
+    sets = [[p for p in primes if p <= x and rng.random() < 0.5] for _ in range(m)]
+    specs = tuple(SetSpec(PrimeSet(ps), rng.choice(list(CountMode))) for ps in sets)
+    slow = oracle_factor_counts(x, specs)
+    for seg in (7, 64, 1 << 20):
+        jc = joint_factor_counts(x, specs, segment_size=seg)
+        assert np.array_equal(jc.keys, slow.keys) and np.array_equal(jc.tallies, slow.tallies)
 
 
 def test_prime_above_x_rejected():

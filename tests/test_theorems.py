@@ -164,6 +164,28 @@ def test_thm2_rejects_overlap():
         check_thm2(100, (PrimeSet((2, 3)), PrimeSet((3, 5))), (1, 1))
 
 
+OVERLAPPING = (PrimeSet((2, 7, 11)), PrimeSet((13,)), PrimeSet((7, 11)))
+OVERLAP_CHECKS = {
+    "thm1": lambda: check_thm1(
+        Thm1Config(x=10**4, y=31, specs=(*map(dspec, OVERLAPPING[:2]), mspec(OVERLAPPING[2])))
+    ),
+    "thm2": lambda: check_thm2(10**4, OVERLAPPING, (1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("check", list(OVERLAP_CHECKS))
+def test_overlapping_sets_refused_before_any_law_or_count(monkeypatch, check):
+    # Theorems 1 and 2 assume disjoint sets; the count kernel does not
+    from primepoisson import theorems
+
+    calls = []
+    for name in ("poisson_pmf", "model_exact_pmf", "product_joint", "joint_factor_counts"):
+        monkeypatch.setattr(theorems, name, lambda *a, name=name, **k: calls.append(name))
+    with pytest.raises(DomainError, match="^sets must be pairwise disjoint; 7 repeats$"):
+        OVERLAP_CHECKS[check]()
+    assert calls == []
+
+
 def test_thm2_reports_second_bound():
     rep = check_thm2(1000, (PrimeSet((2, 3)), PrimeSet((5,))), (2, 1))
     assert rep.params["rhs_second"] > 0
@@ -270,6 +292,26 @@ def test_thm1_sparse_exact_law_needs_no_box():
         tracemalloc.stop()
     assert report.lhs == 0.23697051715998887
     assert peak < 64 << 20, peak  # the 8-byte box alone would be 480 MiB
+
+
+def test_thm3_table_counts_all_primes_with_no_complement_set(monkeypatch):
+    # the table is of (T, primes <= x): omega(n) is its second coordinate, so
+    # the pi(x) - |T| primes outside T are never listed as a set
+    from primepoisson import theorems
+
+    x, tset = 10**6, sieve_primes(100)
+    pi = count_primes(x)
+    sizes, calls = [], []
+    post_init, real = PrimeSet.__post_init__, theorems.joint_factor_counts
+    monkeypatch.setattr(PrimeSet, "__post_init__", lambda s: post_init(s) or sizes.append(len(s)))
+    monkeypatch.setattr(
+        theorems, "joint_factor_counts", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    theorems._thm3_table.cache_clear()
+    rep = check_thm3(x, tset, 4, 3.0, 1.0)
+    assert sizes.count(pi) == 1 and pi - len(tset) not in sizes
+    assert len(calls) == 1
+    assert rep.params["complement_size"] == pi - len(tset)
 
 
 def test_thm3_empty_condition_is_distinct_error():
