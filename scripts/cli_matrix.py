@@ -44,6 +44,13 @@ SWEEP_ROWS = [
 
 D = ["--set", "interval:2..7", "--set", "interval:11..31:multiplicity"]
 M = ["--set", "interval:2..7:multiplicity", "--set", "interval:11..31"]
+# eight sets whose Poisson product grid is over the 20 M-cell cap (60,963,840 and 31,610,880 cells)
+CAP_SETS = [
+    a
+    for lo, hi in [(2, 3), (5, 7), (11, 13), (17, 19), (23, 29), (31, 37), (41, 43), (47, 53)]
+    for a in ("--set", f"interval:{lo}..{hi}:multiplicity")
+]
+EIGHT_SETS = [a for lo in range(2, 34, 4) for a in ("--set", f"interval:{lo}..{lo + 3}")]
 
 MATRIX = [
     ["sieve", "--limit", "1000"],
@@ -112,6 +119,8 @@ MATRIX = [
     ["thm2", "--x", "1000", "--set", "interval:2..10", "--set", "list:7,11", "--k", "1,1"],
     ["thm3", "--x", "1e6", "--set", "interval:2..100", "--k", "4", "--psi", "1.0"],
     ["thm3", "--x", "1e13", "--set", "interval:2..1e8", "--k", "1", "--psi", "0.5"],
+    ["thm1", "--x", "1e5", "--y", "1000", *CAP_SETS, "--no-decomposition"],
+    ["thm1", "--x", "1e6", "--y", "40", *EIGHT_SETS, "--no-decomposition"],
 ]
 
 

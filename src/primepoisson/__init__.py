@@ -12,7 +12,7 @@ from .dist import (
     product_joint,
     tv_distance,
     tv_distance_joint,
-    tv_distance_sparse,
+    tv_distance_keys,
 )
 from .errors import CapError, DomainError, EmptyConditionError
 from .factorstats import (
@@ -89,5 +89,5 @@ __all__ = [
     "smooth_part_distribution",
     "tv_distance",
     "tv_distance_joint",
-    "tv_distance_sparse",
+    "tv_distance_keys",
 ]

@@ -63,10 +63,6 @@ class JointPmf:
         _check_mass(probs, self.tail_bound, type(self).__name__, mass)
 
     @property
-    def dims(self) -> int:
-        return self.probs.ndim
-
-    @property
     def entries(self) -> dict[tuple[int, ...], float]:
         """{key: probability} over every cell of the box, built on each access."""
         return dict(zip(np.ndindex(self.probs.shape), self.probs.ravel().tolist()))
@@ -239,27 +235,29 @@ def tv_distance(p: Pmf, q: Pmf) -> TvResult:
 def tv_distance_joint(p: JointPmf, q: JointPmf) -> TvResult:
     """Total variation between two joint pmfs of equal dimension, over the
     union of their boxes."""
-    if p.dims != q.dims:
-        raise DomainError(f"dimension mismatch: {p.dims} vs {q.dims}")
+    if p.probs.ndim != q.probs.ndim:
+        raise DomainError(f"dimension mismatch: {p.probs.ndim} vs {q.probs.ndim}")
     return _tv(p.probs, q.probs, p.tail_bound + q.tail_bound)
 
 
-def tv_distance_sparse(keys: np.ndarray, probs: np.ndarray, q: JointPmf) -> TvResult:
+def tv_distance_keys(keys: np.ndarray, probs: np.ndarray, components: Sequence[Pmf]) -> TvResult:
     """Total variation between a law with mass probs[k] at the distinct rows
-    keys[k] of a K x m index array and a joint pmf q of dimension m.  The sum
-    runs over q with the observed cells zeroed plus |probs[k] - q_k| per key
-    (q_k = 0 outside q's box): the nonzero terms of tv_distance_joint on the
-    law's dense box, so the same float, but no box of the keys is built."""
-    if keys.ndim != 2 or keys.shape[1] != q.dims:
-        raise DomainError(f"dimension mismatch: keys {keys.shape} vs {q.dims}")
-    inside = (keys < q.probs.shape).all(axis=1)
-    cells = tuple(keys[inside].T)
-    rest = q.probs.copy()
-    rest[cells] = 0.0
-    gaps = np.array(probs, dtype=np.float64)
-    gaps[inside] = np.abs(gaps[inside] - q.probs[cells])
-    value = min(1.0, 0.5 * exact_sum([rest, gaps]))
-    return TvResult(value=value, uncertainty=min(1.0 - value, 0.5 * q.tail_bound))
+    keys[k] of a K x m index array and the product of m pmfs, with no grid:
+    2 TV = sum_k |probs[k] - q_k| + (M_q - sum_k q_k), q_k = prod_i q_i[k_i]
+    (0 past q_i's support), M_q = prod_i exact_sum(q_i).  The mass difference
+    cancels; it is clamped at 0.  The uncertainty is half the tail bounds and
+    the clamped amount, plus (m + 2) ulp(1) for rounding these products and
+    sums, whose values are at most 2."""
+    if keys.ndim != 2 or keys.shape[1] != len(components):
+        raise DomainError(f"dimension mismatch: keys {keys.shape} vs {len(components)}")
+    q = np.ones(len(keys))
+    for col, c in zip(keys.T.astype(np.intp), components):
+        q *= np.append(c.probs, 0.0)[np.minimum(col, len(c))]
+    rest = math.prod(exact_sum([c.probs]) for c in components) - exact_sum([q])
+    value = min(1.0, 0.5 * (exact_sum([np.abs(probs - q)]) + max(rest, 0.0)))
+    tails = math.fsum(c.tail_bound for c in components) + max(-rest, 0.0)
+    radius = (len(components) + 2) * math.ulp(1.0) + 0.5 * tails
+    return TvResult(value=value, uncertainty=min(1.0 - value, radius))
 
 
 def product_joint(components: Sequence[Pmf]) -> JointPmf:

@@ -19,11 +19,12 @@ import numpy as np
 
 from .dist import (
     DEFAULT_TAIL_EPS,
+    exact_sum,
     poisson_pmf,
     product_joint,
     tv_distance,
     tv_distance_joint,
-    tv_distance_sparse,
+    tv_distance_keys,
 )
 from .errors import CapError, DomainError, EmptyConditionError
 from .factorstats import CountMode, JointCounts, SetSpec, joint_factor_counts
@@ -132,14 +133,15 @@ def check_thm1(cfg: Thm1Config) -> TheoremReport:
         s["h"] if spec.mode is CountMode.DISTINCT else s["h1"]
         for s, spec in zip(summaries, cfg.specs)
     ]
-    # both product laws come first, so a grid over the cap is refused before the count
-    poisson_joint = product_joint([poisson_pmf(lam, cfg.tail_eps) for lam in rates])
+    poisson = [poisson_pmf(lam, cfg.tail_eps) for lam in rates]
     if cfg.include_decomposition:
+        # the decomposition's two grids come before the count, so one over the cap is refused first
+        poisson_joint = product_joint(poisson)
         model_joint = product_joint(
             [model_exact_pmf(s.primes, s.mode, cfg.tail_eps) for s in cfg.specs]
         )
     counts = joint_factor_counts(cfg.x, cfg.specs)
-    tv = tv_distance_sparse(counts.keys, counts.tallies / cfg.x, poisson_joint)
+    tv = tv_distance_keys(counts.keys, counts.tallies / cfg.x, poisson)
 
     rhs = math.fsum(s["h2"] / (1.0 + s["h"]) for s in summaries) + u ** (-u)
     params: dict = {
@@ -213,9 +215,8 @@ def check_corollary1(
     blocks = [expexp_block(k) for k in used]
     specs = tuple(SetSpec(b, CountMode.DISTINCT) for b in blocks)
     unit = poisson_pmf(1.0, tail_eps)
-    poisson_joint = product_joint([unit] * len(specs))
     counts = joint_factor_counts(x, specs)
-    tv = tv_distance_sparse(counts.keys, counts.tallies / x, poisson_joint)
+    tv = tv_distance_keys(counts.keys, counts.tallies / x, [unit] * len(specs))
 
     xi_eff = min(used)
     rhs = math.exp(-math.exp(xi_eff / 2.0))
@@ -318,13 +319,14 @@ def check_thm2(x: int, sets: Sequence[PrimeSet], ks: Sequence[int]) -> TheoremRe
 
 @lru_cache(maxsize=4)
 def _thm3_table(x: int, tset: PrimeSet) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """h(primes <= x), pi(x) - |T| and the distinct-count table of (T, primes <= x),
-    that is of (omega(n, T), omega(n)), shared by every (k, psi) cell of one (x, T)."""
+    """h(primes <= x) (harmonic_sums' h: each p <= 2^40 is an exact float), pi(x) - |T|
+    and the distinct-count table of (T, primes <= x), that is of (omega(n, T), omega(n)),
+    shared by every (k, psi) cell of one (x, T)."""
     full = sieve_primes(x)
     if np.searchsorted(tset.array, x, "right") == len(full):  # T holds every prime <= x
         raise DomainError("T must be a proper subset of the primes <= x")
     counts = joint_factor_counts(x, [SetSpec(s, CountMode.DISTINCT) for s in (tset, full)])
-    return harmonic_sums(full).h, len(full) - len(tset), counts.keys, counts.tallies
+    return exact_sum([1.0 / full.array]), len(full) - len(tset), counts.keys, counts.tallies
 
 
 def check_thm3(x: int, tset: PrimeSet, k: int, a_param: float, psi: float) -> TheoremReport:

@@ -176,6 +176,27 @@ def test_product_grid_over_cap_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# eight distinct sets, the primes in 2..5, 6..9, ..., 30..33: a Poisson grid of 31,610,880 cells
+THM1_EIGHT_SETS = ["thm1", "--x", "1e6", "--y", "40"] + [
+    a for lo in range(2, 34, 4) for a in ("--set", f"interval:{lo}..{lo + 3}")
+]
+
+
+@pytest.mark.parametrize(
+    "argv, lhs",
+    [(THM1_OVER_CAP, 0.18708716054861704), (THM1_EIGHT_SETS, 0.15237044077461917)],
+    ids=["cap-sets", "eight-sets"],
+)
+def test_thm1_without_decomposition_builds_no_product_grid(tmp_path, argv, lhs):
+    # the headline TV reads the Poisson pmfs at the observed keys (453 of them
+    # for the eight sets); only the decomposition's grids meet the cap
+    code, out = run([*argv, "--no-decomposition"], tmp_path)
+    assert code == 0
+    report = json.loads((out / "thm1_report.json").read_text())
+    assert report["name"].endswith(",m=8]")
+    assert report["lhs"] == pytest.approx(lhs, rel=1e-14)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -26,7 +26,7 @@ from primepoisson import (
     product_joint,
     tv_distance,
     tv_distance_joint,
-    tv_distance_sparse,
+    tv_distance_keys,
 )
 from primepoisson.dist import MASS_SLACK, exact_sum
 
@@ -194,32 +194,64 @@ def scatter(keys: np.ndarray, probs: np.ndarray) -> JointPmf:
 
 
 @st.composite
-def sparse_dense_pairs(draw):
-    """Distinct random keys with positive masses, and a dense pmf q of the
-    same dimension; key coordinates run two past q's box, so keys fall
-    inside it, on its last cells and outside it."""
-    q = draw(joint_pmf_pairs())[0]
-    coords = st.tuples(*(st.integers(0, n + 1) for n in q.probs.shape))
-    keys = np.array(draw(st.lists(coords, min_size=1, max_size=40, unique=True)), np.uint8)
+def keys_and_components(draw):
+    """1-3 random pmfs, and distinct random keys with positive masses.  Key
+    coordinates run two past each pmf's support, so keys fall inside the
+    product box, on its last cells and outside it; or the keys are the whole
+    box, where the mass left off the keys is 0 up to rounding.  Entries of
+    weight 0 get tiny values down to 5e-324, as the Poisson tails have."""
+    tiny = st.one_of(st.floats(0.0, 1e-17), st.sampled_from([0.0, 5e-324, 2.0**-1022]))
+    components = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 15))
+        weights = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=15))
+        w = np.resize(np.array(weights, dtype=float), n)
+        assume(w.any())
+        t = np.resize(np.array(draw(st.lists(tiny, min_size=1, max_size=7))), n)
+        components.append(Pmf(np.where(w > 0.0, w / w.sum(), t)))
+    if draw(st.booleans()):
+        keys = np.array(list(itertools.product(*(range(len(c)) for c in components))), np.uint8)
+    else:
+        coords = st.tuples(*(st.integers(0, len(c) + 1) for c in components))
+        keys = np.array(draw(st.lists(coords, min_size=1, max_size=40, unique=True)), np.uint8)
     weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=len(keys), max_size=len(keys))))
-    return keys, weights / weights.sum(), q
+    return keys, weights / weights.sum(), components
 
 
-@given(sparse_dense_pairs())
-def test_sparse_tv_is_the_dense_tv_of_its_scatter(triple):
-    keys, probs, q = triple
-    assert tv_distance_sparse(keys, probs, q) == tv_distance_joint(scatter(keys, probs), q)
+@given(keys_and_components())
+def test_key_tv_is_the_dense_tv_of_its_scatter_within_its_uncertainty(triple):
+    keys, probs, components = triple
+    tv = tv_distance_keys(keys, probs, components)
+    dense = tv_distance_joint(scatter(keys, probs), product_joint(components))
+    assert abs(tv.value - dense.value) <= tv.uncertainty
 
 
-def test_joint_tv_empirical_key_outside_poisson_box():
+def test_key_tv_clamps_and_counts_a_negative_mass_difference():
+    # on these three pmfs the products of all 18 cells sum 2^-52 past the
+    # product of the sums, so the mass left off the keys rounds below 0
+    components = [
+        Pmf([0.6645264847512039, 0.33547351524879615]),
+        Pmf([0.078125, 0.37160326086956524, 0.5502717391304348]),
+        Pmf([0.6083530338849488, 0.27501970055161545, 0.11662726556343578]),
+    ]
+    keys = np.array(list(itertools.product(range(2), range(3), range(3))), np.uint8)
+    probs = product_joint(components).probs[tuple(keys.T)]
+    tv = tv_distance_keys(keys, probs, components)
+    dense = tv_distance_joint(scatter(keys, probs), product_joint(components))
+    assert tv.value == 0.0 == dense.value
+    assert tv.uncertainty == 5 * math.ulp(1.0) + 0.5 * 2.0**-52
+
+
+def test_key_tv_empirical_key_outside_poisson_support():
     counts = joint_factor_counts(10**4, [SetSpec(PrimeSet([2]), CountMode.WITH_MULTIPLICITY)])
     probs = counts.tallies / counts.x
-    poisson = product_joint([poisson_pmf(1.0, 1e-3)])  # h1 of {2} is 1
-    assert counts.keys.max() >= poisson.probs.shape[0]
-    empirical = scatter(counts.keys, probs)
-    assert tv_distance_sparse(counts.keys, probs, poisson) == dict_tv(empirical, poisson)
+    poisson = poisson_pmf(1.0, 1e-3)  # h1 of {2} is 1
+    assert counts.keys.max() >= len(poisson)
+    tv = tv_distance_keys(counts.keys, probs, [poisson])
+    dense = dict_tv(scatter(counts.keys, probs), product_joint([poisson]))
+    assert abs(tv.value - dense.value) <= tv.uncertainty - 0.5 * poisson.tail_bound
     with pytest.raises(DomainError, match="dimension mismatch"):
-        tv_distance_sparse(counts.keys, probs, product_joint([poisson_pmf(1.0)] * 2))
+        tv_distance_keys(counts.keys, probs, [poisson_pmf(1.0)] * 2)
 
 
 def test_joint_grids_over_cap_refused():
@@ -237,7 +269,7 @@ def test_joint_truncation_gap_within_tail_bounds():
 
 def test_product_joint_entries():
     single = product_joint([poisson_pmf(1.0)])
-    assert single.dims == 1
+    assert single.probs.ndim == 1
     assert single.entries[(1,)] == pytest.approx(math.exp(-1), abs=1e-15)
 
     pair = product_joint([poisson_pmf(1.0, 1e-15), poisson_pmf(2.0, 1e-15)])

@@ -15,12 +15,12 @@ from primepoisson import (
     DomainError,
     PrimeSet,
     SetSpec,
-    JointPmf,
+    Pmf,
     joint_factor_counts,
     oracle_factor_counts,
     sieve_primes,
     smooth_part_distribution,
-    tv_distance_sparse,
+    tv_distance_keys,
 )
 from primepoisson import factorstats
 
@@ -197,8 +197,8 @@ def test_joint_pmf_normalization():
     assert jc.keys.tolist() == [[0], [1], [2]]
     assert probs.tolist() == [0.33, 0.51, 0.16]
     assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
-    same = tv_distance_sparse(jc.keys, probs, JointPmf(probs))
-    assert (same.value, same.uncertainty) == (0.0, 0.0)
+    same = tv_distance_keys(jc.keys, probs, [Pmf(probs)])
+    assert (same.value, same.uncertainty) == (0.0, 3 * math.ulp(1.0))  # (m + 2) ulp of rounding
 
 
 def test_smooth_part_hand_case():

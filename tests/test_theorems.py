@@ -280,8 +280,8 @@ def test_thm1_grid_over_cap_refused_before_counting(monkeypatch):
 
 def test_thm1_sparse_exact_law_needs_no_box():
     # eight single-prime multiplicity sets: 20,198 observed count vectors whose
-    # box has 62,868,960 cells; the TV against the product law spans neither
-    # that box nor its union with the product grid
+    # box has 62,868,960 cells; the TV against the product law builds neither
+    # that box nor the product grid
     specs = tuple(mspec(PrimeSet((p,))) for p in (2, 3, 5, 7, 11, 13, 17, 19))
     cfg = Thm1Config(x=10**7, y=100, specs=specs, tail_eps=0.1, include_decomposition=False)
     tracemalloc.start()
@@ -290,8 +290,23 @@ def test_thm1_sparse_exact_law_needs_no_box():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.lhs == 0.23697051715998887
+    assert report.lhs == 0.23697051715998896
     assert peak < 64 << 20, peak  # the 8-byte box alone would be 480 MiB
+
+
+def test_headline_tv_builds_no_product_grid(monkeypatch):
+    # cor1 and thm1 without the decomposition read the Poisson pmfs, not their grid
+    from primepoisson import theorems
+
+    calls = []
+    real = theorems.product_joint
+    monkeypatch.setattr(theorems, "product_joint", lambda c: calls.append(len(c)) or real(c))
+    check_corollary1(10**5, 0, 1)
+    specs = (dspec(sieve_primes(7)), mspec(PrimeSet((11, 13))))
+    check_thm1(Thm1Config(x=10**4, y=31, specs=specs, include_decomposition=False))
+    assert calls == []
+    check_thm1(Thm1Config(x=10**4, y=31, specs=specs))
+    assert calls == [2, 2]  # the decomposition's Poisson and model grids
 
 
 def test_thm3_table_counts_all_primes_with_no_complement_set(monkeypatch):
@@ -312,6 +327,21 @@ def test_thm3_table_counts_all_primes_with_no_complement_set(monkeypatch):
     assert sizes.count(pi) == 1 and pi - len(tset) not in sizes
     assert len(calls) == 1
     assert rep.params["complement_size"] == pi - len(tset)
+
+
+def test_thm3_table_sums_only_h_over_every_prime(monkeypatch):
+    # the table reads only h of the primes <= x, so harmonic_sums, which builds
+    # and sums three term arrays, runs on T alone; h is the float it would give
+    from primepoisson import theorems
+
+    x, tset = 10**5, sieve_primes(100)
+    sizes = []
+    real = theorems.harmonic_sums
+    monkeypatch.setattr(theorems, "harmonic_sums", lambda ps: sizes.append(len(ps)) or real(ps))
+    theorems._thm3_table.cache_clear()
+    check_thm3(x, tset, 3, 3.0, 0.5)
+    assert sizes and set(sizes) == {len(tset)}
+    assert theorems._thm3_table(x, tset)[0] == real(sieve_primes(x)).h
 
 
 def test_thm3_empty_condition_is_distinct_error():
