@@ -121,6 +121,9 @@ MATRIX = [
     ["thm3", "--x", "1e13", "--set", "interval:2..1e8", "--k", "1", "--psi", "0.5"],
     ["thm1", "--x", "1e5", "--y", "1000", *CAP_SETS, "--no-decomposition"],
     ["thm1", "--x", "1e6", "--y", "40", *EIGHT_SETS, "--no-decomposition"],
+    # a multiplicity law without 2, whose cut is short, and one over an empty set
+    ["model", "--set", "interval:11..100:multiplicity"],
+    ["model", "--set", "interval:24..28:multiplicity"],
 ]
 
 

@@ -5,8 +5,9 @@ There is one law type: a JointPmf is a read-only float64 array, dense over a
 box from the origin to a truncation point on each axis, together with a
 tail_bound that certifies how much mass the stored array can miss.  A Pmf is
 its one-axis case, with 1-D helpers; the model pmfs store their support only
-up to the last nonzero entry.  Total-variation distances report that
-missing mass as an explicit uncertainty instead of silently ignoring it.
+up to the last nonzero entry (distinct) or a certified cut (multiplicity).
+Total-variation distances report that missing mass as an explicit
+uncertainty instead of silently ignoring it.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class JointPmf:
 class Pmf(JointPmf):
     """The one-axis joint law: a pmf on {0, 1, 2, ...}, probs[k] approximates
     P(X = k) and the mass the vector misses is at most tail_bound.  The
-    stored support may end before the law's (model_exact_pmf stops at its
-    last nonzero entry); prob(k) is 0.0 past it."""
+    stored support may end before the law's (model_exact_pmf stops at the
+    last nonzero entry, or at the cut of its multiplicity series); prob(k)
+    is 0.0 past it."""
 
     def __post_init__(self, mass):
         if np.ndim(self.probs) != 1 or np.size(self.probs) == 0:
@@ -212,6 +214,16 @@ def exact_sum(arrays: Iterable[np.ndarray]) -> float:
     return (total + _fold(bins)) / (1 << 1075)
 
 
+def _clamped_tv(value: float, radius: float) -> TvResult:
+    """The TV known to lie within radius of value, and in [0, 1].  When
+    value + radius passes 1, the midpoint and half-width of [max(0, value -
+    radius), 1]: a value rounded up to 1.0 keeps a nonzero uncertainty."""
+    if value + radius <= 1.0:
+        return TvResult(value=value, uncertainty=radius)
+    lo = min(max(0.0, value - radius), 1.0)
+    return TvResult(value=(1.0 + lo) / 2, uncertainty=(1.0 - lo) / 2)
+
+
 def _tv(p: np.ndarray, q: np.ndarray, tail_bound: float) -> TvResult:
     """Half the correctly rounded sum of |p - q|, zero-padded to one box."""
     shape = tuple(map(max, p.shape, q.shape))
@@ -219,8 +231,7 @@ def _tv(p: np.ndarray, q: np.ndarray, tail_bound: float) -> TvResult:
     diff = np.zeros(shape)
     diff[tuple(map(slice, p.shape))] = p
     diff[tuple(map(slice, q.shape))] -= q
-    value = min(1.0, 0.5 * exact_sum([np.abs(diff, out=diff)]))
-    return TvResult(value=value, uncertainty=min(1.0 - value, 0.5 * tail_bound))
+    return _clamped_tv(0.5 * exact_sum([np.abs(diff, out=diff)]), 0.5 * tail_bound)
 
 
 def tv_distance(p: Pmf, q: Pmf) -> TvResult:
@@ -254,10 +265,9 @@ def tv_distance_keys(keys: np.ndarray, probs: np.ndarray, components: Sequence[P
     for col, c in zip(keys.T.astype(np.intp), components):
         q *= np.append(c.probs, 0.0)[np.minimum(col, len(c))]
     rest = math.prod(exact_sum([c.probs]) for c in components) - exact_sum([q])
-    value = min(1.0, 0.5 * (exact_sum([np.abs(probs - q)]) + max(rest, 0.0)))
+    value = 0.5 * (exact_sum([np.abs(probs - q)]) + max(rest, 0.0))
     tails = math.fsum(c.tail_bound for c in components) + max(-rest, 0.0)
-    radius = (len(components) + 2) * math.ulp(1.0) + 0.5 * tails
-    return TvResult(value=value, uncertainty=min(1.0 - value, radius))
+    return _clamped_tv(value, (len(components) + 2) * math.ulp(1.0) + 0.5 * tails)
 
 
 def product_joint(components: Sequence[Pmf]) -> JointPmf:

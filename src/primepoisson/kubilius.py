@@ -2,20 +2,18 @@
 the exponent vector of a uniform random integer n <= x.
 
 For each prime p the model exponent X_p has P(X_p = k) = p^(-k) * (1 - 1/p).
-The number of primes of a set T that "divide" the model integer is then a sum
-of independent Bernoulli(1/p) indicators, and the total exponent count over T
-is a sum of the X_p themselves.  Both laws are computed exactly as pairwise
-products of the per-prime factor polynomials, taken level by level over
-blocks of equal length, and their stored support ends at the last nonzero
-entry; the model-vs-truth total variation over exponent vectors is summed
-over the y-smooth parts of n <= x, streamed one segment at a time.
+The count of primes of a set T that "divide" the model integer is a sum of
+independent Bernoulli(1/p), computed as pairwise products of the factors.
+The total exponent count over T is compound Poisson, as (1 - 1/p)/(1 - z/p)
+= exp(sum_m (z^m - 1)/(m p^m)): its law is the Panjer recursion n g_n =
+sum_(m<=n) s_m g_(n-m), s_m = sum_T p^-m, up to one certified cut.  The
+model-vs-truth total variation over exponent vectors is summed over the
+y-smooth parts of n <= x, streamed one segment at a time.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -24,52 +22,10 @@ from .errors import DomainError
 from .factorstats import CountMode, iter_smooth_parts
 from .primesets import PrimeSet, prime_array
 
-# Exponent pmfs are truncated deep enough that the stored coefficients double
-# as the factor's power series on the disc |z| <= SERIES_RADIUS, which is what
-# the generating-function identities need checked at their domain edge.
+# The multiplicity law is cut deep enough that its stored coefficients double
+# as its power series on the disc |z| <= SERIES_RADIUS, which is what the
+# generating-function identities need checked at their domain edge.
 SERIES_RADIUS = 1.9
-
-
-def _exponent_cutoff(p: int, n_sets: int, tail_eps: float) -> int:
-    """Truncation depth for the factor at p: smallest k with
-    (SERIES_RADIUS/p)^k below tail_eps / n_sets.  SERIES_RADIUS < 2 <= p, so
-    the ratio is below 1 and the depth is finite."""
-    return max(1, math.ceil(math.log(tail_eps / n_sets) / math.log(SERIES_RADIUS / p)))
-
-
-def _factor_blocks(
-    primes: PrimeSet, mode: CountMode, tail_eps: float
-) -> tuple[list[np.ndarray], float]:
-    """The factor rows of the model law, one row per prime, stacked into 2-D
-    blocks of equal width, and the exact mass the truncation drops.
-
-    Distinct mode has one |T| x 2 block of Bernoulli(1/p) rows and drops
-    nothing.  Multiplicity mode has one block per run of equal truncation
-    depth c, rows (1 - 1/p) p^-k for k <= c, and drops sum(p^-(c+1)).  The
-    depth is non-increasing in p, so each run ends where a bisection with
-    the scalar depth finds it.
-    """
-    fp = primes.array.astype(np.float64)
-    inv = 1.0 / fp
-    if mode is CountMode.DISTINCT:
-        rows = np.stack([1.0 - inv, inv], axis=1)
-        return ([rows] if len(rows) else []), 0.0  # an empty set has no factor
-    ps = fp.tolist()
-
-    def neg_depth(p: float) -> int:  # non-decreasing in p, as bisect needs
-        return -_exponent_cutoff(p, len(ps), tail_eps)
-
-    blocks, dropped, start = [], [], 0
-    while start < len(ps):
-        c = _exponent_cutoff(ps[start], len(ps), tail_eps)
-        stop = bisect_right(ps, -c, lo=start, key=neg_depth)
-        q = inv[start:stop, None]
-        rows = np.power(q, np.arange(c + 1))
-        rows *= 1.0 - q  # the same product as (1 - q) * q^k, without a second table
-        blocks.append(rows)
-        dropped.append(map(pow, ps[start:stop], repeat(-(c + 1))))
-        start = stop
-    return blocks, math.fsum(chain.from_iterable(dropped))
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,6 +63,45 @@ def _block_product(block: np.ndarray) -> np.ndarray:
     return cols
 
 
+def _panjer(fp: np.ndarray, tail_eps: float) -> tuple[np.ndarray, float]:
+    """The multiplicity law over the ascending primes fp up to its cut N, and
+    the bound G(r)/r^N on the mass past it.  Entries that underflow to 0.0
+    past the last nonzero one are dropped, so no mass moves.
+
+    G(r) = prod (1 - 1/p)/(1 - r/p) = sum g_n r^n bounds sum_(n>=N) g_n |z|^n
+    by G(r) (SERIES_RADIUS/r)^N on |z| <= SERIES_RADIUS < r < min T.  N is
+    the least log(G(r)/tail_eps) / log(r/SERIES_RADIUS), a convex over a
+    concave function of r, so unimodal: golden-section search finds it.
+    """
+    inv = 1.0 / fp
+    log_g0 = -exact_sum([-np.log1p(-inv)])  # exact_sum takes nonnegative terms
+
+    def log_g(r: float) -> float:
+        return log_g0 - float(np.log1p(-r * inv).sum())
+
+    def cut(r: float) -> float:
+        return (log_g(r) - math.log(tail_eps)) / math.log(r / SERIES_RADIUS)
+
+    a, b = SERIES_RADIUS, float(fp[0])
+    for _ in range(30):
+        c, d = b - (b - a) * 0.618, a + (b - a) * 0.618
+        a, b = (a, d) if cut(c) <= cut(d) else (c, b)
+    r = (a + b) / 2
+    # log G and N log r are float sums good to far better than 1e-9 of their
+    # size: that margin, and one ulp past exp, make the cut and bound err upward
+    lg, log_r = log_g(r) * (1 + 1e-9), math.log(r)
+    n = math.ceil((lg - math.log(tail_eps)) / math.log(r / SERIES_RADIUS))
+    tail_bound = math.nextafter(math.exp(lg - n * log_r * (1 - 1e-9)), math.inf)
+    # s_m sums over fp[:k_m]: the primes past min T (|T| 2^53)^(1/m) add under one ulp of it
+    ks = np.searchsorted(fp, fp[0] * (fp.size * 2.0**53) ** (1 / np.arange(1, n)), side="right")
+    rev, g = np.zeros(n), np.empty(n)  # rev[n - 1 - m] = s_m: each dot reads forward
+    g[0] = math.exp(log_g0)
+    for m, k in enumerate(ks.tolist(), start=1):
+        rev[n - 1 - m] = np.power(fp[:k], -m).sum()
+        g[m] = rev[n - 1 - m : n - 1] @ g[:m] / m
+    return np.trim_zeros(g, "b"), tail_bound
+
+
 def model_exact_pmf(
     primes: PrimeSet,
     mode: CountMode,
@@ -114,25 +109,25 @@ def model_exact_pmf(
 ) -> Pmf:
     """Exact model law of the factor count over a prime set.
 
-    One factor law per prime: Bernoulli(1/p) in distinct mode (tail_bound
-    0), or the geometric-type exponent law truncated at a certified depth in
-    multiplicity mode (tail_bound the exact dropped mass sum(p^-(cutoff+1))).
-    The factors of each block of equal depth are multiplied as pairwise
-    products, level by level, and the block products are folded in turn.
-    After each product the trailing entries that underflowed to exactly 0.0
-    are dropped, so the stored support ends at the last nonzero entry (at
-    most |T| in distinct mode) and no mass moves.  A law that fails the Pmf
-    mass check is the program's fault, not the caller's: RuntimeError.
+    Distinct mode: the product of the Bernoulli(1/p) factors, taken pairwise
+    level by level, stored up to its last nonzero entry (at most |T|), with
+    tail_bound 0.  Multiplicity mode: the Panjer recursion up to the cut N
+    that makes the stored series good to tail_eps on |z| <= SERIES_RADIUS,
+    with tail_bound G(r)/r^N (_panjer).  An empty set is the point mass at
+    0.  A law that fails the Pmf mass check is the program's fault, not the
+    caller's: RuntimeError.
     """
     if not 0.0 < tail_eps < 1.0:
         raise DomainError(f"tail_eps must be in (0, 1), got {tail_eps}")
-    blocks, tail_bound = _factor_blocks(primes, mode, tail_eps)
-    products = map(_block_product, blocks)
-    acc = next(products, np.ones((1, 1)))
-    for product in products:
-        acc = _trim(_times(acc, product))
+    fp = primes.array.astype(np.float64)
+    if not fp.size:
+        probs, tail_bound = np.ones(1), 0.0
+    elif mode is CountMode.DISTINCT:
+        probs, tail_bound = _block_product(np.stack([1.0 - 1.0 / fp, 1.0 / fp], axis=1))[:, 0], 0.0
+    else:
+        probs, tail_bound = _panjer(fp, tail_eps)
     try:
-        return Pmf(acc[:, 0], tail_bound)
+        return Pmf(probs, tail_bound)
     except DomainError as e:
         raise RuntimeError(f"the model law failed its own check: {e}") from None
 

@@ -3,13 +3,15 @@
 One segmented sieve of Eratosthenes serves enumeration, counting and PrimeSet
 validation.  A PrimeSet stores its members once, as one read-only int64
 array (object for a member at or above 2^63); its primes tuple is a view
-built on demand, which no count path reads.  The sieve hands its int64 output
-to PrimeSet directly, and validation, set difference and the harmonic sums
-work on the array.  Validation indexes a cached byte table below 2^21; above
-it, one sieve over the members' span when that is cheaper than a Miller-Rabin
-test per member (sparse sets keep Miller-Rabin).  Harmonic sums are
-dist.exact_sum of the terms, the same floats as math.fsum; members at or
-above 2^53 have their terms formed from exact Python ints.
+built on demand, which no count path reads.  The sieve's int64 output becomes
+a PrimeSet as it is, unchecked: it is ascending primes by construction.
+Every other set is validated, and validation, set difference and the
+harmonic sums work on the array.  Validation indexes a cached byte table
+below 2^21; above it, one sieve over the members' span when that is cheaper
+than a Miller-Rabin test per member (sparse sets keep Miller-Rabin).
+Harmonic sums are dist.exact_sum of the terms, the same floats as
+math.fsum; members at or above 2^53 have their terms formed from exact
+Python ints.
 Every prime list, the sieve's base primes included, comes from prime_array,
 the one gate for an upper end at or above psi_12 and a span over 2^30.
 """
@@ -123,10 +125,10 @@ def _member(p) -> int:
 class PrimeSet:
     """A strictly increasing set of primes, stored once as a read-only array.
 
-    array takes any sequence of integers or an integer ndarray (the sieve
-    passes its own) and keeps a read-only copy: int64, or object when a member
-    is >= 2^63.  A member that is not an integer (2.0, 3.7) is refused, not
-    truncated.  Every member is checked on every construction, so a PrimeSet
+    array takes any sequence of integers or an integer ndarray and keeps a
+    read-only copy: int64, or object when a member is >= 2^63.  A member that
+    is not an integer (2.0, 3.7) is refused, not truncated.  Every member is
+    checked on every construction but the sieve's (_of_sieve), so a PrimeSet
     in hand is a valid finite set of primes.  Sets with the same members are
     equal; primes is a tuple view built on each access.
     """
@@ -146,6 +148,15 @@ class PrimeSet:
         _check_members(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
+
+    @classmethod
+    def _of_sieve(cls, arr: np.ndarray) -> "PrimeSet":
+        """The set of prime_array's own output, ascending int64 primes by
+        construction: kept as it is, without a copy or a second check."""
+        arr.flags.writeable = False
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "array", arr)
+        return ps
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -221,7 +232,7 @@ def sieve_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Pri
     """All primes p <= limit, ascending.  limit < 2 is a domain error."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    return PrimeSet(prime_array(1, int(limit), segment_size))
+    return PrimeSet._of_sieve(prime_array(1, int(limit), segment_size))
 
 
 def primes_in_interval(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
@@ -230,7 +241,7 @@ def primes_in_interval(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_
         raise DomainError(f"empty interval: hi={hi} < lo={lo}")
     if lo < 2:
         raise DomainError(f"interval lower endpoint must be >= 2, got {lo}")
-    return PrimeSet(prime_array(int(lo), int(hi), segment_size))
+    return PrimeSet._of_sieve(prime_array(int(lo), int(hi), segment_size))
 
 
 def count_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:

@@ -701,10 +701,10 @@ FLOAT_BOUNDARY_CASES = {
     ),
     "model-multiplicity": (
         ["model", "--set", "list:2,3:multiplicity"],
-        "support=617 mean=1.5 tail_bound=2.912324058756263e-31\n",
+        "support=686 mean=1.5 tail_bound=5.795541141013341e-204\n",
         {
-            "model_pmf.csv": "93d87d1ad76e8361cc918dd190e4ee5dd15badd30e28887f0b3a54926d087231",
-            "model_report.json": "9050cbed380878c23faa288946e22e9220c01aefb230cf0faad74449e71d8e9e",
+            "model_pmf.csv": "80e3decb74ac9696ae88c39ea1f29fe14e9e03a187f797492cffa489554c1e49",
+            "model_report.json": "38c48d79107bf2cd6b7fc961830cd72a7659074014102ba7184171d070670f2b",
         },
     ),
     "thm4": (

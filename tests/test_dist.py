@@ -153,8 +153,11 @@ def dict_tv(p: JointPmf, q: JointPmf) -> TvResult:
     sorted union of the keys of both boxes."""
     pe, qe = ({k: float(v) for k, v in np.ndenumerate(d.probs)} for d in (p, q))
     total = math.fsum(abs(pe.get(k, 0.0) - qe.get(k, 0.0)) for k in sorted(pe.keys() | qe.keys()))
-    value = min(1.0, 0.5 * total)
-    return TvResult(value, min(1.0 - value, 0.5 * (p.tail_bound + q.tail_bound)))
+    value, radius = 0.5 * total, 0.5 * (p.tail_bound + q.tail_bound)
+    if value + radius <= 1.0:
+        return TvResult(value, radius)
+    lo = min(max(0.0, value - radius), 1.0)  # the TV is in [lo, 1]: its midpoint and half-width
+    return TvResult((1.0 + lo) / 2, (1.0 - lo) / 2)
 
 
 @st.composite
@@ -219,6 +222,8 @@ def keys_and_components(draw):
 
 
 @given(keys_and_components())
+# the key TV rounds to 1.0; with its uncertainty clamped to 1 - value it claimed 0.0
+@example((np.array([[0, 2]], np.uint8), np.ones(1), [Pmf([1 / 3, 2 / 3]), Pmf([1 / 11, 10 / 11])]))
 def test_key_tv_is_the_dense_tv_of_its_scatter_within_its_uncertainty(triple):
     keys, probs, components = triple
     tv = tv_distance_keys(keys, probs, components)

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -20,8 +21,8 @@ from primepoisson import (
     smooth_part_distribution,
 )
 from primepoisson import kubilius
-from primepoisson.dist import DEFAULT_TAIL_EPS, Pmf
-from primepoisson.kubilius import _exponent_cutoff
+from primepoisson.dist import Pmf
+from primepoisson.kubilius import SERIES_RADIUS
 
 
 def test_distinct_two_primes_hand_case():
@@ -96,35 +97,23 @@ def _shift_add(a, b):
     return out
 
 
-def untrimmed_model_pmf(primes, mode, tail_eps):
-    """Reference: the same pairwise products, kept at every index up to the
-    sum of the truncation depths, zero tail included.  The rows of a run of
-    equal depth are multiplied adjacent pair by adjacent pair (an odd last
-    row times the unit 1), level by level, and the run products are folded
-    into the law in turn."""
-    ps = primes.primes
-    rows, dropped = [], []
-    for p in ps:
-        if mode is CountMode.DISTINCT:
-            rows.append(np.array([1.0 - 1.0 / p, 1.0 / p]))
-            continue
-        cutoff = _exponent_cutoff(p, len(ps), tail_eps)
-        rows.append((1.0 - 1.0 / p) * np.power(1.0 / p, np.arange(cutoff + 1)))
-        dropped.append(float(p) ** (-(cutoff + 1)))
-    acc = None
-    for _, run in itertools.groupby(rows, key=len):
-        block = np.array(list(run))
-        while len(block) > 1:
-            if len(block) % 2:
-                block = np.vstack([block, np.eye(1, block.shape[1])])
-            block = _shift_add(block[0::2], block[1::2])
-        acc = block if acc is None else _shift_add(acc, block)
-    return acc[0], math.fsum(dropped)
+def untrimmed_distinct_pmf(primes):
+    """Reference: the same pairwise products of the Bernoulli(1/p) rows, kept
+    at every index up to |T|, zero tail included.  Adjacent rows are
+    multiplied pair by pair (an odd last row times the unit 1), level by
+    level."""
+    block = np.array([[1.0 - 1.0 / p, 1.0 / p] for p in primes.primes])
+    while len(block) > 1:
+        if len(block) % 2:
+            block = np.vstack([block, np.eye(1, block.shape[1])])
+        block = _shift_add(block[0::2], block[1::2])
+    return block[0]
 
 
 def test_a_law_that_fails_its_own_mass_check_is_an_internal_error(monkeypatch):
-    times = kubilius._times
+    times, panjer = kubilius._times, kubilius._panjer
     monkeypatch.setattr(kubilius, "_times", lambda a, b: times(a, b) * 0.999)
+    monkeypatch.setattr(kubilius, "_panjer", lambda *args: (panjer(*args)[0] * 0.999, panjer(*args)[1]))
     for mode in CountMode:
         with pytest.raises(RuntimeError, match="^the model law failed its own check: Pmf mass"):
             model_exact_pmf(PrimeSet((2, 3, 5)), mode)
@@ -133,56 +122,43 @@ def test_a_law_that_fails_its_own_mass_check_is_an_internal_error(monkeypatch):
         Pmf(np.array([0.999]))
 
 
+@pytest.mark.parametrize("mode", CountMode)
+def test_the_empty_set_is_the_point_mass_at_zero(mode):
+    pmf = model_exact_pmf(PrimeSet(()), mode)
+    assert pmf.probs.tolist() == [1.0] and pmf.tail_bound == 0.0
+
+
 PRIMES_TO_20000 = list(sieve_primes(20_000).primes)
 
 
 # no shrink phase: shrinking a failing set of up to 2,262 primes, each step with
 # an untrimmed reference, ran for over 10 minutes; unshrunk, a failure shows in seconds
 @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(
-    st.sampled_from(CountMode),
-    st.integers(1, len(PRIMES_TO_20000)),
-    st.randoms(use_true_random=False),
-    st.sampled_from([1e-12, 1e-6, 1e-14]),
-)
-def test_trimmed_law_is_the_untrimmed_prefix(mode, size, rng, tail_eps):
-    # sets of a few thousand primes underflow far before the sum of the depths
+@given(st.integers(1, len(PRIMES_TO_20000)), st.randoms(use_true_random=False))
+def test_trimmed_law_is_the_untrimmed_prefix(size, rng):
+    # sets of a few thousand primes underflow far before index |T|
     ps = PrimeSet(tuple(sorted(rng.sample(PRIMES_TO_20000, size))))
-    pmf = model_exact_pmf(ps, mode, tail_eps)
-    ref, ref_tail = untrimmed_model_pmf(ps, mode, tail_eps)
+    pmf = model_exact_pmf(ps, CountMode.DISTINCT)
+    ref = untrimmed_distinct_pmf(ps)
     n = len(pmf)
     assert pmf.probs.tobytes() == ref[:n].tobytes()
     assert not ref[n:].any()
-    assert pmf.tail_bound == ref_tail
+    assert pmf.tail_bound == 0.0
     assert pmf.probs[-1] != 0.0
 
 
-@pytest.mark.parametrize(
-    "mode, support", [(CountMode.WITH_MULTIPLICITY, 890), (CountMode.DISTINCT, 180)]
-)
+@pytest.mark.parametrize("mode, support", [(CountMode.DISTINCT, 180)])
 def test_support_ends_at_the_last_nonzero_entry(mode, support):
-    # the untrimmed laws had 42,128 and 9,593 entries
+    # the untrimmed law had 9,593 entries
     assert len(model_exact_pmf(sieve_primes(10**5), mode)) == support
 
 
-@pytest.mark.parametrize("tail_eps", [1e-12, 1e-6])
-def test_grouped_factor_rows_equal_the_per_prime_rows(monkeypatch, tail_eps):
-    ps = sieve_primes(10**5)
-    seen, factor_blocks = [], kubilius._factor_blocks
-    monkeypatch.setattr(
-        kubilius, "_factor_blocks", lambda *args: seen.append(factor_blocks(*args)) or seen[-1]
-    )
-    model_exact_pmf(ps, CountMode.WITH_MULTIPLICITY, tail_eps)
-    monkeypatch.undo()
-    [(blocks, tail_bound)] = seen
-    cutoffs = [_exponent_cutoff(p, len(ps), tail_eps) for p in ps.primes]
-    # one block per run of equal cutoff, its rows in the order of the primes
-    assert [len(block) for block in blocks] == [len(list(r)) for _, r in itertools.groupby(cutoffs)]
-    rows = [row for block in blocks for row in block]
-    for p, c, row in zip(ps.primes, cutoffs, rows, strict=True):
-        q = 1.0 / p
-        assert row.tobytes() == ((1 - q) * np.power(q, np.arange(c + 1))).tobytes(), p
-    assert tail_bound == math.fsum(float(p) ** -(c + 1) for p, c in zip(ps.primes, cutoffs))
+@pytest.mark.parametrize("tail_eps, cut", [(1e-12, 727), (1e-6, 448)])
+def test_multiplicity_law_stops_at_its_series_cut(tail_eps, cut):
+    # the per-prime truncation depths stored 890 entries at 1e-12
+    pmf = model_exact_pmf(sieve_primes(10**5), CountMode.WITH_MULTIPLICITY, tail_eps)
+    assert len(pmf) == cut
+    assert pmf.probs.min() > 0.0
 
 
 PRIMES_TO_3000 = sieve_primes(3000).primes
@@ -201,24 +177,56 @@ def exact_law(rows):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.sampled_from(CountMode),
-    st.sets(st.sampled_from(PRIMES_TO_3000[:15]), max_size=4),
-    st.sets(st.sampled_from(PRIMES_TO_3000), max_size=40),
-)
-def test_law_matches_the_exact_product_of_its_rows(mode, small, rest):
-    # small primes give wide rows and runs of their own in multiplicity mode
-    assume(small or rest)
-    ps = PrimeSet(sorted(small | rest))
-    pmf = model_exact_pmf(ps, mode)
-    blocks, _ = kubilius._factor_blocks(ps, mode, DEFAULT_TAIL_EPS)
-    exact = exact_law([row.tolist() for block in blocks for row in block])
+@given(st.sets(st.sampled_from(PRIMES_TO_3000), min_size=1, max_size=40))
+def test_law_matches_the_exact_product_of_its_rows(primes):
+    ps = PrimeSet(sorted(primes))
+    pmf = model_exact_pmf(ps, CountMode.DISTINCT)
+    exact = exact_law([[1.0 - 1.0 / p, 1.0 / p] for p in ps.primes])
     computed = pmf.probs.tolist() + [0.0] * (len(exact) - len(pmf))
     errors = [Fraction(c) - e for c, e in zip(computed, exact, strict=True)]
     for k, (err, e) in enumerate(zip(errors, exact)):
         if e > 1e-250:
             assert abs(err) <= 1e-13 * e, (k, float(err / e))
     assert float(sum(map(abs, errors))) <= 1e-15
+
+
+def multiplicity_oracle(primes, n, bits):
+    """The exact multiplicity law at `bits` of precision: the first n
+    coefficients of prod (1 - 1/p)/(1 - z/p), each geometric series
+    multiplied in as the running sums g_k += g_(k-1)/p; the mass past n;
+    and sum_(k>=n) g_k 1.9^k, the series tail on the circle |z| = 1.9."""
+    with mpmath.workprec(bits):
+        g = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (n - 1)
+        for p in primes:
+            for k in range(1, n):
+                g[k] += g[k - 1] / p
+        g = [mpmath.fprod(1 - mpmath.mpf(1) / p for p in primes) * v for v in g]
+        radius = mpmath.mpf(SERIES_RADIUS)
+        series = mpmath.fprod((p - 1) / (p - radius) for p in primes)
+        series_tail = series - mpmath.fsum(v * radius**k for k, v in enumerate(g))
+        return g, 1 - mpmath.fsum(g), series_tail
+
+
+# no shrink phase: each shrink step reruns the mpmath oracle, so a broken
+# recursion took 3 minutes to fail with shrinking and 2 seconds without
+@settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    st.booleans(),
+    st.sets(st.sampled_from(PRIMES_TO_3000[1:]), max_size=12),
+    st.sampled_from([1e-6, 1e-12, 1e-14]),
+)
+def test_multiplicity_law_matches_an_mpmath_oracle(with_two, rest, tail_eps):
+    primes = sorted(rest | ({2} if with_two else set()))
+    assume(primes)
+    pmf = model_exact_pmf(PrimeSet(primes), CountMode.WITH_MULTIPLICITY, tail_eps)
+    # 200 bits past the tail bound's scale, so the missing mass is resolved too
+    bits = 200 - min(0, math.frexp(pmf.tail_bound)[1])
+    exact, missing, series_tail = multiplicity_oracle(primes, len(pmf), bits)
+    for k, (c, e) in enumerate(zip(pmf.probs.tolist(), exact)):
+        if e > 1e-250:
+            assert abs(c - e) <= 1e-14 * e, (k, float(abs(c - e) / e))
+    assert pmf.tail_bound >= missing
+    assert series_tail <= tail_eps
 
 
 def test_radius_validation():

@@ -168,6 +168,21 @@ def test_prime_set_validation():
             PrimeSet(members)
 
 
+def test_the_sieve_output_is_not_validated_again(monkeypatch):
+    from primepoisson import primesets
+
+    checked = []
+    check = primesets._check_members
+    monkeypatch.setattr(primesets, "_check_members", lambda arr: checked.append(arr.size) or check(arr))
+    ps = sieve_primes(10**7)
+    assert len(ps) == 664_579 and not ps.array.flags.writeable
+    assert len(primes_in_interval(10**6, 2 * 10**6)) == 70_435
+    assert checked == []
+    with pytest.raises(DomainError, match="^4 is not prime$"):
+        PrimeSet([4])
+    assert checked == [1]
+
+
 def test_prime_set_membership_and_difference():
     ps = sieve_primes(30)
     assert 29 in ps and 28 not in ps

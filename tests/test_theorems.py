@@ -318,7 +318,12 @@ def test_thm3_table_counts_all_primes_with_no_complement_set(monkeypatch):
     pi = count_primes(x)
     sizes, calls = [], []
     post_init, real = PrimeSet.__post_init__, theorems.joint_factor_counts
+    of_sieve = PrimeSet._of_sieve.__func__
     monkeypatch.setattr(PrimeSet, "__post_init__", lambda s: post_init(s) or sizes.append(len(s)))
+    # the sieve's own sets skip __post_init__: they are seen where they are made
+    monkeypatch.setattr(
+        PrimeSet, "_of_sieve", classmethod(lambda cls, a: sizes.append(a.size) or of_sieve(cls, a))
+    )
     monkeypatch.setattr(
         theorems, "joint_factor_counts", lambda *a, **k: calls.append(a) or real(*a, **k)
     )
