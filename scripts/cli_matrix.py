@@ -124,6 +124,10 @@ MATRIX = [
     # a multiplicity law without 2, whose cut is short, and one over an empty set
     ["model", "--set", "interval:11..100:multiplicity"],
     ["model", "--set", "interval:24..28:multiplicity"],
+    # y above sqrt(x) at scale, and two requests at the x cap that the Psi guard judges
+    ["model-tv", "--x", "1e7", "--y", "1e7"],
+    ["model-tv", "--x", "1099511627776", "--y", "100"],
+    ["model-tv", "--x", "1099511627776", "--y", "1000"],
 ]
 
 

@@ -12,9 +12,9 @@ their sorted array, found by binary search, and the (p, k) pairs bump their
 n's counter in blocks.  A trial-division oracle is an independent slow route
 for cross-checking.
 
-The y-smooth parts of n <= x come from the _small_part kernel in one
-streamed pass: count(s) = R(x // s), R(t) being the number of m <= t without
-a prime factor <= y, so no table of all parts is ever built.
+The y-smooth parts of n <= x are enumerated, not found by a pass over every
+n: count(s) = R(x // s), R(t) being the number of m <= t without a prime
+factor <= y, read off one Legendre table over {x // d}.
 """
 
 from __future__ import annotations
@@ -27,15 +27,20 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapError, DomainError
-from .primesets import DEFAULT_SEGMENT_SIZE, PrimeSet, prime_array, segment_bounds
+from .primesets import DEFAULT_SEGMENT_SIZE, PrimeSet, check_x_cap, legendre_table
+from .primesets import prime_array, segment_bounds
 
 MAX_SETS = 8
-MAX_X = 1 << 40
 ORACLE_MAX_X = 10**6
 
 # The large-prime pass expands its (p, k) pairs _BLOCK at a time to keep its
 # temporaries small.
 _BLOCK = 1 << 16
+
+# The Psi guard: a smooth-part request is refused when Rankin's bound on its
+# number of parts, the least over _RANKIN_SIGMAS, is over MAX_SMOOTH_PARTS.
+MAX_SMOOTH_PARTS = 10**9
+_RANKIN_SIGMAS = np.arange(1, 21) / 20
 
 # Counters are one byte per (set, n); counts within the caps never reach the
 # saturation value (Omega(n) <= 40 for n <= 2^40), so hitting it means a bug.
@@ -94,13 +99,6 @@ class JointCounts:
         }
 
 
-def check_x_cap(x: int) -> None:
-    """The one check of MAX_X.  Every check and count that x sizes calls it
-    before any work, so an x over the cap is refused before a sieve starts."""
-    if x > MAX_X:
-        raise CapError(f"x={x} exceeds the cap of 2^40")
-
-
 def check_disjoint(specs: tuple[SetSpec, ...]) -> None:
     """Refuse sets that share a prime, as Theorems 1 and 2 assume; counting does not."""
     members = np.sort(np.concatenate([np.empty(0, np.int64), *(s.primes.array for s in specs)]))
@@ -125,16 +123,21 @@ def _validate_request(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> tup
     return specs
 
 
-def _small_part(seg_lo: int, seg_hi: int, primes: list[int]) -> np.ndarray:
-    """prod p^v_p(n) over the given primes for n in [seg_lo, seg_hi], in the
-    narrowest dtype for seg_hi: each prime power p^a multiplies its multiples by p."""
-    acc = np.ones(seg_hi - seg_lo + 1, dtype=np.min_scalar_type(seg_hi))
-    for p in primes:
-        q = p
-        while q <= seg_hi:
-            acc[-seg_lo % q :: q] *= p
-            q *= p
-    return acc
+def _multiples(primes: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The n = p*k in [lo, hi] over ascending primes above sqrt(hi), _BLOCK at a
+    time, k-major: for each k, the p are one slice of the array."""
+    k = np.arange(max(1, lo // primes[-1]), hi // primes[0] + 1, dtype=primes.dtype)
+    first = np.searchsorted(primes, -(-lo // k))
+    lengths = np.searchsorted(primes, hi // k, "right") - first
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total = int(ends[-1]) if k.size else 0  # k is empty below the smallest prime
+    for j in range(0, total, _BLOCK):  # pairs j..j_end-1 come from the k in a..b-1
+        j_end = min(j + _BLOCK, total)
+        a, b = np.searchsorted(ends, (j, j_end - 1), "right") + (0, 1)
+        span = np.minimum(ends[a:b], j_end) - np.maximum(starts[a:b], j)
+        at = np.repeat(first[a:b] - starts[a:b], span) + np.arange(j, j_end)
+        yield np.repeat(k[a:b], span) * primes[at]
 
 
 def _count_keys(x: int, specs: tuple[SetSpec, ...]):
@@ -163,19 +166,8 @@ def _count_keys(x: int, specs: tuple[SetSpec, ...]):
             start = -seg_lo % q
             if start < n_seg:
                 counters[start::q, i] += 1
-        for primes, i in large:  # the k-major pass: the large primes p with p*k in the segment
-            k = np.arange(max(1, seg_lo // primes[-1]), seg_hi // primes[0] + 1, dtype=primes.dtype)
-            first = np.searchsorted(primes, -(-seg_lo // k))
-            lengths = np.searchsorted(primes, seg_hi // k, "right") - first
-            ends = np.cumsum(lengths)
-            starts = ends - lengths
-            total = int(ends[-1]) if k.size else 0  # k is empty below the smallest prime
-            for j in range(0, total, _BLOCK):  # pairs j..j_end-1 come from the k in lo..hi-1
-                j_end = min(j + _BLOCK, total)
-                lo, hi = np.searchsorted(ends, (j, j_end - 1), "right") + (0, 1)
-                span = np.minimum(ends[lo:hi], j_end) - np.maximum(starts[lo:hi], j)
-                at = np.repeat(first[lo:hi] - starts[lo:hi], span) + np.arange(j, j_end)
-                n = np.repeat(k[lo:hi], span) * primes[at]
+        for primes, i in large:  # the k-major pass over the large primes
+            for n in _multiples(primes, seg_lo, seg_hi):
                 counters[n - seg_lo, i] += 1  # n has one prime > root: no repeats in a set
         return counters.view(f"<u{width}").ravel()
 
@@ -248,53 +240,84 @@ def oracle_factor_counts(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> 
     return JointCounts(int(x), specs, np.array(keys, dtype=np.uint8), tallies)
 
 
-def iter_smooth_parts(
-    x: int, y: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The y-smooth parts s of n in [1, x] (largest divisors made of primes
-    <= y) and how many n have each, as int64 arrays, one pair per segment:
-    count(s) = R(x // s), R(t) = #{m <= t : no prime factor of m is <= y}
-    (Hildebrand and Tenenbaum, "Integers without large prime factors", 1993;
-    Granville, "Smooth numbers", 2008), answered as the loop passes t = x // s.
-    """
+def smooth_primes(x: int, y: int) -> np.ndarray:
+    """The primes <= y of a smooth-part request, after its checks: y >= 2,
+    x >= y, the x cap, prime_array's own gates, then the Psi guard."""
     if y < 2:
         raise DomainError(f"smoothness bound must be >= 2, got {y}")
     if x < y:
         raise DomainError(f"x must be >= y, got x={x} < y={y}")
     check_x_cap(x)
-    return _smooth_runs(x, y, segment_bounds(1, x, segment_size))
+    primes = prime_array(1, y)
+    if x > MAX_SMOOTH_PARTS and (bound := _log_rankin(x, primes)) > math.log(MAX_SMOOTH_PARTS):
+        raise CapError(  # else Psi(x, y) <= min(x, Rankin) is under the cap
+            f"Rankin's bound allows {math.exp(bound):.3g} smooth parts of n <= {x} "
+            f"for y={y}, over the cap of {MAX_SMOOTH_PARTS:.0e}"
+        )
+    return primes
 
 
-def _smooth_runs(x: int, y: int, bounds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _log_rankin(x: int, primes: np.ndarray) -> float:
+    """log of Rankin's bound Psi(x, y) <= x^s prod_(p <= y) (1 - p^-s)^-1 (Rankin,
+    1938; Granville, "Smooth numbers", 2008), the least over _RANKIN_SIGMAS."""
+    logs = _RANKIN_SIGMAS * math.log(x)
+    for block in (primes[i : i + _BLOCK] for i in range(0, primes.size, _BLOCK)):
+        logs -= np.log1p(-np.exp(np.outer(_RANKIN_SIGMAS, -np.log(block)))).sum(axis=1)
+    return float(logs.min())
+
+
+def smooth_parts(x: int, primes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The y-smooth parts s of n <= x, given the primes <= y, and their counts
+    R(x // s) (Hildebrand and Tenenbaum, 1993), as int64 blocks.  A part whose
+    largest prime p is <= sqrt(x) is p^a times an earlier part; the rest are
+    p*m with p > sqrt(x), m <= x // p.  The counts must total x."""
     root = math.isqrt(x)
-    primes = prime_array(1, min(y, root)).tolist()
-    table = np.zeros(root + 1, dtype=np.int64)  # R(t) for t <= sqrt(x), filled in passing
-    wait = np.empty(0, dtype=np.int64)  # parts s whose x // s the loop has not reached
-    below = total = 0  # R(seg_lo - 1), and the counts yielded so far
-    for seg_lo, seg_hi in bounds:
-        smooth = _small_part(seg_lo, seg_hi, primes)
-        n = np.arange(seg_lo, seg_hi + 1, dtype=smooth.dtype)
-        if y > root:  # n is its sqrt(x)-smooth part times a cofactor, 1 or a prime
-            smooth = np.where(n // smooth <= y, n, smooth)
-        rough = np.flatnonzero(smooth == 1)  # offsets of the n without a prime factor <= y
-        parts = np.concatenate((wait, np.flatnonzero(smooth == n) + seg_lo))
-        del n, smooth  # only a segment's parts and counts stay alive past the yield
-        span = np.arange(seg_lo, min(seg_hi, root) + 1)  # empty past sqrt(x)
-        table[span] = below + np.searchsorted(rough, span - seg_lo, "right")
-        t = x // parts
-        parts, t, wait = parts[t <= seg_hi], t[t <= seg_hi], parts[t > seg_hi]
-        counts = table[np.minimum(t, root)]  # t > sqrt(x) only for s < sqrt(x), so t >= seg_lo
-        counts[t > root] = below + np.searchsorted(rough, t[t > root] - seg_lo, "right")
-        below, total = below + rough.size, total + int(counts.sum())
-        del t
-        yield parts, counts
-    if wait.size or total != x:
-        raise RuntimeError(f"smooth-part counts total {total} != x={x}, {wait.size} left")
+    table = legendre_table(x, primes)
+    cut = int(np.searchsorted(primes, root, "right"))
+
+    def parts() -> Iterator[np.ndarray]:
+        base = np.ones(1, dtype=np.int64)  # the parts met so far, pruned to x // p
+        yield base
+        for p in primes[:cut].tolist():
+            base = piece = base[base <= x // p]
+            grown = [base]
+            while (piece := p * piece[piece <= x // p]).size:  # p^a times the base
+                yield piece
+                grown.append(piece[piece <= x // (p + 1)])  # the next prime's bound at most
+            base = np.concatenate(grown)
+        if cut < primes.size:
+            yield from _multiples(primes[cut:], 1, x)
+
+    total = 0
+    for s in _regroup(parts()):
+        counts = table[np.where(s <= root, 2 * root + 1 - s, x // s)]  # R(x // s)
+        total += int(counts.sum())
+        yield s, counts
+    if total != x:
+        raise RuntimeError(f"smooth-part counts total {total} != x={x}")
 
 
-def smooth_part_distribution(
-    x: int, y: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> dict[int, int]:
+def _regroup(arrays: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The entries of a stream of arrays, in order, in blocks of at most 2^15
+    (exact_sum's block): small arrays are joined, so numpy steps cover many."""
+    held, size, most = [], 0, _BLOCK // 2
+    for a in arrays:
+        for block in (a[i : i + most] for i in range(0, a.size, most)):
+            if size + block.size > most:
+                yield np.concatenate(held)
+                held, size = [], 0
+            held.append(block)
+            size += block.size
+    if held:
+        yield np.concatenate(held)
+
+
+def iter_smooth_parts(x: int, y: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """smooth_parts over the primes <= y, every check made before it starts."""
+    return smooth_parts(x, smooth_primes(x, y))
+
+
+def smooth_part_distribution(x: int, y: int) -> dict[int, int]:
     """Counts of the y-smooth part of n over n in [1, x], as a dict ascending in the part."""
-    parts, counts = map(np.concatenate, zip(*iter_smooth_parts(x, y, segment_size=segment_size)))
+    parts, counts = map(np.concatenate, zip(*iter_smooth_parts(x, y)))
     return dict(sorted(zip(parts.tolist(), counts.tolist())))

@@ -8,7 +8,7 @@ The total exponent count over T is compound Poisson, as (1 - 1/p)/(1 - z/p)
 = exp(sum_m (z^m - 1)/(m p^m)): its law is the Panjer recursion n g_n =
 sum_(m<=n) s_m g_(n-m), s_m = sum_T p^-m, up to one certified cut.  The
 model-vs-truth total variation over exponent vectors is summed over the
-y-smooth parts of n <= x, streamed one segment at a time.
+y-smooth parts of n <= x, enumerated a block at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from .dist import DEFAULT_TAIL_EPS, Pmf, TvResult, exact_sum
 from .errors import DomainError
-from .factorstats import CountMode, iter_smooth_parts
-from .primesets import PrimeSet, prime_array
+from .factorstats import CountMode, smooth_parts, smooth_primes
+from .primesets import PrimeSet
 
 # The multiplicity law is cut deep enough that its stored coefficients double
 # as its power series on the disc |z| <= SERIES_RADIUS, which is what the
@@ -139,12 +139,13 @@ def model_tv_exact(x: int, y: int) -> TvResult:
     Exponent vectors over primes <= y correspond bijectively to y-smooth
     parts s, with model probability (1/s) * prod_{p <= y} (1 - 1/p).  The TV
     sums max(0, P_true(s) - P_model(s)) over the observed parts, fed to
-    dist.exact_sum one segment at a time.  The value is the correctly rounded
-    sum of these float terms, but uncertainty 0.0 does not bound their
-    rounding ("Honest rounding", ROADMAP.md).
+    dist.exact_sum one block at a time, after the Psi guard (smooth_primes).
+    The value is the correctly rounded sum of these float terms, but
+    uncertainty 0.0 does not bound their rounding ("Honest rounding", ROADMAP.md).
     """
-    runs = iter_smooth_parts(x, y)  # checks x and y before the sieve below
-    log_c = math.fsum(math.log1p(-1.0 / p) for p in prime_array(1, y).tolist())
+    primes = smooth_primes(x, y)  # every check of x and y, then the one sieve
+    log_c = math.fsum(math.log1p(-1.0 / p) for p in primes.tolist())
+    runs = smooth_parts(x, primes)
     gaps = (c / float(x) - np.exp(log_c - np.log(s.astype(float))) for s, c in runs)
     value = exact_sum(gap[gap > 0.0] for gap in gaps)
     return TvResult(value=min(value, 1.0), uncertainty=0.0)

@@ -1,8 +1,10 @@
 """Prime enumeration, validated prime-set containers, and harmonic sums over primes.
 
-One segmented sieve of Eratosthenes serves enumeration, counting and PrimeSet
-validation.  A PrimeSet stores its members once, as one read-only int64
-array (object for a member at or above 2^63); its primes tuple is a view
+One segmented sieve of Eratosthenes serves enumeration and PrimeSet
+validation; pi(x) and the smooth-part counts read one Legendre table over
+the at most 2 sqrt(x) values {x // d} instead.  A PrimeSet stores its
+members once, as one read-only int64 array (object for a member at or above
+2^63); its primes tuple is a view
 built on demand, which no count path reads.  The sieve's int64 output becomes
 a PrimeSet as it is, unchecked: it is ascending primes by construction.
 Every other set is validated, and validation, set difference and the
@@ -43,6 +45,8 @@ _MR_LIMIT = 318665857834031151167461
 _MR_COST = 1000
 # Integers below 2^53 are exact float64 values.
 _FLOAT_EXACT = 1 << 53
+# The cap on x, the top of a counted range (check_x_cap).
+MAX_X = 1 << 40
 # The widest span prime_array lists: 2^30 integers hold at most about 54 M
 # primes, 435 MB as int64; x = 1e8 and the top of expexp:2 (5.3e8) fit.
 MAX_SPAN = 1 << 30
@@ -191,6 +195,13 @@ class HarmonicSums:
     h2: float
 
 
+def check_x_cap(x: int) -> None:
+    """The one check of MAX_X.  Every check and count that x sizes calls it
+    before any work, so an x over the cap is refused before a sieve starts."""
+    if x > MAX_X:
+        raise CapError(f"x={x} exceeds the cap of 2^40")
+
+
 def segment_bounds(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int]]:
     """Inclusive segments (seg_lo, seg_hi) covering [lo, hi] in ascending order,
     each at most segment_size long.  The one check of segment_size."""
@@ -244,9 +255,28 @@ def primes_in_interval(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_
     return PrimeSet._of_sieve(prime_array(int(lo), int(hi), segment_size))
 
 
-def count_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
-    """pi(limit): the number of primes <= limit."""
-    return sum(int(np.count_nonzero(flags)) for _, flags in _sieve(1, limit, segment_size))
+def legendre_table(x: int, primes: np.ndarray) -> np.ndarray:
+    """R(v) = #{m <= v : no prime factor of m is in primes} (all primes up to
+    the last) over V = [0, r] and {x // d : d <= r}, r = isqrt(x), ascending:
+    R(v) at v <= r, R(x // d) at 2r + 1 - d.  Lucy's form of Legendre's
+    recursion: S(v) = #[2, v] takes S(v) -= S(v // p) - S(p - 1) for v >= p^2,
+    prime p <= r by prime; R(v) = 1 + S(v) - #{p <= v}.  O(x^(3/4)) work."""
+    r = math.isqrt(x)
+    v = np.concatenate((np.arange(r + 1), x // np.arange(r, 0, -1)))
+    s = v - 1  # S(0) = -1 is never read
+    for p in primes[: np.searchsorted(primes, r, "right")].tolist():
+        start = int(np.searchsorted(v, p * p))
+        w = v[start:] // p  # in V, at index w or 2r + 1 - x // w
+        s[start:] -= s[np.where(w <= r, w, 2 * r + 1 - x // w)] - s[p - 1]
+    return s + 1 - np.searchsorted(primes, v, "right")
+
+
+def count_primes(limit: int) -> int:
+    """pi(limit) off the Legendre table over the primes <= sqrt(limit); a
+    limit over 2^40 is refused before any sieve or table."""
+    check_x_cap(limit)
+    base = prime_array(1, math.isqrt(max(limit, 0)))
+    return int(legendre_table(limit, base)[-1]) - 1 + base.size if limit >= 2 else 0
 
 
 def harmonic_sums(ps: PrimeSet) -> HarmonicSums:

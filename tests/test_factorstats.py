@@ -333,8 +333,7 @@ def test_smooth_parts_above_sqrt_x_match_factorization():
     direct: dict = {}
     for s in map(smooth_part, range(1, x + 1)):
         direct[s] = direct.get(s, 0) + 1
-    for seg in (1, 7, 1 << 20):
-        assert smooth_part_distribution(x, y, segment_size=seg) == direct
+    assert smooth_part_distribution(x, y) == direct
 
 
 # ----------------------------------------------------------- segment_size
@@ -344,5 +343,3 @@ def test_smooth_parts_above_sqrt_x_match_factorization():
 def test_segment_size_below_one_is_a_domain_error(seg):
     with pytest.raises(DomainError, match="segment_size"):
         joint_factor_counts(100, (dspec(2),), segment_size=seg)
-    with pytest.raises(DomainError, match="segment_size"):
-        smooth_part_distribution(100, 10, segment_size=seg)

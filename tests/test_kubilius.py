@@ -21,7 +21,7 @@ from primepoisson import (
     smooth_part_distribution,
 )
 from primepoisson import kubilius
-from primepoisson.dist import Pmf
+from primepoisson.dist import Pmf, TvResult
 from primepoisson.kubilius import SERIES_RADIUS
 
 
@@ -269,9 +269,8 @@ def test_streamed_smooth_parts_match_trial_division(data):
         y = data.draw(st.integers(2, root), label="y")
     else:
         y = data.draw(st.integers(max(2, root + 1), x), label="y")
-    seg = data.draw(st.sampled_from(([1] if x <= 962 else []) + [7, 64, 1 << 20]), label="seg")
     tally = _trial_smooth_tally(x, y)
-    dist = smooth_part_distribution(x, y, segment_size=seg)
+    dist = smooth_part_distribution(x, y)
     assert dist == tally
     assert sum(dist.values()) == x
     # the model side per part, with the same float expression as the library
@@ -282,30 +281,72 @@ def test_streamed_smooth_parts_match_trial_division(data):
 
 
 def test_model_tv_refuses_before_sieving(monkeypatch):
-    from primepoisson import CapError, kubilius
+    from primepoisson import CapError, factorstats, primesets
 
-    def no_sieve(*bounds):
-        raise AssertionError(f"sieved {bounds} before the request was checked")
+    def no_work(*args):
+        raise AssertionError(f"sieved or tabled {args[:1]} before the request was checked")
 
-    monkeypatch.setattr(kubilius, "prime_array", no_sieve)
+    for module, name in [(factorstats, "prime_array"), (factorstats, "legendre_table"), (primesets, "_sieve")]:
+        monkeypatch.setattr(module, name, no_work)
     with pytest.raises(CapError):
         model_tv_exact(2**40 + 1, 2**40 + 1)
     with pytest.raises(DomainError):
         model_tv_exact(5, 10)
+    # the Psi guard lists the primes <= y, then refuses before the table
+    monkeypatch.undo()
+    monkeypatch.setattr(factorstats, "legendre_table", no_work)
+    with pytest.raises(CapError, match="Rankin's bound allows 1.35e\\+11 smooth parts"):
+        model_tv_exact(2**40, 1000)
+
+
+def test_the_psi_guard_passes_every_desk_request():
+    from primepoisson import factorstats
+
+    # Rankin's bound grows with x and y; at (1e8, 1000) it is 1.96e8, against
+    # Psi(1e8, 1000) = 11,298,170 and the cap of 1e9
+    assert math.exp(factorstats._log_rankin(10**8, sieve_primes(1000).array)) < 2e8
+    assert factorstats.smooth_primes(10**8, 1000).size == 168
+    assert factorstats.smooth_primes(2**40, 100).size == 25  # Rankin 8.3e8, under the cap
 
 
 def test_smooth_pass_checks_its_total(monkeypatch):
-    from primepoisson import factorstats
+    from primepoisson import factorstats, primesets
 
-    def squarefree_part(seg_lo, seg_hi, primes):  # drops prime powers: a broken kernel
-        acc = np.ones(seg_hi - seg_lo + 1, dtype=np.int64)
-        for p in primes:
-            acc[-seg_lo % p :: p] *= p
-        return acc
+    def skips_three(x, primes):  # the table misses 3's update: a broken kernel
+        return primesets.legendre_table(x, primes[primes != 3])
 
-    monkeypatch.setattr(factorstats, "_small_part", squarefree_part)
+    monkeypatch.setattr(factorstats, "legendre_table", skips_three)
     with pytest.raises(RuntimeError, match="total"):
         model_tv_exact(1000, 10)
+
+
+# model_tv_exact before the Legendre table, (x, y, repr of the value): y below,
+# at and just above sqrt(x), and y = x
+PINNED_MODEL_TV = [
+    (10, 2, 0.0875),
+    (100, 10, 0.1667456718136991),
+    (100, 11, 0.21740227019138583),
+    (100, 100, 0.6292386929822004),
+    (1000, 31, 0.23851650623722648),
+    (1000, 37, 0.259881129634215),
+    (1000, 1000, 0.7159682175603406),
+    (10**4, 100, 0.25388937150998786),
+    (10**4, 101, 0.2623830797059015),
+    (10**5, 100, 0.13814593698155833),
+    (10**5, 317, 0.29174053305361763),
+    (10**6, 10, 0.0003599339674755392),
+    (10**6, 1000, 0.3094261373259263),
+    (10**6, 1009, 0.31026806050294325),
+    (10**6, 10**6, 0.8291961919320129),
+    (2**20, 1024, 0.3102992775948418),
+    (10**7, 1000, 0.20997489787443593),
+    (10**7, 3163, 0.32566728919829097),
+]
+
+
+@pytest.mark.parametrize("x, y, value", PINNED_MODEL_TV)
+def test_model_tv_is_pinned(x, y, value):
+    assert model_tv_exact(x, y) == TvResult(value=value, uncertainty=0.0)
 
 
 def test_model_tv_domain_checks():

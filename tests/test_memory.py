@@ -1,4 +1,4 @@
-"""Memory regression tests: traced peaks that must not grow with x.
+"""Memory regression tests: traced peaks that stay bounded.
 
 numpy reports its buffers to tracemalloc, so a traced peak covers both the
 arrays and the Python objects a call allocates.
@@ -29,13 +29,13 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_model_tv_peak_does_not_grow_with_x():
-    # 2 and 8 segments of 2^20: the streamed pass holds one segment at a
-    # time (both peaks about 21 MiB); a table of all smooth parts grows ~3x
+def test_model_tv_peak_stays_under_4_mib():
+    # one Legendre table of 2 sqrt(x) int64 entries and the parts 2^15 at a
+    # time: about 2.5 and 2.7 MiB (a pass over every n in 2^20 segments took 22)
     model_tv_exact(1000, 10)  # caches (prime table) outside the traced calls
-    small = traced_peak(lambda: model_tv_exact(2**21, 1000))
-    large = traced_peak(lambda: model_tv_exact(2**23, 1000))
-    assert large <= 1.25 * small, (small, large)
+    for x in (2**21, 2**23):
+        peak = traced_peak(lambda: model_tv_exact(x, 1000))
+        assert peak < 4 << 20, (x, peak)
 
 
 def test_single_spec_validation_allocates_nothing_per_prime():

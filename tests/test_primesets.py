@@ -241,16 +241,52 @@ def test_segment_size_below_one_is_a_domain_error(seg):
     with pytest.raises(DomainError, match="segment_size"):
         sieve_primes(100, segment_size=seg)
     with pytest.raises(DomainError, match="segment_size"):
-        count_primes(10, segment_size=seg)
-    with pytest.raises(DomainError, match="segment_size"):
         primes_in_interval(10, 100, segment_size=seg)
 
 
 def test_count_primes_across_segment_sizes():
     for seg in (1, 7, 64):
-        assert count_primes(1000, segment_size=seg) == 168
         assert sieve_primes(1000, segment_size=seg).primes == tuple(naive_primes(1000))
+    assert count_primes(1000) == 168
     assert count_primes(1) == count_primes(0) == count_primes(-7) == 0
+
+
+PRIME_SQUARES = [p * p + d for p in (2, 3, 5, 7, 11, 31, 997, 1009) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(0, 4), st.sampled_from(PRIME_SQUARES), st.integers(0, 2 * 10**6)))
+def test_count_primes_is_the_length_of_the_sieve(n):
+    assert count_primes(n) == (len(sieve_primes(n)) if n >= 2 else 0)
+
+
+def test_count_primes_reads_the_legendre_table(monkeypatch):
+    from primepoisson import primesets
+
+    sieved, sieve = [], primesets._sieve
+
+    def spy(lo, hi, segment_size):
+        sieved.append(hi)
+        return sieve(lo, hi, segment_size)
+
+    monkeypatch.setattr(primesets, "_sieve", spy)
+    assert count_primes(10**9) == 50_847_534
+    assert count_primes(10**10) == 455_052_511
+    assert max(sieved) == 10**5  # only the base primes <= sqrt(limit) are sieved
+
+
+def test_count_primes_over_the_x_cap_is_refused_before_any_work(monkeypatch):
+    from primepoisson import CapError, primesets
+
+    def no_work(*args):
+        raise AssertionError(f"sieved or tabled {args[:1]} before the cap check")
+
+    for name in ("_sieve", "prime_array", "legendre_table"):
+        monkeypatch.setattr(primesets, name, no_work)
+    with pytest.raises(CapError, match="exceeds the cap of 2\\^40"):
+        count_primes(2**50)
+    with pytest.raises(CapError):
+        count_primes(2**40 + 1)
 
 
 # ------------------------------------------- validation on the member array
