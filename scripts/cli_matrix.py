@@ -128,6 +128,8 @@ MATRIX = [
     ["model-tv", "--x", "1e7", "--y", "1e7"],
     ["model-tv", "--x", "1099511627776", "--y", "100"],
     ["model-tv", "--x", "1099511627776", "--y", "1000"],
+    # a y over 2^20 that the Psi guard refuses on the primes <= 2^20
+    ["model-tv", "--x", "1099511627776", "--y", "268435456"],
 ]
 
 

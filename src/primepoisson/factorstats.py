@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapError, DomainError
-from .primesets import DEFAULT_SEGMENT_SIZE, PrimeSet, check_x_cap, legendre_table
+from .primesets import SEGMENT_SIZE, PrimeSet, check_prime_list, check_x_cap, legendre_table
 from .primesets import prime_array, segment_bounds
 
 MAX_SETS = 8
@@ -41,6 +41,7 @@ _BLOCK = 1 << 16
 # number of parts, the least over _RANKIN_SIGMAS, is over MAX_SMOOTH_PARTS.
 MAX_SMOOTH_PARTS = 10**9
 _RANKIN_SIGMAS = np.arange(1, 21) / 20
+_RANKIN_FIRST = 1 << 20
 
 # Counters are one byte per (set, n); counts within the caps never reach the
 # saturation value (Omega(n) <= 40 for n <= 2^40), so hitting it means a bug.
@@ -178,7 +179,7 @@ def joint_factor_counts(
     x: int,
     specs: list[SetSpec] | tuple[SetSpec, ...],
     *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    segment_size: int = SEGMENT_SIZE,
 ) -> JointCounts:
     """Exact joint counts of factor-count vectors via the segmented sieve.
 
@@ -242,18 +243,25 @@ def oracle_factor_counts(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> 
 
 def smooth_primes(x: int, y: int) -> np.ndarray:
     """The primes <= y of a smooth-part request, after its checks: y >= 2,
-    x >= y, the x cap, prime_array's own gates, then the Psi guard."""
+    x >= y, the x cap, prime_array's own gates, then the Psi guard.  A y over
+    _RANKIN_FIRST is judged on the primes <= _RANKIN_FIRST before it is
+    sieved: each sigma's product over them is at most the one over the primes
+    <= y, so a refusal there is the full bound's verdict."""
     if y < 2:
         raise DomainError(f"smoothness bound must be >= 2, got {y}")
     if x < y:
         raise DomainError(f"x must be >= y, got x={x} < y={y}")
     check_x_cap(x)
-    primes = prime_array(1, y)
-    if x > MAX_SMOOTH_PARTS and (bound := _log_rankin(x, primes)) > math.log(MAX_SMOOTH_PARTS):
-        raise CapError(  # else Psi(x, y) <= min(x, Rankin) is under the cap
-            f"Rankin's bound allows {math.exp(bound):.3g} smooth parts of n <= {x} "
-            f"for y={y}, over the cap of {MAX_SMOOTH_PARTS:.0e}"
-        )
+    if x <= MAX_SMOOTH_PARTS:  # Psi(x, y) <= x is under the cap
+        return prime_array(1, y)
+    check_prime_list(1, y)
+    for z in (_RANKIN_FIRST, y) if y > _RANKIN_FIRST else (y,):
+        primes = prime_array(1, z)
+        if (bound := _log_rankin(x, primes)) > math.log(MAX_SMOOTH_PARTS):
+            raise CapError(  # else Psi(x, y) <= Rankin is under the cap
+                f"Rankin's bound allows {'at least ' * (z < y)}{math.exp(bound):.3g} smooth "
+                f"parts of n <= {x} for y={y}, over the cap of {MAX_SMOOTH_PARTS:.0e}"
+            )
     return primes
 
 
@@ -312,12 +320,7 @@ def _regroup(arrays: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
         yield np.concatenate(held)
 
 
-def iter_smooth_parts(x: int, y: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """smooth_parts over the primes <= y, every check made before it starts."""
-    return smooth_parts(x, smooth_primes(x, y))
-
-
 def smooth_part_distribution(x: int, y: int) -> dict[int, int]:
     """Counts of the y-smooth part of n over n in [1, x], as a dict ascending in the part."""
-    parts, counts = map(np.concatenate, zip(*iter_smooth_parts(x, y)))
+    parts, counts = map(np.concatenate, zip(*smooth_parts(x, smooth_primes(x, y))))
     return dict(sorted(zip(parts.tolist(), counts.tolist())))

@@ -144,7 +144,9 @@ def model_tv_exact(x: int, y: int) -> TvResult:
     uncertainty 0.0 does not bound their rounding ("Honest rounding", ROADMAP.md).
     """
     primes = smooth_primes(x, y)  # every check of x and y, then the one sieve
-    log_c = math.fsum(math.log1p(-1.0 / p) for p in primes.tolist())
+    # math.fsum of the log1p(-1/p), 2^15 primes at a time: no list of every prime
+    blocks = (primes[i : i + (1 << 15)].tolist() for i in range(0, primes.size, 1 << 15))
+    log_c = -exact_sum(np.fromiter((-math.log1p(-1.0 / p) for p in b), float) for b in blocks)
     runs = smooth_parts(x, primes)
     gaps = (c / float(x) - np.exp(log_c - np.log(s.astype(float))) for s, c in runs)
     value = exact_sum(gap[gap > 0.0] for gap in gaps)

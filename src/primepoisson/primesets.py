@@ -15,7 +15,8 @@ Harmonic sums are dist.exact_sum of the terms, the same floats as
 math.fsum; members at or above 2^53 have their terms formed from exact
 Python ints.
 Every prime list, the sieve's base primes included, comes from prime_array,
-the one gate for an upper end at or above psi_12 and a span over 2^30.
+whose one gate (check_prime_list) refuses an upper end at or above psi_12 and
+a span over 2^30.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .dist import exact_sum
 from .errors import CapError, DomainError
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+SEGMENT_SIZE = 1 << 20
 
 # Primality lookups below this bound go through a cached byte table; above it,
 # a Miller-Rabin witness set that is deterministic for all n below _MR_LIMIT:
@@ -54,8 +55,7 @@ MAX_SPAN = 1 << 30
 
 @lru_cache(maxsize=1)
 def _prime_table() -> bytes:
-    _, flags = next(_sieve(-1, _TABLE_LIMIT - 1, _TABLE_LIMIT))  # one segment: 0 .. 2^21 - 1
-    return flags.tobytes()
+    return np.concatenate([flags for _, flags in _sieve(-1, _TABLE_LIMIT - 1)]).tobytes()
 
 
 def is_prime(n: int) -> bool:
@@ -101,13 +101,13 @@ def _check_members(arr: np.ndarray) -> None:
     if not big.size:
         return
     lo, hi = int(big[0]), int(big[-1])
-    segments = (hi - lo) // DEFAULT_SEGMENT_SIZE + 1
+    segments = (hi - lo) // SEGMENT_SIZE + 1
     # a sieve over the span also runs its base primes <= sqrt(max) per segment,
     # and needs them within prime_array's span
     root = math.isqrt(hi)
     cost = hi - lo + root * (1 + segments)
     if big.dtype == np.int64 and root <= MAX_SPAN and cost < big.size * _MR_COST:
-        for seg_lo, flags in _sieve(lo - 1, hi, DEFAULT_SEGMENT_SIZE):
+        for seg_lo, flags in _sieve(lo - 1, hi):
             i, j = np.searchsorted(big, (seg_lo, seg_lo + flags.size))
             bad = big[i:j][~flags[big[i:j] - seg_lo]]
             if bad.size:
@@ -210,10 +210,10 @@ def segment_bounds(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, i
     return ((s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size))
 
 
-def _sieve(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The segmented sieve of Eratosthenes over (lo, hi], lo >= -1: yields
-    (seg_lo, flags) with flags[i] true iff seg_lo + i is prime."""
-    bounds = segment_bounds(lo + 1, hi, segment_size)
+def _sieve(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The segmented sieve of Eratosthenes over (lo, hi], lo >= -1, SEGMENT_SIZE
+    at a time: yields (seg_lo, flags) with flags[i] true iff seg_lo + i is prime."""
+    bounds = segment_bounds(lo + 1, hi, SEGMENT_SIZE)
     base = prime_array(1, math.isqrt(hi)).tolist() if hi >= 4 else []
     for seg_lo, seg_hi in bounds:
         flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
@@ -225,34 +225,40 @@ def _sieve(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, np.ndarra
         yield seg_lo, flags
 
 
-def prime_array(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """Primes in (lo, hi] as an ascending int64 array (raw sieve output).
-    An upper end whose primes PrimeSet could not certify (DomainError), then a
-    span of more than MAX_SPAN integers (CapError), is refused before sieving."""
+def check_prime_list(lo: int, hi: int) -> None:
+    """prime_array's gates for (lo, hi], without a sieve: an upper end whose
+    primes PrimeSet could not certify (DomainError), then a span of more than
+    MAX_SPAN integers (CapError)."""
     if hi >= _MR_LIMIT:
         raise DomainError(
             f"sieve upper end {hi} is at or above the certified primality bound {_MR_LIMIT}"
         )
     if hi - lo > MAX_SPAN:
         raise CapError(f"prime list ({lo}, {hi}] spans {hi - lo} integers, over the cap of 2^30")
-    chunks = [np.flatnonzero(flags) + seg_lo for seg_lo, flags in _sieve(lo, hi, segment_size)]
+
+
+def prime_array(lo: int, hi: int) -> np.ndarray:
+    """Primes in (lo, hi] as an ascending int64 array (raw sieve output),
+    after check_prime_list(lo, hi)."""
+    check_prime_list(lo, hi)
+    chunks = [np.flatnonzero(flags) + seg_lo for seg_lo, flags in _sieve(lo, hi)]
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
 
-def sieve_primes(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
+def sieve_primes(limit: int) -> PrimeSet:
     """All primes p <= limit, ascending.  limit < 2 is a domain error."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    return PrimeSet._of_sieve(prime_array(1, int(limit), segment_size))
+    return PrimeSet._of_sieve(prime_array(1, int(limit)))
 
 
-def primes_in_interval(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeSet:
+def primes_in_interval(lo: int, hi: int) -> PrimeSet:
     """Primes in the half-open interval (lo, hi].  Requires 2 <= lo <= hi."""
     if hi < lo:
         raise DomainError(f"empty interval: hi={hi} < lo={lo}")
     if lo < 2:
         raise DomainError(f"interval lower endpoint must be >= 2, got {lo}")
-    return PrimeSet._of_sieve(prime_array(int(lo), int(hi), segment_size))
+    return PrimeSet._of_sieve(prime_array(int(lo), int(hi)))
 
 
 def legendre_table(x: int, primes: np.ndarray) -> np.ndarray:

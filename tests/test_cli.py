@@ -446,8 +446,8 @@ def no_segments(monkeypatch):
     primesets._prime_table()
     sieve = primesets._sieve
 
-    def segments(lo, hi, segment_size):
-        for _ in sieve(lo, hi, segment_size):  # base primes come first, through prime_array
+    def segments(lo, hi):
+        for _ in sieve(lo, hi):  # base primes come first, through prime_array
             pytest.fail(f"sieved a segment of ({lo}, {hi}]")
         yield from ()
 

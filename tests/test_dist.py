@@ -293,6 +293,19 @@ def test_binomial_hand_cases():
     assert binomial_pmf(10, 0.3).prob(3) == pytest.approx(expected, abs=1e-16)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("k", [0, 7, 1001])
+def test_binomial_point_masses(monkeypatch, k, alpha):
+    from primepoisson import dist
+
+    monkeypatch.setattr(dist, "mpmath", None)  # k > 1000 must not reach the ratio a / (1 - a)
+    pmf = binomial_pmf(k, alpha)
+    unit = np.zeros(k + 1)
+    unit[round(alpha * k)] = 1.0
+    assert pmf.probs.tolist() == unit.tolist()
+    assert pmf.tail_bound == 0.0
+
+
 def test_product_joint_sums_its_grid_once(monkeypatch):
     from primepoisson import dist
 

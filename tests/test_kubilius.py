@@ -299,6 +299,22 @@ def test_model_tv_refuses_before_sieving(monkeypatch):
         model_tv_exact(2**40, 1000)
 
 
+def test_the_psi_guard_judges_a_large_y_before_sieving_it(monkeypatch):
+    from primepoisson import CapError, factorstats
+
+    ends, listed = [], factorstats.prime_array
+
+    def spy(lo, hi):
+        ends.append(hi)
+        return listed(lo, hi)
+
+    monkeypatch.setattr(factorstats, "prime_array", spy)
+    # the bound over the primes <= 2^20 is at most the one over the primes <= y
+    with pytest.raises(CapError, match="allows at least 1.26e\\+13 smooth parts"):
+        model_tv_exact(2**40, 2**28)
+    assert ends == [2**20]
+
+
 def test_the_psi_guard_passes_every_desk_request():
     from primepoisson import factorstats
 

@@ -38,6 +38,14 @@ def test_model_tv_peak_stays_under_4_mib():
         assert peak < 4 << 20, (x, peak)
 
 
+def test_model_tv_log_constant_takes_no_list_of_every_prime():
+    # y = x = 4e6: the parts and the 283,146 primes <= y take about 6 MiB; a
+    # Python list of every prime and its floats added about 7 more
+    model_tv_exact(1000, 10)
+    peak = traced_peak(lambda: model_tv_exact(4 * 10**6, 4 * 10**6))
+    assert peak < 8 << 20, peak
+
+
 def test_single_spec_validation_allocates_nothing_per_prime():
     spec = SetSpec(sieve_primes(2 * 10**6), CountMode.WITH_MULTIPLICITY)
     peak = traced_peak(lambda: _validate_request(2 * 10**6, [spec]))

@@ -236,17 +236,13 @@ def test_order_errors_name_the_offending_members():
         PrimeSet((1,))
 
 
-@pytest.mark.parametrize("seg", [0, -1])
-def test_segment_size_below_one_is_a_domain_error(seg):
-    with pytest.raises(DomainError, match="segment_size"):
-        sieve_primes(100, segment_size=seg)
-    with pytest.raises(DomainError, match="segment_size"):
-        primes_in_interval(10, 100, segment_size=seg)
+def test_count_primes_across_segment_sizes(monkeypatch):
+    from primepoisson import primesets
 
-
-def test_count_primes_across_segment_sizes():
     for seg in (1, 7, 64):
-        assert sieve_primes(1000, segment_size=seg).primes == tuple(naive_primes(1000))
+        monkeypatch.setattr(primesets, "SEGMENT_SIZE", seg)
+        assert len(list(primesets._sieve(1, 1000))) == -(-999 // seg)  # 2..1000
+        assert sieve_primes(1000).primes == tuple(naive_primes(1000))
     assert count_primes(1000) == 168
     assert count_primes(1) == count_primes(0) == count_primes(-7) == 0
 
@@ -265,9 +261,9 @@ def test_count_primes_reads_the_legendre_table(monkeypatch):
 
     sieved, sieve = [], primesets._sieve
 
-    def spy(lo, hi, segment_size):
+    def spy(lo, hi):
         sieved.append(hi)
-        return sieve(lo, hi, segment_size)
+        return sieve(lo, hi)
 
     monkeypatch.setattr(primesets, "_sieve", spy)
     assert count_primes(10**9) == 50_847_534
