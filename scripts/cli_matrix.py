@@ -130,6 +130,9 @@ MATRIX = [
     ["model-tv", "--x", "1099511627776", "--y", "1000"],
     # a y over 2^20 that the Psi guard refuses on the primes <= 2^20
     ["model-tv", "--x", "1099511627776", "--y", "268435456"],
+    # overlapping sets above sqrt(x): increment groups of one set and of both
+    ["counts", "--x", "1e6", "--set", "interval:2..1e6:multiplicity",
+     "--set", "interval:500..200000"],
 ]
 
 

@@ -5,12 +5,15 @@ divisors, or prime-power divisors counted with multiplicity), these routines
 tally the exact number of integers n <= x realizing each count vector.
 
 The main path is one segmented kernel.  It sieves set primes p <= sqrt(x)
-(and their powers, in multiplicity mode) directly.  A prime > sqrt(x) divides
-n at most once, and n has at most one, so one k-major pass counts them all:
-for each k, the large set primes p with p*k in the segment are one slice of
-their sorted array, found by binary search, and the (p, k) pairs bump their
-n's counter in blocks.  A trial-division oracle is an independent slow route
-for cross-checking.
+(and their powers, in multiplicity mode) directly, which gives each n its
+direct key.  A prime p > sqrt(x) divides n at most once, n has at most one,
+and then n = p*k with k <= sqrt(x) not divisible by p: its direct key is
+key(k) and its true key is key(k) + d(p), d(p) being the key increment of
+the sets that hold p.  So the large primes are never sieved: grouped by d,
+each group moves #{p in the group : p <= x // k} tallies from key(k) to
+key(k) + d, for each k <= sqrt(x), an O(sqrt(x)) correction per group.
+Each set's first moment is checked against its closed form.  A
+trial-division oracle is an independent slow route for cross-checking.
 
 The y-smooth parts of n <= x are enumerated, not found by a pass over every
 n: count(s) = R(x // s), R(t) being the number of m <= t without a prime
@@ -33,7 +36,7 @@ from .primesets import prime_array, segment_bounds
 MAX_SETS = 8
 ORACLE_MAX_X = 10**6
 
-# The large-prime pass expands its (p, k) pairs _BLOCK at a time to keep its
+# _multiples expands its (p, k) pairs _BLOCK at a time to keep its
 # temporaries small.
 _BLOCK = 1 << 16
 
@@ -126,7 +129,9 @@ def _validate_request(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> tup
 
 def _multiples(primes: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
     """The n = p*k in [lo, hi] over ascending primes above sqrt(hi), _BLOCK at a
-    time, k-major: for each k, the p are one slice of the array."""
+    time, k-major: for each k, the p are one slice of the array.  smooth_parts
+    lists its parts above sqrt(x) with it; the count kernel needs only how many
+    p each k has (_moves)."""
     k = np.arange(max(1, lo // primes[-1]), hi // primes[0] + 1, dtype=primes.dtype)
     first = np.searchsorted(primes, -(-lo // k))
     lengths = np.searchsorted(primes, hi // k, "right") - first
@@ -141,14 +146,17 @@ def _multiples(primes: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield np.repeat(k[a:b], span) * primes[at]
 
 
-def _count_keys(x: int, specs: tuple[SetSpec, ...]):
-    """The count kernel: keys(seg_lo, seg_hi) holds each n's count vector,
-    one byte per set, as one unsigned integer in the vectors' lexicographic
-    order (set 0's byte is the most significant)."""
+def _plan(
+    x: int, specs: tuple[SetSpec, ...], width: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, np.ndarray]]]:
+    """The count kernel's two halves.  direct holds the (modulus, key byte)
+    pairs sieved in every segment: the set primes <= sqrt(x) and, in
+    multiplicity mode, their powers <= x.  groups holds the set primes above
+    sqrt(x) grouped by their key increment d(p), the sum of 256^i over the key
+    bytes i of the sets that hold p, as (d, ascending primes) pairs."""
     root = math.isqrt(x)
-    width = 1 << max(1, (len(specs) - 1).bit_length())  # key bytes: 2, 4 or 8
-    direct: list[tuple[int, int]] = []  # (modulus, key byte) sieved directly
-    large: list[tuple[np.ndarray, int]] = []  # (a set's primes in (root, x], key byte)
+    direct: list[tuple[int, int]] = []
+    large: list[tuple[np.ndarray, int]] = []  # (a set's primes in (root, x], its increment)
     for spec, i in zip(specs, range(width - 1, -1, -1)):
         ps = spec.primes.array
         cut, stop = np.searchsorted(ps, (root, x), "right").tolist()
@@ -157,22 +165,74 @@ def _count_keys(x: int, specs: tuple[SetSpec, ...]):
             while q <= x and (q == p or spec.mode is CountMode.WITH_MULTIPLICITY):
                 direct.append((q, i))
                 q *= p
-        if stop > cut:  # p*k <= x below: int32 holds it for x < 2^31
-            large.append((ps[cut:stop].astype(np.int32 if x < 2**31 else np.int64), i))
+        if stop > cut:
+            large.append((ps[cut:stop], 1 << 8 * i))
+    if len(large) < 2:
+        return direct, [(inc, ps) for ps, inc in large]
+    # np.unique is slow on many distinct int64; a stable sort merges the sorted runs
+    primes = np.concatenate([ps for ps, _ in large])
+    bits = np.array([1 << j for j in range(len(large))], dtype=np.uint8)
+    tags = np.repeat(bits, [ps.size for ps, _ in large])
+    order = np.argsort(primes, kind="stable")
+    primes, tags = primes[order], tags[order]
+    first = np.flatnonzero(np.append(True, primes[1:] != primes[:-1]))
+    primes, holders = primes[first], np.bitwise_or.reduceat(tags, first)  # bit j: large[j] holds p
+    return direct, [
+        (sum(inc for j, (_, inc) in enumerate(large) if h >> j & 1), primes[holders == h])
+        for h in np.flatnonzero(np.bincount(holders)).tolist()
+    ]
 
-    def keys(seg_lo: int, seg_hi: int) -> np.ndarray:
-        n_seg = seg_hi - seg_lo + 1
-        counters = np.zeros((n_seg, width), dtype=np.uint8)
-        for q, i in direct:
-            start = -seg_lo % q
-            if start < n_seg:
-                counters[start::q, i] += 1
-        for primes, i in large:  # the k-major pass over the large primes
-            for n in _multiples(primes, seg_lo, seg_hi):
-                counters[n - seg_lo, i] += 1  # n has one prime > root: no repeats in a set
-        return counters.view(f"<u{width}").ravel()
 
-    return keys
+def _direct_keys(direct: list[tuple[int, int]], width: int, seg_lo: int, seg_hi: int) -> np.ndarray:
+    """Each n in [seg_lo, seg_hi] as one unsigned integer, one byte per set,
+    counting only the directly sieved moduli; set 0's byte is the most
+    significant, so integer order is the vectors' lexicographic order."""
+    n_seg = seg_hi - seg_lo + 1
+    counters = np.zeros((n_seg, width), dtype=np.uint8)
+    for q, i in direct:
+        start = -seg_lo % q
+        if start < n_seg:
+            counters[start::q, i] += 1
+    return counters.view(f"<u{width}").ravel()
+
+
+def _moves(
+    x: int, small: np.ndarray, groups: list[tuple[int, np.ndarray]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The tallies the set primes above sqrt(x) move, as (keys, tallies) pairs.
+    n = p*k with such a p has k = n // p <= sqrt(x), p does not divide k, and
+    no other prime factor above sqrt(x): its direct key is key(k) = small[k - 1],
+    and its true key is key(k) + d(p).  So for each group (d, primes) and each k,
+    c_d(k) = #{p in the group : p <= x // k} tallies move from key(k) to
+    key(k) + d."""
+    bounds = x // np.arange(1, small.size + 1)
+    out = []
+    for d, primes in groups:
+        c = np.searchsorted(primes, bounds, "right")
+        k = int(np.count_nonzero(c))  # c falls with k: c[:k] > 0
+        out += [(small[:k], -c[:k]), (small[:k] + small.dtype.type(d), c[:k])]
+    return out
+
+
+def _check_moments(counts: JointCounts) -> None:
+    """Each set's first moment, the sum over keys of k_i * tally, must be
+    sum_(p in T_i) x // p (distinct) or sum_(p in T_i, a >= 1) x // p^a
+    (multiplicity), formed from the set's own primes; both are exact int64
+    (at most 40x < 2^46)."""
+    x = counts.x
+    moments = (counts.tallies @ counts.keys.astype(np.int64)).tolist()
+    for i, (spec, got) in enumerate(zip(counts.specs, moments)):
+        ps = spec.primes.array
+        want = int((x // ps[: np.searchsorted(ps, x, "right")]).sum())  # x = 1 admits any set
+        if spec.mode is CountMode.WITH_MULTIPLICITY:
+            p = ps[: np.searchsorted(ps, math.isqrt(x), "right")]
+            q = p * p
+            while q.size:  # the powers p^a <= x, a >= 2
+                want += int((x // q).sum())
+                keep = q <= x // p
+                p, q = p[keep], q[keep] * p[keep]
+        if got != want:
+            raise RuntimeError(f"set {i}: first moment {got} != {want} from its primes")
 
 
 def joint_factor_counts(
@@ -183,23 +243,38 @@ def joint_factor_counts(
 ) -> JointCounts:
     """Exact joint counts of factor-count vectors via the segmented sieve.
 
-    Each segment's keys are tallied by value, and one np.unique over those
-    values merges the segments; set 0 being the most significant key byte,
-    value order is the lexicographic order of the count vectors.
+    Each segment's direct keys are tallied by value; the keys of k <= sqrt(x)
+    are kept for _moves when a set has primes above sqrt(x).  One np.unique
+    over the values merges the segments and the moves; set 0 being the most
+    significant key byte, value order is the lexicographic order of the count
+    vectors.  The total must be x, every tally positive, and each set's first
+    moment its closed form.
     """
     specs = _validate_request(x, specs)
     bounds = segment_bounds(1, x, segment_size)
-    keys = _count_keys(x, specs)
-    parts = [np.unique(keys(seg_lo, seg_hi), return_counts=True) for seg_lo, seg_hi in bounds]
+    root = math.isqrt(x)
+    width = 1 << max(1, (len(specs) - 1).bit_length())  # key bytes: 2, 4 or 8
+    direct, groups = _plan(x, specs, width)
+    parts, small = [], []
+    for seg_lo, seg_hi in bounds:
+        keys = _direct_keys(direct, width, seg_lo, seg_hi)
+        if groups and seg_lo <= root:
+            small.append(keys[: root - seg_lo + 1].copy())
+        parts.append(np.unique(keys, return_counts=True))
+    if groups:
+        parts += _moves(x, np.concatenate(small), groups)
     values, at = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
     tallies = np.zeros(values.size, dtype=np.int64)
     np.add.at(tallies, at, np.concatenate([c for _, c in parts]))
+    if tallies.min() < 1:
+        raise RuntimeError(f"a count vector has tally {tallies.min()} after the large-prime moves")
     digits = values.view(np.uint8).reshape(values.size, -1)[:, ::-1][:, : len(specs)]
     if digits.max(initial=0) >= _SATURATION:
         raise RuntimeError("counter saturation: count exceeded one byte")
     result = JointCounts(int(x), specs, np.ascontiguousarray(digits), tallies)
     if result.total() != x:
         raise RuntimeError(f"count total {result.total()} != x={x}")
+    _check_moments(result)
     return result
 
 

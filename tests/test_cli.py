@@ -388,6 +388,18 @@ def test_a_model_law_failing_its_mass_check_exits_4_and_crashes_its_row(
     assert [r["status"] for r in report["rows"]] == ["crashed", "ok"]
 
 
+def test_a_count_failing_its_first_moment_exits_4(monkeypatch, capsys):
+    # a kernel that never moves the tallies of the primes above sqrt(x) keeps
+    # the total x; the first-moment check stops it before any report
+    from primepoisson import factorstats
+
+    plan = factorstats._plan
+    monkeypatch.setattr(factorstats, "_plan", lambda *args: (plan(*args)[0], []))
+    assert main(["counts", "--x", "1e4", "--set", "interval:2..1e4"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: set 0: first moment ")
+
+
 @pytest.fixture
 def fresh_parser():
     cli._parser.cache_clear()

@@ -282,7 +282,7 @@ def test_large_prime_pass_matches_oracle(seg):
 
 
 def test_large_prime_pass_at_one_million_matches_first_moment():
-    # (T, complement) as in Theorem 3: the complement's large primes take the large-prime pass
+    # (T, complement): the complement's primes above sqrt(x) move tallies by their cofactor
     x = 10**6
     full = sieve_primes(x)
     t = sieve_primes(100)
@@ -300,25 +300,119 @@ def test_large_prime_pass_at_one_million_matches_first_moment():
 )
 def test_large_prime_pass_matches_oracle_on_random_specs(x, m, rng):
     # each prime <= x joins one of m sets or none, so sets straddle sqrt(x);
-    # segments of 1 and 7 start below the smallest prime above sqrt(x), and
-    # blocks of 3 (p, k) pairs split the slices of one k across blocks
+    # segments of 1 and 7 start below the smallest prime above sqrt(x), and a
+    # segment of isqrt(x) - 1 puts the last key of k <= sqrt(x) in the second
     sets: list[list[int]] = [[] for _ in range(m)]
     for p in sieve_primes(max(x, 2)).primes:
         if p <= x and rng.random() < 0.8:
             sets[rng.randrange(m)].append(p)
     specs = tuple(SetSpec(PrimeSet(tuple(ps)), rng.choice(list(CountMode))) for ps in sets)
     slow = oracle_factor_counts(x, specs)
-    for seg, block in [(seg, factorstats._BLOCK) for seg in (1, 7, 64, 1 << 20)] + [(64, 3)]:
+    for seg in (1, 7, 64, max(1, math.isqrt(x) - 1), 1 << 20):
         if seg == 1 and x > 1000:
             continue  # one segment per n: kept to the smaller x
-        with mock.patch.object(factorstats, "_BLOCK", block):
-            jc = joint_factor_counts(x, specs, segment_size=seg)
+        jc = joint_factor_counts(x, specs, segment_size=seg)
         assert np.array_equal(jc.keys, slow.keys) and np.array_equal(jc.tallies, slow.tallies), seg
+
+
+SQUARE_EDGES = [p * p + d for p in sieve_primes(53).primes for d in (-1, 0, 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(SQUARE_EDGES),
+    st.integers(min_value=2, max_value=3),
+    st.randoms(use_true_random=False),
+)
+def test_shared_large_primes_match_the_oracle(x, m, rng):
+    # x at a prime square or one off it; the first prime above sqrt(x) is in
+    # every set and each other prime joins each set with chance 1/2, so the
+    # large primes fall into increment groups of one, two and three sets;
+    # segments of 1, 7 and 64 split the keys of k <= sqrt(x)
+    root = math.isqrt(x)
+    primes = sieve_primes(x).array.tolist()
+    first = next(p for p in primes if p > root)
+    sets = [[p for p in primes if p == first or rng.random() < 0.5] for _ in range(m)]
+    specs = tuple(SetSpec(PrimeSet(ps), rng.choice(list(CountMode))) for ps in sets)
+    _, groups = factorstats._plan(x, specs, 2 if m == 2 else 4)
+    assert any(bin(d).count("1") == m for d, _ in groups)
+    slow = oracle_factor_counts(x, specs)
+    for seg in (1, 7, 64):
+        jc = joint_factor_counts(x, specs, segment_size=seg)
+        assert np.array_equal(jc.keys, slow.keys) and np.array_equal(jc.tallies, slow.tallies), seg
+
+
+# --------------------------------------------- seeded faults vs the invariants
+
+
+def _left_search(moves):
+    """_moves with c_d(k) = #{p < x // k}: a cofactor bound that is a prime is missed."""
+    search = np.searchsorted
+
+    def faulty(*args):
+        with mock.patch.object(np, "searchsorted", lambda a, v, side="left": search(a, v, "left")):
+            return moves(*args)
+
+    return faulty
+
+
+def _drop_group(plan):
+    """_plan without its last increment group: those primes never move a tally."""
+
+    def faulty(*args):
+        direct, groups = plan(*args)
+        return direct, groups[:-1]
+
+    return faulty
+
+
+def _drop_square(plan):
+    """_plan whose direct list misses the prime power 4."""
+
+    def faulty(*args):
+        direct, groups = plan(*args)
+        return [(q, i) for q, i in direct if q != 4], groups
+
+    return faulty
+
+
+FAULT_X = 20000
+
+
+def _fault_specs():
+    # groups of set 0 alone (149..499), of both sets (503..997) and of set 1 alone
+    primes = sieve_primes(FAULT_X).primes
+    return (mspec(*[p for p in primes if p < 1000]), dspec(*[p for p in primes if p > 500]))
+
+
+@pytest.mark.parametrize(
+    "target, fault", [("_moves", _left_search), ("_plan", _drop_group), ("_plan", _drop_square)]
+)
+def test_seeded_faults_keep_the_total_and_fail_the_first_moment(target, fault):
+    specs = _fault_specs()
+    clean = joint_factor_counts(FAULT_X, specs)
+    with mock.patch.object(factorstats, target, fault(getattr(factorstats, target))):
+        with mock.patch.object(factorstats, "_check_moments", lambda counts: None):
+            wrong = joint_factor_counts(FAULT_X, specs)
+        with pytest.raises(RuntimeError, match="first moment"):
+            joint_factor_counts(FAULT_X, specs)
+    assert wrong.total() == FAULT_X
+    assert wrong.keys.shape != clean.keys.shape or not np.array_equal(wrong.tallies, clean.tallies)
+
+
+def test_moves_past_a_keys_tally_are_refused():
+    # moving more than key(k) holds keeps the total but leaves a negative tally
+    moves = factorstats._moves
+    inflated = lambda *args: [(k, c * 10**6) for k, c in moves(*args)]  # noqa: E731
+    with mock.patch.object(factorstats, "_moves", inflated):
+        with pytest.raises(RuntimeError, match="tally"):
+            joint_factor_counts(FAULT_X, _fault_specs())
 
 
 def test_smooth_parts_above_sqrt_x_match_factorization():
     # y > sqrt(x): the smooth part takes the cofactor when that is <= y; y
-    # also exceeds the one-byte dtype of the first segments
+    # also exceeds the one-byte dtype of the first segments; blocks of 3
+    # (p, k) pairs split the slices of one k in _multiples
     x, y = 3000, 300
     primes = sieve_primes(y).primes
 
@@ -334,6 +428,8 @@ def test_smooth_parts_above_sqrt_x_match_factorization():
     for s in map(smooth_part, range(1, x + 1)):
         direct[s] = direct.get(s, 0) + 1
     assert smooth_part_distribution(x, y) == direct
+    with mock.patch.object(factorstats, "_BLOCK", 3):
+        assert smooth_part_distribution(x, y) == direct
 
 
 # ----------------------------------------------------------- segment_size
