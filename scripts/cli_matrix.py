@@ -51,6 +51,21 @@ CAP_SETS = [
     for a in ("--set", f"interval:{lo}..{hi}:multiplicity")
 ]
 EIGHT_SETS = [a for lo in range(2, 34, 4) for a in ("--set", f"interval:{lo}..{lo + 3}")]
+# eight overlapping sets whose ends fall on both sides of sqrt(1e6): many increment groups
+OVERLAP_SETS = [
+    a
+    for spec in (
+        "interval:2..1e6:multiplicity",
+        "interval:2..5e5",
+        "interval:3..700:multiplicity",
+        "interval:11..2e5",
+        "interval:500..1e6:multiplicity",
+        "interval:1000..8e5",
+        "interval:5e4..1e6",
+        "interval:3e5..9e5:multiplicity",
+    )
+    for a in ("--set", spec)
+]
 
 MATRIX = [
     ["sieve", "--limit", "1000"],
@@ -133,6 +148,9 @@ MATRIX = [
     # overlapping sets above sqrt(x): increment groups of one set and of both
     ["counts", "--x", "1e6", "--set", "interval:2..1e6:multiplicity",
      "--set", "interval:500..200000"],
+    # Omega over every prime at 1e7, and eight overlapping sets in mixed modes
+    ["counts", "--x", "1e7", "--set", "interval:2..1e7:multiplicity"],
+    ["counts", "--x", "1e6", *OVERLAP_SETS],
 ]
 
 

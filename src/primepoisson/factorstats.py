@@ -4,16 +4,21 @@ For any prime sets T_1..T_m and a counting mode per set (distinct prime
 divisors, or prime-power divisors counted with multiplicity), these routines
 tally the exact number of integers n <= x realizing each count vector.
 
-The main path is one segmented kernel.  It sieves set primes p <= sqrt(x)
-(and their powers, in multiplicity mode) directly, which gives each n its
-direct key.  A prime p > sqrt(x) divides n at most once, n has at most one,
-and then n = p*k with k <= sqrt(x) not divisible by p: its direct key is
-key(k) and its true key is key(k) + d(p), d(p) being the key increment of
-the sets that hold p.  So the large primes are never sieved: grouped by d,
-each group moves #{p in the group : p <= x // k} tallies from key(k) to
-key(k) + d, for each k <= sqrt(x), an O(sqrt(x)) correction per group.
-Each set's first moment is checked against its closed form.  A
-trial-division oracle is an independent slow route for cross-checking.
+The main path splits each n by its largest prime factor, as Lagarias, Miller
+and Odlyzko (1985) and Deleglise and Rivat (1996) count primes.  The nodes
+are m = 1 and every m*q^e with q prime above P(m), the largest prime of m,
+m*q^2 <= x and m*q^e <= x; each node tallies itself at key(m).  Every other
+n is m*q for a node m and one prime q in (max(P(m), isqrt(x // m)), x // m],
+and its key is key(m) + d_G, where the group G holds the primes in exactly
+the same sets as q.  So each node also tallies, per group, pi_G(x // m) -
+pi_G(lo) at key(m) + d_G, read off one table per group over V = [0, r] and
+{x // d}, r = isqrt(x): a listed group's by searchsorted in its primes, the
+primes in no set's as legendre_table's pi less the listed groups.  Only the
+primes <= sqrt(x) are enumerated: about x^0.72 nodes (85,582 at 1e7), not x
+integers.  The nodes are expanded depth first in blocks, so memory follows
+the block and the tables.  Each set's first moment is checked against its
+closed form.  A trial-division oracle is an independent slow route for
+cross-checking.
 
 The y-smooth parts of n <= x are enumerated, not found by a pass over every
 n: count(s) = R(x // s), R(t) being the number of m <= t without a prime
@@ -30,15 +35,15 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapError, DomainError
-from .primesets import SEGMENT_SIZE, PrimeSet, check_prime_list, check_x_cap, legendre_table
-from .primesets import prime_array, segment_bounds
+from .primesets import PrimeSet, check_prime_list, check_x_cap, legendre_table, prime_array
 
 MAX_SETS = 8
 ORACLE_MAX_X = 10**6
 
-# _multiples expands its (p, k) pairs _BLOCK at a time to keep its
-# temporaries small.
+# smooth_parts expands its (p, k) pairs _BLOCK at a time to keep its
+# temporaries small; the count expands its nodes _NODE_BLOCK pairs at a time.
 _BLOCK = 1 << 16
+_NODE_BLOCK = 1 << 12
 
 # The Psi guard: a smooth-part request is refused when Rankin's bound on its
 # number of parts, the least over _RANKIN_SIGMAS, is over MAX_SMOOTH_PARTS.
@@ -46,8 +51,14 @@ MAX_SMOOTH_PARTS = 10**9
 _RANKIN_SIGMAS = np.arange(1, 21) / 20
 _RANKIN_FIRST = 1 << 20
 
-# Counters are one byte per (set, n); counts within the caps never reach the
-# saturation value (Omega(n) <= 40 for n <= 2^40), so hitting it means a bug.
+# A count vector's key is one byte per set in a uint64, set 0's the most
+# significant, so key order is the vectors' lexicographic order.  Counts
+# within the caps never reach the saturation value (Omega(n) <= 40 for
+# n <= 2^40), so hitting it means a bug.
+_SHIFTS = np.arange(8 * (MAX_SETS - 1), -1, -8, dtype=np.uint64)
+# _STEPS[g]: the key increment of a prime held by the sets in the bit mask g
+_BITS = np.unpackbits(np.arange(1 << MAX_SETS, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+_STEPS = (_BITS.astype(np.uint64) << _SHIFTS).sum(axis=1, dtype=np.uint64)
 _SATURATION = 255
 
 
@@ -127,103 +138,129 @@ def _validate_request(x: int, specs: list[SetSpec] | tuple[SetSpec, ...]) -> tup
     return specs
 
 
-def _multiples(primes: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """The n = p*k in [lo, hi] over ascending primes above sqrt(hi), _BLOCK at a
-    time, k-major: for each k, the p are one slice of the array.  smooth_parts
-    lists its parts above sqrt(x) with it; the count kernel needs only how many
-    p each k has (_moves)."""
-    k = np.arange(max(1, lo // primes[-1]), hi // primes[0] + 1, dtype=primes.dtype)
-    first = np.searchsorted(primes, -(-lo // k))
-    lengths = np.searchsorted(primes, hi // k, "right") - first
+def _pairs(first: np.ndarray, lengths: np.ndarray, block: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The ragged pairs (row, first[row] + j), j < lengths[row], row-major, as
+    (rows, items) index arrays of at most block pairs each."""
     ends = np.cumsum(lengths)
     starts = ends - lengths
-    total = int(ends[-1]) if k.size else 0  # k is empty below the smallest prime
-    for j in range(0, total, _BLOCK):  # pairs j..j_end-1 come from the k in a..b-1
-        j_end = min(j + _BLOCK, total)
+    total = int(ends[-1]) if ends.size else 0
+    for j in range(0, total, block):  # pairs j..j_end-1 come from the rows a..b-1
+        j_end = min(j + block, total)
         a, b = np.searchsorted(ends, (j, j_end - 1), "right") + (0, 1)
-        span = np.minimum(ends[a:b], j_end) - np.maximum(starts[a:b], j)
-        at = np.repeat(first[a:b] - starts[a:b], span) + np.arange(j, j_end)
-        yield np.repeat(k[a:b], span) * primes[at]
+        rows = np.repeat(np.arange(a, b), np.minimum(ends[a:b], j_end) - np.maximum(starts[a:b], j))
+        yield rows, first[rows] - starts[rows] + np.arange(j, j_end)
 
 
-def _plan(
-    x: int, specs: tuple[SetSpec, ...], width: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, np.ndarray]]]:
-    """The count kernel's two halves.  direct holds the (modulus, key byte)
-    pairs sieved in every segment: the set primes <= sqrt(x) and, in
-    multiplicity mode, their powers <= x.  groups holds the set primes above
-    sqrt(x) grouped by their key increment d(p), the sum of 256^i over the key
-    bytes i of the sets that hold p, as (d, ascending primes) pairs."""
-    root = math.isqrt(x)
-    direct: list[tuple[int, int]] = []
-    large: list[tuple[np.ndarray, int]] = []  # (a set's primes in (root, x], its increment)
-    for spec, i in zip(specs, range(width - 1, -1, -1)):
-        ps = spec.primes.array
-        cut, stop = np.searchsorted(ps, (root, x), "right").tolist()
-        for p in ps[:cut].tolist():
-            q = p
-            while q <= x and (q == p or spec.mode is CountMode.WITH_MULTIPLICITY):
-                direct.append((q, i))
-                q *= p
-        if stop > cut:
-            large.append((ps[cut:stop], 1 << 8 * i))
-    if len(large) < 2:
-        return direct, [(inc, ps) for ps, inc in large]
-    # np.unique is slow on many distinct int64; a stable sort merges the sorted runs
-    primes = np.concatenate([ps for ps, _ in large])
-    bits = np.array([1 << j for j in range(len(large))], dtype=np.uint8)
-    tags = np.repeat(bits, [ps.size for ps, _ in large])
-    order = np.argsort(primes, kind="stable")
-    primes, tags = primes[order], tags[order]
-    first = np.flatnonzero(np.append(True, primes[1:] != primes[:-1]))
-    primes, holders = primes[first], np.bitwise_or.reduceat(tags, first)  # bit j: large[j] holds p
-    return direct, [
-        (sum(inc for j, (_, inc) in enumerate(large) if h >> j & 1), primes[holders == h])
-        for h in np.flatnonzero(np.bincount(holders)).tolist()
-    ]
+def _plan(x: int, specs: tuple[SetSpec, ...]) -> tuple[np.ndarray, ...]:
+    """The enumeration's inputs: the primes <= r = isqrt(x); pi[i, g], the
+    number of group g's primes <= v_i over V = [0, r] and {x // d : d <= r}
+    in legendre_table's order; each group's key increment d_G; and those of
+    each p <= r and of its further powers.  A group holds the primes of one
+    mask of sets; d_G adds 1 to the byte of each set in the mask."""
+    first, *rest = sorted(range(len(specs)), key=lambda i: -specs[i].primes.array.size)
+    union = specs[first].primes.array  # grown from the largest set: a set inside it is looked up
+    mask = np.full(union.size, 1 << first, dtype=np.uint8)  # bit i: set i holds the prime
+    for i in rest:
+        ps = specs[i].primes.array
+        at = np.minimum(np.searchsorted(union, ps), union.size - 1)
+        held = union[at] == ps
+        mask[at[held]] |= 1 << i
+        if not held.all():
+            at = np.searchsorted(union, ps[~held])
+            union, mask = np.insert(union, at, ps[~held]), np.insert(mask, at, 1 << i)
+    r = math.isqrt(x)
+    small = prime_array(1, r)
+    v = np.concatenate((np.arange(r + 1), x // np.arange(r, 0, -1)))
+    top = 1 << first  # the primes of the largest set alone, read off the union
+    others = np.flatnonzero(mask != top)
+    others = others[np.argsort(mask[others], kind="stable")]  # by group, each ascending
+    pis = {
+        int(mask[at[0]]): np.searchsorted(union[at], v, "right")
+        for at in np.split(others, np.flatnonzero(np.diff(mask[others])) + 1)
+        if at.size
+    }
+    listed = np.searchsorted(union, v, "right")
+    pis[top] = listed - sum(pis.values())  # the union less the other groups
+    pis[0] = np.searchsorted(small, v, "right") - listed  # the primes in no set: every prime
+    pis[0][r + 1 :] += legendre_table(x, small)[r + 1 :] - 1  # less the union; pi(v) for v > r
+    kept = [g for g, pi in pis.items() if pi[-1]] or [0]
+    pi, steps = np.stack([pis[g] for g in kept], axis=1), _STEPS[kept]
+    one = steps[np.argmax(pi[small] - pi[small - 1], axis=1)]  # the group whose pi steps at p
+    multi = sum(1 << i for i, s in enumerate(specs) if s.mode is CountMode.WITH_MULTIPLICITY)
+    return small, pi, steps, one, one & _STEPS[multi] * np.uint64(255)
 
 
-def _direct_keys(direct: list[tuple[int, int]], width: int, seg_lo: int, seg_hi: int) -> np.ndarray:
-    """Each n in [seg_lo, seg_hi] as one unsigned integer, one byte per set,
-    counting only the directly sieved moduli; set 0's byte is the most
-    significant, so integer order is the vectors' lexicographic order."""
-    n_seg = seg_hi - seg_lo + 1
-    counters = np.zeros((n_seg, width), dtype=np.uint8)
-    for q, i in direct:
-        start = -seg_lo % q
-        if start < n_seg:
-            counters[start::q, i] += 1
-    return counters.view(f"<u{width}").ravel()
+def _nodes(
+    x: int, small: np.ndarray, one: np.ndarray, more: np.ndarray, block: int
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The nodes depth first, as blocks (m, key(m), nxt, x // m, c): m = 1 and
+    every m*q^e with q prime above P(m), m*q^2 <= x and m*q^e <= x.  P(m) is
+    small[nxt - 1], and c counts the primes q with q^2 <= x // m.  A block's
+    children come block (node, prime) pairs at a time with their powers, and
+    each is expanded before the next is formed, so one block per level is held."""
+    squares = small * small
+
+    def expand(m, key, nxt):
+        t = x // m
+        c = np.searchsorted(squares, t, "right")
+        yield m, key, nxt, t, c
+        for rows, at in _pairs(nxt, np.maximum(c - nxt, 0), block):
+            q = small[at]
+            level = [(m[rows] * q, key[rows] + one[at], at + 1)]
+            while (keep := np.flatnonzero(level[-1][0] <= x // q)).size:  # the next power of q
+                q, at = q[keep], at[keep]
+                level.append((level[-1][0][keep] * q, level[-1][1][keep] + more[at], at + 1))
+            yield from expand(*map(np.concatenate, zip(*level)))
+
+    return expand(np.ones(1, np.int64), np.zeros(1, np.uint64), np.zeros(1, np.int64))
 
 
-def _moves(
-    x: int, small: np.ndarray, groups: list[tuple[int, np.ndarray]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The tallies the set primes above sqrt(x) move, as (keys, tallies) pairs.
-    n = p*k with such a p has k = n // p <= sqrt(x), p does not divide k, and
-    no other prime factor above sqrt(x): its direct key is key(k) = small[k - 1],
-    and its true key is key(k) + d(p).  So for each group (d, primes) and each k,
-    c_d(k) = #{p in the group : p <= x // k} tallies move from key(k) to
-    key(k) + d."""
-    bounds = x // np.arange(1, small.size + 1)
-    out = []
-    for d, primes in groups:
-        c = np.searchsorted(primes, bounds, "right")
-        k = int(np.count_nonzero(c))  # c falls with k: c[:k] > 0
-        out += [(small[:k], -c[:k]), (small[:k] + small.dtype.type(d), c[:k])]
-    return out
+def _bulk(pi: np.ndarray, m: np.ndarray, t: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The n = m*q with q prime in (lo, t], t = x // m, per group: the rows,
+    groups and counts pi_G(t) - pi_G(lo) that are not 0.  t <= lo leaves no
+    such q: a count of 0, not a negative one."""
+    r = pi.shape[0] // 2
+    live = np.flatnonzero(t > lo)
+    counts = pi[np.where(t[live] <= r, t[live], 2 * r + 1 - m[live])] - pi[lo[live]]
+    rows, cols = np.nonzero(counts)
+    return live[rows], cols, counts[rows, cols]
+
+
+def _fold(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts) pairs summed by key, ascending (float sums of integers
+    below 2^53 are exact)."""
+    keys, at = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    return keys, np.bincount(at, np.concatenate([c for _, c in parts])).astype(np.int64)
+
+
+def _tally(x: int, specs: tuple[SetSpec, ...], block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and tallies of the node enumeration, unchecked.  Each node
+    tallies itself at key(m) and its bulk, per group G, at key(m) + d_G.  The
+    held tallies are folded in once they outnumber the keys folded so far."""
+    if block < 1:
+        raise DomainError(f"segment_size must be >= 1, got {block}")
+    small, pi, steps, one, more = _plan(x, specs)
+    largest = np.concatenate(([0], small))  # P(m) at nxt, 0 for m = 1
+    folded, held = [(np.zeros(0, np.uint64), np.zeros(0, np.int64))], []
+    for m, key, nxt, t, c in _nodes(x, small, one, more, block):
+        rows, cols, counts = _bulk(pi, m, t, largest[np.maximum(nxt, c)])
+        held += [(key, np.ones(key.size, np.int64)), (key[rows] + steps[cols], counts)]
+        if sum(k.size for k, _ in held) >= max(folded[0][0].size, block):
+            folded, held = [_fold(folded + held)], []
+    return _fold(folded + held)
 
 
 def _check_moments(counts: JointCounts) -> None:
     """Each set's first moment, the sum over keys of k_i * tally, must be
     sum_(p in T_i) x // p (distinct) or sum_(p in T_i, a >= 1) x // p^a
-    (multiplicity), formed from the set's own primes; both are exact int64
-    (at most 40x < 2^46)."""
+    (multiplicity), formed from the set's own primes, _BLOCK at a time; both
+    are exact int64 (at most 40x < 2^46)."""
     x = counts.x
     moments = (counts.tallies @ counts.keys.astype(np.int64)).tolist()
     for i, (spec, got) in enumerate(zip(counts.specs, moments)):
         ps = spec.primes.array
-        want = int((x // ps[: np.searchsorted(ps, x, "right")]).sum())  # x = 1 admits any set
+        ps = ps[: np.searchsorted(ps, x, "right")]  # x = 1 admits any set
+        want = sum(int((x // ps[j : j + _BLOCK]).sum()) for j in range(0, ps.size, _BLOCK))
         if spec.mode is CountMode.WITH_MULTIPLICITY:
             p = ps[: np.searchsorted(ps, math.isqrt(x), "right")]
             q = p * p
@@ -239,39 +276,24 @@ def joint_factor_counts(
     x: int,
     specs: list[SetSpec] | tuple[SetSpec, ...],
     *,
-    segment_size: int = SEGMENT_SIZE,
+    segment_size: int = _NODE_BLOCK,
 ) -> JointCounts:
-    """Exact joint counts of factor-count vectors via the segmented sieve.
+    """Exact joint counts of factor-count vectors by the node enumeration.
 
-    Each segment's direct keys are tallied by value; the keys of k <= sqrt(x)
-    are kept for _moves when a set has primes above sqrt(x).  One np.unique
-    over the values merges the segments and the moves; set 0 being the most
-    significant key byte, value order is the lexicographic order of the count
-    vectors.  The total must be x, every tally positive, and each set's first
-    moment its closed form.
+    segment_size is the node block: the nodes' children are expanded at most
+    that many (node, prime) pairs at a time.  It sets memory and speed, never
+    the result; below 1 it is a DomainError.  Key order is the lexicographic
+    order of the count vectors.  The total must be x, every tally positive,
+    no count saturated and each set's first moment its closed form.
     """
     specs = _validate_request(x, specs)
-    bounds = segment_bounds(1, x, segment_size)
-    root = math.isqrt(x)
-    width = 1 << max(1, (len(specs) - 1).bit_length())  # key bytes: 2, 4 or 8
-    direct, groups = _plan(x, specs, width)
-    parts, small = [], []
-    for seg_lo, seg_hi in bounds:
-        keys = _direct_keys(direct, width, seg_lo, seg_hi)
-        if groups and seg_lo <= root:
-            small.append(keys[: root - seg_lo + 1].copy())
-        parts.append(np.unique(keys, return_counts=True))
-    if groups:
-        parts += _moves(x, np.concatenate(small), groups)
-    values, at = np.unique(np.concatenate([v for v, _ in parts]), return_inverse=True)
-    tallies = np.zeros(values.size, dtype=np.int64)
-    np.add.at(tallies, at, np.concatenate([c for _, c in parts]))
+    keys, tallies = _tally(x, specs, segment_size)
     if tallies.min() < 1:
-        raise RuntimeError(f"a count vector has tally {tallies.min()} after the large-prime moves")
-    digits = values.view(np.uint8).reshape(values.size, -1)[:, ::-1][:, : len(specs)]
+        raise RuntimeError(f"a count vector has tally {tallies.min()}")
+    digits = (keys[:, None] >> _SHIFTS[: len(specs)]).astype(np.uint8)
     if digits.max(initial=0) >= _SATURATION:
         raise RuntimeError("counter saturation: count exceeded one byte")
-    result = JointCounts(int(x), specs, np.ascontiguousarray(digits), tallies)
+    result = JointCounts(int(x), specs, digits, tallies)
     if result.total() != x:
         raise RuntimeError(f"count total {result.total()} != x={x}")
     _check_moments(result)
@@ -368,8 +390,10 @@ def smooth_parts(x: int, primes: np.ndarray) -> Iterator[tuple[np.ndarray, np.nd
                 yield piece
                 grown.append(piece[piece <= x // (p + 1)])  # the next prime's bound at most
             base = np.concatenate(grown)
-        if cut < primes.size:
-            yield from _multiples(primes[cut:], 1, x)
+        if cut < primes.size:  # p*k, p > sqrt(x), k-major: for each k the p are one slice
+            big, k = primes[cut:], np.arange(1, x // primes[cut] + 1)
+            lengths = np.searchsorted(big, x // k, "right")
+            yield from (k[rows] * big[at] for rows, at in _pairs(np.zeros_like(k), lengths, _BLOCK))
 
     total = 0
     for s in _regroup(parts()):

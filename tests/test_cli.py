@@ -389,12 +389,17 @@ def test_a_model_law_failing_its_mass_check_exits_4_and_crashes_its_row(
 
 
 def test_a_count_failing_its_first_moment_exits_4(monkeypatch, capsys):
-    # a kernel that never moves the tallies of the primes above sqrt(x) keeps
-    # the total x; the first-moment check stops it before any report
+    # a route whose primes all add 0 to the keys keeps the total x; the
+    # first-moment check stops it before any report
     from primepoisson import factorstats
 
     plan = factorstats._plan
-    monkeypatch.setattr(factorstats, "_plan", lambda *args: (plan(*args)[0], []))
+
+    def no_steps(*args):
+        small, pi, *steps = plan(*args)
+        return small, pi, *(0 * a for a in steps)
+
+    monkeypatch.setattr(factorstats, "_plan", no_steps)
     assert main(["counts", "--x", "1e4", "--set", "interval:2..1e4"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError: set 0: first moment ")

@@ -18,6 +18,7 @@ from primepoisson import (
     Pmf,
     joint_factor_counts,
     oracle_factor_counts,
+    primes_in_interval,
     sieve_primes,
     smooth_part_distribution,
     tv_distance_keys,
@@ -257,7 +258,7 @@ def test_kernel_matches_oracle_at_square_edges(x):
     slow = oracle_factor_counts(x, specs).counts
     for seg in (1, 7, 64, 1 << 20):
         if seg == 1 and x > 1000:
-            continue  # one segment per n: covered at the smaller squares
+            continue  # one pair per block: covered at the smaller squares
         assert joint_factor_counts(x, specs, segment_size=seg).counts == slow, seg
 
 
@@ -282,7 +283,7 @@ def test_large_prime_pass_matches_oracle(seg):
 
 
 def test_large_prime_pass_at_one_million_matches_first_moment():
-    # (T, complement): the complement's primes above sqrt(x) move tallies by their cofactor
+    # (T, complement): the complement's primes above sqrt(x) are counted in bulk by their cofactor
     x = 10**6
     full = sieve_primes(x)
     t = sieve_primes(100)
@@ -300,8 +301,8 @@ def test_large_prime_pass_at_one_million_matches_first_moment():
 )
 def test_large_prime_pass_matches_oracle_on_random_specs(x, m, rng):
     # each prime <= x joins one of m sets or none, so sets straddle sqrt(x);
-    # segments of 1 and 7 start below the smallest prime above sqrt(x), and a
-    # segment of isqrt(x) - 1 puts the last key of k <= sqrt(x) in the second
+    # node blocks of 1, 7, 64 and isqrt(x) - 1 (node, prime) pairs split the
+    # children of one node across blocks
     sets: list[list[int]] = [[] for _ in range(m)]
     for p in sieve_primes(max(x, 2)).primes:
         if p <= x and rng.random() < 0.8:
@@ -310,7 +311,7 @@ def test_large_prime_pass_matches_oracle_on_random_specs(x, m, rng):
     slow = oracle_factor_counts(x, specs)
     for seg in (1, 7, 64, max(1, math.isqrt(x) - 1), 1 << 20):
         if seg == 1 and x > 1000:
-            continue  # one segment per n: kept to the smaller x
+            continue  # one pair per block: kept to the smaller x
         jc = joint_factor_counts(x, specs, segment_size=seg)
         assert np.array_equal(jc.keys, slow.keys) and np.array_equal(jc.tallies, slow.tallies), seg
 
@@ -328,14 +329,14 @@ def test_shared_large_primes_match_the_oracle(x, m, rng):
     # x at a prime square or one off it; the first prime above sqrt(x) is in
     # every set and each other prime joins each set with chance 1/2, so the
     # large primes fall into increment groups of one, two and three sets;
-    # segments of 1, 7 and 64 split the keys of k <= sqrt(x)
+    # node blocks of 1, 7 and 64 pairs split the children of one node
     root = math.isqrt(x)
     primes = sieve_primes(x).array.tolist()
     first = next(p for p in primes if p > root)
     sets = [[p for p in primes if p == first or rng.random() < 0.5] for _ in range(m)]
     specs = tuple(SetSpec(PrimeSet(ps), rng.choice(list(CountMode))) for ps in sets)
-    _, groups = factorstats._plan(x, specs, 2 if m == 2 else 4)
-    assert any(bin(d).count("1") == m for d, _ in groups)
+    steps = factorstats._plan(x, specs)[2]  # the increment groups' key increments
+    assert any(bin(int(d)).count("1") == m for d in steps)
     slow = oracle_factor_counts(x, specs)
     for seg in (1, 7, 64):
         jc = joint_factor_counts(x, specs, segment_size=seg)
@@ -345,74 +346,81 @@ def test_shared_large_primes_match_the_oracle(x, m, rng):
 # --------------------------------------------- seeded faults vs the invariants
 
 
-def _left_search(moves):
-    """_moves with c_d(k) = #{p < x // k}: a cofactor bound that is a prime is missed."""
-    search = np.searchsorted
-
-    def faulty(*args):
-        with mock.patch.object(np, "searchsorted", lambda a, v, side="left": search(a, v, "left")):
-            return moves(*args)
-
-    return faulty
+def _lower_end_off_by_one(bulk):
+    """_bulk counting the primes in [lo, x // m]: q = lo is counted too."""
+    return lambda pi, m, t, lo: bulk(pi, m, t, lo - 1)
 
 
-def _drop_group(plan):
-    """_plan without its last increment group: those primes never move a tally."""
+def _unclipped(bulk):
+    """_bulk without its clip: where x // m < lo, pi_G(x // m) - pi_G(lo) is negative."""
 
-    def faulty(*args):
-        direct, groups = plan(*args)
-        return direct, groups[:-1]
+    def faulty(pi, m, t, lo):
+        r = pi.shape[0] // 2
+        counts = pi[np.where(t <= r, t, 2 * r + 1 - m)] - pi[lo]
+        rows, cols = np.nonzero(counts)
+        return rows, cols, counts[rows, cols]
 
     return faulty
 
 
-def _drop_square(plan):
-    """_plan whose direct list misses the prime power 4."""
+def _skipped_power(plan):
+    """_plan whose further powers add nothing: e stops at 1 in multiplicity mode."""
 
     def faulty(*args):
-        direct, groups = plan(*args)
-        return [(q, i) for q, i in direct if q != 4], groups
+        small, pi, steps, one, more = plan(*args)
+        return small, pi, steps, one, 0 * more
+
+    return faulty
+
+
+def _dropped_group(plan):
+    """_plan without its last increment group: those primes never count."""
+
+    def faulty(*args):
+        small, pi, steps, one, more = plan(*args)
+        return small, pi[:, :-1], steps[:-1], one, more
 
     return faulty
 
 
 FAULT_X = 20000
+FAULTS = {
+    "lower-end": ("_bulk", _lower_end_off_by_one),
+    "unclipped": ("_bulk", _unclipped),
+    "power": ("_plan", _skipped_power),
+    "group": ("_plan", _dropped_group),
+}
 
 
-def _fault_specs():
-    # groups of set 0 alone (149..499), of both sets (503..997) and of set 1 alone
-    primes = sieve_primes(FAULT_X).primes
-    return (mspec(*[p for p in primes if p < 1000]), dspec(*[p for p in primes if p > 500]))
+def _fault_specs(x):
+    # primes <= 2 sqrt(x) with multiplicity and primes in (sqrt(x), x] distinct:
+    # groups of set 0 alone, of both sets and of set 1 alone, across sqrt(x)
+    root = math.isqrt(x)
+    return (
+        SetSpec(sieve_primes(2 * root), CountMode.WITH_MULTIPLICITY),
+        SetSpec(primes_in_interval(root, x), CountMode.DISTINCT),
+    )
 
 
-@pytest.mark.parametrize(
-    "target, fault", [("_moves", _left_search), ("_plan", _drop_group), ("_plan", _drop_square)]
-)
-def test_seeded_faults_keep_the_total_and_fail_the_first_moment(target, fault):
-    specs = _fault_specs()
-    clean = joint_factor_counts(FAULT_X, specs)
-    with mock.patch.object(factorstats, target, fault(getattr(factorstats, target))):
-        with mock.patch.object(factorstats, "_check_moments", lambda counts: None):
-            wrong = joint_factor_counts(FAULT_X, specs)
-        with pytest.raises(RuntimeError, match="first moment"):
-            joint_factor_counts(FAULT_X, specs)
-    assert wrong.total() == FAULT_X
-    assert wrong.keys.shape != clean.keys.shape or not np.array_equal(wrong.tallies, clean.tallies)
-
-
-def test_moves_past_a_keys_tally_are_refused():
-    # moving more than key(k) holds keeps the total but leaves a negative tally
-    moves = factorstats._moves
-    inflated = lambda *args: [(k, c * 10**6) for k, c in moves(*args)]  # noqa: E731
-    with mock.patch.object(factorstats, "_moves", inflated):
-        with pytest.raises(RuntimeError, match="tally"):
-            joint_factor_counts(FAULT_X, _fault_specs())
+@pytest.mark.parametrize("x", [FAULT_X, 10**7])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_seeded_node_faults_are_caught(fault, x):
+    # _tally is the route without the checks: each fault changes its counts,
+    # and the total, tally or first-moment check refuses them
+    target, seed = FAULTS[fault]
+    specs = _fault_specs(x)
+    clean = factorstats._tally(x, specs, 1 << 12)
+    with mock.patch.object(factorstats, target, seed(getattr(factorstats, target))):
+        keys, tallies = factorstats._tally(x, specs, 1 << 12)
+        with pytest.raises(RuntimeError, match="total|tally|first moment"):
+            joint_factor_counts(x, specs)
+    assert not (np.array_equal(keys, clean[0]) and np.array_equal(tallies, clean[1]))
 
 
 def test_smooth_parts_above_sqrt_x_match_factorization():
     # y > sqrt(x): the smooth part takes the cofactor when that is <= y; y
     # also exceeds the one-byte dtype of the first segments; blocks of 3
-    # (p, k) pairs split the slices of one k in _multiples
+    # (p, k) pairs split the slices of one k in smooth_parts
     x, y = 3000, 300
     primes = sieve_primes(y).primes
 

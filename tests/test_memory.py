@@ -60,11 +60,21 @@ def test_exact_sum_works_block_by_block():
 
 
 def test_large_prime_pass_works_block_by_block():
-    # 8 segments of 2^20, two bytes per n: the peak is about 6.3 MiB.  The
-    # second set's 81,461 primes above sqrt(x) give about 0.5 (p, k) pairs
-    # per n; expanded in one piece per segment they take about 11 MiB
+    # the second set's 81,461 primes above sqrt(x) are counted in bulk, off
+    # tables over the 2 sqrt(x) values of V, and the nodes come in blocks:
+    # the peak is about 3.3 MiB (6.3 in the segmented kernel this replaced)
     small = SetSpec(sieve_primes(100), CountMode.DISTINCT)  # a first call fills lazy caches
     joint_factor_counts(2**12, (small, SetSpec(primes_in_interval(101, 2**12), CountMode.DISTINCT)))
     x, specs = 2**23, (small, SetSpec(primes_in_interval(2**12 + 1, 2**20), CountMode.DISTINCT))
     peak = traced_peak(lambda: joint_factor_counts(x, specs))
     assert peak < 8 << 20, peak
+
+
+def test_node_enumeration_works_block_by_block():
+    # the 440,593 nodes at 1e8 in blocks of 2^12 pairs, one pending block per
+    # level, and two tables of 20,001 entries: about 4.3 MiB.  The segmented
+    # kernel peaked at 6.2 MiB and a level-by-level expansion at 37 MiB
+    spec = SetSpec(sieve_primes(10**4), CountMode.WITH_MULTIPLICITY)
+    joint_factor_counts(10**4, (spec,))  # a first call fills lazy caches
+    peak = traced_peak(lambda: joint_factor_counts(10**8, (spec,)))
+    assert peak < 5 << 20, peak
