@@ -66,6 +66,8 @@ OVERLAP_SETS = [
     )
     for a in ("--set", spec)
 ]
+# the ten primes just above 2^21
+ABOVE_TABLE = "2097169,2097211,2097223,2097229,2097257,2097259,2097287,2097289,2097311,2097317"
 
 MATRIX = [
     ["sieve", "--limit", "1000"],
@@ -151,6 +153,13 @@ MATRIX = [
     # Omega over every prime at 1e7, and eight overlapping sets in mixed modes
     ["counts", "--x", "1e7", "--set", "interval:2..1e7:multiplicity"],
     ["counts", "--x", "1e6", *OVERLAP_SETS],
+    # validation above 2^21: ten consecutive primes, the same with 2^21 + 1 among
+    # them, a strong pseudoprime to the bases 2, 3, 5 and 7, psi_12, and a member below 2
+    ["harmonic", "--set", f"list:{ABOVE_TABLE}"],
+    ["harmonic", "--set", f"list:2097153,{ABOVE_TABLE}"],
+    ["harmonic", "--set", "list:3215031751"],
+    ["harmonic", "--set", "list:2,318665857834031151167461"],
+    ["harmonic", "--set", "list:1,2,3"],
 ]
 
 

@@ -1,19 +1,17 @@
 """Prime enumeration, validated prime-set containers, and harmonic sums over primes.
 
-One segmented sieve of Eratosthenes serves enumeration and PrimeSet
-validation; pi(x) and the smooth-part counts read one Legendre table over
-the at most 2 sqrt(x) values {x // d} instead.  A PrimeSet stores its
-members once, as one read-only int64 array (object for a member at or above
-2^63); its primes tuple is a view
-built on demand, which no count path reads.  The sieve's int64 output becomes
-a PrimeSet as it is, unchecked: it is ascending primes by construction.
-Every other set is validated, and validation, set difference and the
-harmonic sums work on the array.  Validation indexes a cached byte table
-below 2^21; above it, one sieve over the members' span when that is cheaper
-than a Miller-Rabin test per member (sparse sets keep Miller-Rabin).
-Harmonic sums are dist.exact_sum of the terms, the same floats as
-math.fsum; members at or above 2^53 have their terms formed from exact
-Python ints.
+One segmented sieve of Eratosthenes serves enumeration and the primality
+table; pi(x) and the smooth-part counts read one Legendre table over the at
+most 2 sqrt(x) values {x // d} instead.  A PrimeSet stores its members once,
+as one read-only int64 array (object for a member at or above 2^63); its
+primes tuple is a view built on demand, which no count path reads.  A set
+given from outside is validated member by member, with two checks: a cached
+byte table below 2^21 and a deterministic Miller-Rabin test above it.  The
+sets that sieve_primes, primes_in_interval and difference return skip that
+check (ascending primes by construction, or a subset of a valid set), so
+large sets come fastest from them.  Harmonic sums are dist.exact_sum of the
+terms, the same floats as math.fsum; members at or above 2^53 have their
+terms formed from exact Python ints.
 Every prime list, the sieve's base primes included, comes from prime_array,
 whose one gate (check_prime_list) refuses an upper end at or above psi_12 and
 a span over 2^30.
@@ -42,8 +40,6 @@ SEGMENT_SIZE = 1 << 20
 _TABLE_LIMIT = 1 << 21
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461
-# One Miller-Rabin test takes about as long as sieving this many integers.
-_MR_COST = 1000
 # Integers below 2^53 are exact float64 values.
 _FLOAT_EXACT = 1 << 53
 # The cap on x, the top of a counted range (check_x_cap).
@@ -84,38 +80,23 @@ def is_prime(n: int) -> bool:
 
 
 def _check_members(arr: np.ndarray) -> None:
-    """Refuse unless arr is strictly increasing, starts above 1 and holds
-    only primes below the certified bound; the first fault is named."""
-    prev = np.concatenate(([1], arr))[:-1]
-    out_of_order = np.flatnonzero(arr <= prev)
+    """Refuse unless arr is strictly increasing and holds only primes below
+    the certified bound; the first fault is named.  Members below 2^21 are
+    looked up in the byte table, the others go through Miller-Rabin."""
+    out_of_order = np.flatnonzero(arr[1:] <= arr[:-1])
     if out_of_order.size:
         i = out_of_order[0]
-        raise DomainError(f"primes must be strictly increasing, got {arr[i]} after {prev[i]}")
+        raise DomainError(f"primes must be strictly increasing, got {arr[i + 1]} after {arr[i]}")
     if arr.size and arr[-1] >= _MR_LIMIT:
         raise DomainError(f"{arr[-1]} is at or above the certified primality bound {_MR_LIMIT}")
     split = int(np.searchsorted(arr, _TABLE_LIMIT))
-    small, big = arr[:split].astype(np.int64, copy=False), arr[split:]
-    bad = small[np.frombuffer(_prime_table(), dtype=np.uint8)[small] == 0]
+    small = arr[:split].astype(np.int64, copy=False)
+    bad = small[np.frombuffer(_prime_table(), dtype=np.uint8)[small.clip(0)] == 0]
     if bad.size:
         raise DomainError(f"{bad[0]} is not prime")
-    if not big.size:
-        return
-    lo, hi = int(big[0]), int(big[-1])
-    segments = (hi - lo) // SEGMENT_SIZE + 1
-    # a sieve over the span also runs its base primes <= sqrt(max) per segment,
-    # and needs them within prime_array's span
-    root = math.isqrt(hi)
-    cost = hi - lo + root * (1 + segments)
-    if big.dtype == np.int64 and root <= MAX_SPAN and cost < big.size * _MR_COST:
-        for seg_lo, flags in _sieve(lo - 1, hi):
-            i, j = np.searchsorted(big, (seg_lo, seg_lo + flags.size))
-            bad = big[i:j][~flags[big[i:j] - seg_lo]]
-            if bad.size:
-                raise DomainError(f"{bad[0]} is not prime")
-    else:
-        for p in big.tolist():
-            if not is_prime(p):
-                raise DomainError(f"{p} is not prime")
+    for p in arr[split:].tolist():
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
 
 
 def _member(p) -> int:
@@ -132,9 +113,11 @@ class PrimeSet:
     array takes any sequence of integers or an integer ndarray and keeps a
     read-only copy: int64, or object when a member is >= 2^63.  A member that
     is not an integer (2.0, 3.7) is refused, not truncated.  Every member is
-    checked on every construction but the sieve's (_of_sieve), so a PrimeSet
-    in hand is a valid finite set of primes.  Sets with the same members are
-    equal; primes is a tuple view built on each access.
+    checked, by the byte table below 2^21 and by Miller-Rabin above it, on
+    every construction but _of_sieve's, so a PrimeSet in hand is a valid
+    finite set of primes.  Large sets come fastest from sieve_primes,
+    primes_in_interval and difference, which skip that per-member check.  Sets
+    with the same members are equal; primes is a tuple view built on each access.
     """
 
     array: np.ndarray
@@ -155,8 +138,9 @@ class PrimeSet:
 
     @classmethod
     def _of_sieve(cls, arr: np.ndarray) -> "PrimeSet":
-        """The set of prime_array's own output, ascending int64 primes by
-        construction: kept as it is, without a copy or a second check."""
+        """The set of an int64 array known to be ascending primes: prime_array's
+        own output, or a subset of a valid set (difference).  Kept as it is,
+        without a copy or a per-member check."""
         arr.flags.writeable = False
         ps = object.__new__(cls)
         object.__setattr__(ps, "array", arr)
@@ -179,7 +163,9 @@ class PrimeSet:
         return iter(self.array.tolist())
 
     def difference(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet(self.array[~np.isin(self.array, other.array)])
+        rest = self.array[~np.isin(self.array, other.array)]
+        # an object array goes through PrimeSet to narrow to int64 where its members fit
+        return PrimeSet._of_sieve(rest) if rest.dtype == np.int64 else PrimeSet(rest)
 
 
 @dataclass(frozen=True)
@@ -202,26 +188,16 @@ def check_x_cap(x: int) -> None:
         raise CapError(f"x={x} exceeds the cap of 2^40")
 
 
-def segment_bounds(lo: int, hi: int, segment_size: int) -> Iterator[tuple[int, int]]:
-    """Inclusive segments (seg_lo, seg_hi) covering [lo, hi] in ascending order,
-    each at most segment_size long.  The one check of segment_size."""
-    if segment_size < 1:
-        raise DomainError(f"segment_size must be >= 1, got {segment_size}")
-    return ((s, min(s + segment_size - 1, hi)) for s in range(lo, hi + 1, segment_size))
-
-
 def _sieve(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """The segmented sieve of Eratosthenes over (lo, hi], lo >= -1, SEGMENT_SIZE
     at a time: yields (seg_lo, flags) with flags[i] true iff seg_lo + i is prime."""
-    bounds = segment_bounds(lo + 1, hi, SEGMENT_SIZE)
     base = prime_array(1, math.isqrt(hi)).tolist() if hi >= 4 else []
-    for seg_lo, seg_hi in bounds:
-        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
+    for seg_lo in range(lo + 1, hi + 1, SEGMENT_SIZE):
+        flags = np.ones(min(SEGMENT_SIZE, hi + 1 - seg_lo), dtype=bool)
         flags[: max(0, 2 - seg_lo)] = False  # 0 and 1 are not prime
         for p in base:
             start = max(p * p, -(-seg_lo // p) * p)
-            if start <= seg_hi:
-                flags[start - seg_lo :: p] = False
+            flags[start - seg_lo :: p] = False
         yield seg_lo, flags
 
 

@@ -601,6 +601,13 @@ def test_harmonic_refuses_a_mode_suffix_before_any_work(monkeypatch, tmp_path, c
     assert err == f"error: harmonic sums do not depend on a count mode: drop the mode suffix of {text!r}\n"
 
 
+@pytest.mark.parametrize("members, bad", [("1,2,3", "1"), ("0", "0"), ("-3,2", "-3")])
+def test_a_member_below_2_is_named_as_not_prime(capsys, tmp_path, members, bad):
+    code, _ = run(["harmonic", "--set", f"list:{members}"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad} is not prime\n"
+
+
 EMPTY_SET_ARGV = [
     ["thm2", "--x", "100", "--set", "interval:24..28", "--k", "0"],
     ["halasz", "--x", "100", "--set", "interval:24..28", "--k-lo", "0", "--k-hi", "1"],

@@ -418,9 +418,8 @@ def test_seeded_node_faults_are_caught(fault, x):
 
 
 def test_smooth_parts_above_sqrt_x_match_factorization():
-    # y > sqrt(x): the smooth part takes the cofactor when that is <= y; y
-    # also exceeds the one-byte dtype of the first segments; blocks of 3
-    # (p, k) pairs split the slices of one k in smooth_parts
+    # y > sqrt(x): the smooth part takes the cofactor when that is <= y;
+    # blocks of 3 (p, k) pairs split the slices of one k in smooth_parts
     x, y = 3000, 300
     primes = sieve_primes(y).primes
 

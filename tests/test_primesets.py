@@ -202,11 +202,9 @@ def test_interval_decomposes_sieve(mid):
 # ------------------------------------------------- validation above 2^21
 
 
-def test_dense_block_above_table_is_sieved_and_names_the_composite(monkeypatch):
-    from primepoisson import primesets
-
+def test_dense_block_above_table_is_sieved_and_names_the_composite():
+    # the block comes from the sieve; as a PrimeSet each member is checked again
     block = primes_in_interval(2**21, 2**21 + 200_000).primes
-    monkeypatch.setattr(primesets, "is_prime", lambda n: pytest.fail("dense block must be sieved"))
     assert PrimeSet(block).primes == block
     # 2^21 + 1 = 3 * 699051; 1451 * 1453 has no factor below 1451
     for composite in (2**21 + 1, 1451 * 1453):
@@ -233,7 +231,11 @@ def test_order_errors_name_the_offending_members():
     with pytest.raises(DomainError, match="got 3 after 2097169"):
         PrimeSet((2097169, 3))
     with pytest.raises(DomainError, match="got 1 after 1"):
-        PrimeSet((1,))
+        PrimeSet((1, 1))
+    # a member below 2 in order is refused as not prime, and never indexes the table
+    for members, bad in [((1,), 1), ((0,), 0), ((-3, 2), -3), ((-(2**62), -5, 2), -(2**62))]:
+        with pytest.raises(DomainError, match=f"^{bad} is not prime$"):
+            PrimeSet(members)
 
 
 def test_count_primes_across_segment_sizes(monkeypatch):
@@ -288,7 +290,7 @@ def test_count_primes_over_the_x_cap_is_refused_before_any_work(monkeypatch):
 # ------------------------------------------- validation on the member array
 
 PSI12 = 399165290221 * 798330580441
-# a dense run of primes across the table's edge 2^21; above it a long run is sieved
+# a dense run of primes across the table's edge 2^21, from the sieve
 EDGE_RUN = primes_in_interval(2**21 - 2000, 2**21 + 30_000).primes
 # far-apart members (Miller-Rabin) at and past 2^53 and 2^63, and psi_12 itself
 SPARSE = (1000000007, 2**53 - 111, 2**53 + 5, 2**61 - 1, 2**63 - 25, 2**63 + 29, 2**64 + 13, PSI12)
@@ -299,9 +301,9 @@ COMPOSITES = (0, 1, 4, 2**21 - 1, 2**21 + 1, 1451 * 1453, 3215031751, 2**53 + 1,
 def oracle_refusal(members):
     """The message a PrimeSet of members must be refused with, or None,
     found member by member."""
-    prev = 1
+    prev = None
     for p in members:
-        if p <= prev:
+        if prev is not None and p <= prev:
             return f"primes must be strictly increasing, got {p} after {prev}"
         prev = p
     if members and members[-1] >= PSI12:
@@ -343,9 +345,11 @@ def assert_matches_oracle(members):
 
 
 def validation_route(monkeypatch, members):
-    """Which checks validated the members above 2^21: 'sieve', 'mr' or 'table'."""
+    """Which checks validated the members above 2^21: 'mr' (Miller-Rabin),
+    'sieve' (any sieve run) or 'table' (neither)."""
     from primepoisson import primesets
 
+    primesets._prime_table()  # built once, so its own sieve is not counted as a route
     used = set()
 
     def spy(name, fn):
@@ -370,8 +374,8 @@ VALIDATION_CASES = {
     "out of order past 2^64": ((2**64 + 13, 2**63 + 29), "table"),
     "zero": ((0, 2), "table"),
     "composite below 2^21": ((2, 3, 2**21 - 1), "table"),
-    "primes across 2^21, sieved": (EDGE_RUN, "sieve"),
-    "composite in a sieved run": (tuple(sorted(EDGE_RUN[:1500] + (2**21 + 1,))), "sieve"),
+    "primes across 2^21, sieved": (EDGE_RUN, "mr"),
+    "composite in a sieved run": (tuple(sorted(EDGE_RUN[:1500] + (2**21 + 1,))), "mr"),
     "sparse pair across 2^21": ((2097143, 2097169), "mr"),
     "pseudoprime, Miller-Rabin": ((1000000007, 3215031751), "mr"),
     "members past 2^53": ((3, 2**53 - 111, 2**53 + 5), "mr"),
@@ -471,14 +475,6 @@ def test_prime_array_refuses_a_span_over_the_cap_before_sieving(monkeypatch):
         prime_array(1, MAX_SPAN + 1)
 
 
-def test_validation_avoids_a_sieve_whose_base_primes_are_over_the_span_cap(monkeypatch):
-    from primepoisson import primesets
-
-    # EDGE_RUN is sieved (VALIDATION_CASES); its base primes run to about 1449
-    monkeypatch.setattr(primesets, "MAX_SPAN", 1000)
-    assert validation_route(monkeypatch, list(EDGE_RUN)) == "mr"
-
-
 # ----------------------------------------------- harmonic sums, bit for bit
 
 
@@ -534,3 +530,20 @@ def test_difference_keeps_order():
     assert big.difference(PrimeSet((2**63 + 29,))).primes == (3, 2**64 + 13)
     assert big.difference(PrimeSet((2**63 + 29, 2**64 + 13))).array.dtype == np.int64
     assert full.difference(PrimeSet(())) == full
+
+
+def test_difference_of_an_int64_set_is_not_validated_again(monkeypatch):
+    from primepoisson import primesets
+
+    checked = []
+    check = primesets._check_members
+    monkeypatch.setattr(primesets, "_check_members", lambda arr: checked.append(arr.size) or check(arr))
+    full, small = sieve_primes(10**6), PrimeSet((2, 3, 2**64 + 13))
+    assert checked == [3]
+    rest = full.difference(small)
+    assert len(rest) == 78_496 and rest.array.dtype == np.int64 and not rest.array.flags.writeable
+    assert full.difference(PrimeSet(())) == full and full.difference(full) == PrimeSet(())
+    assert checked == [3, 0, 0]  # the operands built here, none of the differences
+    # an object array still goes through PrimeSet, which narrows it to int64
+    assert small.difference(PrimeSet((2**64 + 13,))).array.dtype == np.int64
+    assert checked[-1] == 2
