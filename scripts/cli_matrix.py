@@ -160,6 +160,15 @@ MATRIX = [
     ["harmonic", "--set", "list:3215031751"],
     ["harmonic", "--set", "list:2,318665857834031151167461"],
     ["harmonic", "--set", "list:1,2,3"],
+    # the Legendre table at x = 101^3 and just below it (101 is the least prime
+    # whose cube is x), and the odd-only sieve across the byte table's end 2^21
+    ["counts", "--x", "1030301", "--set", "interval:2..101",
+     "--set", "interval:102..1030301:multiplicity"],
+    ["counts", "--x", "1030300", "--set", "interval:2..101",
+     "--set", "interval:102..1030300:multiplicity"],
+    ["model-tv", "--x", "1030301", "--y", "101"],
+    ["sieve", "--lo", "2097140", "--hi", "2097200"],
+    ["sieve", "--limit", "2097152"],
 ]
 
 

@@ -1,17 +1,18 @@
 """Prime enumeration, validated prime-set containers, and harmonic sums over primes.
 
-One segmented sieve of Eratosthenes serves enumeration and the primality
-table; pi(x) and the smooth-part counts read one Legendre table over the at
-most 2 sqrt(x) values {x // d} instead.  A PrimeSet stores its members once,
-as one read-only int64 array (object for a member at or above 2^63); its
-primes tuple is a view built on demand, which no count path reads.  A set
-given from outside is validated member by member, with two checks: a cached
-byte table below 2^21 and a deterministic Miller-Rabin test above it.  The
-sets that sieve_primes, primes_in_interval and difference return skip that
-check (ascending primes by construction, or a subset of a valid set), so
-large sets come fastest from them.  Harmonic sums are dist.exact_sum of the
-terms, the same floats as math.fsum; members at or above 2^53 have their
-terms formed from exact Python ints.
+One odd-only segmented sieve of Eratosthenes serves enumeration and the
+primality table; pi(x) and the smooth-part counts read one Legendre table over
+the at most 2 sqrt(x) values {x // d} instead, built in one numpy step per
+prime up to x^(1/3) and in chunked batches for the primes above it.  A
+PrimeSet stores its members once, as one read-only int64 array (object for a
+member at or above 2^63); its primes tuple is a view built on demand, which no
+count path reads.  A set given from outside is validated member by member,
+with two checks: a cached byte table below 2^21 and a deterministic
+Miller-Rabin test above it.  The sets that sieve_primes, primes_in_interval
+and difference return skip that check (ascending primes by construction, or
+a subset of a valid set), so large sets come fastest from them.  Harmonic
+sums are dist.exact_sum of the terms, the same floats as math.fsum; members
+at or above 2^53 have their terms formed from exact Python ints.
 Every prime list, the sieve's base primes included, comes from prime_array,
 whose one gate (check_prime_list) refuses an upper end at or above psi_12 and
 a span over 2^30.
@@ -47,18 +48,27 @@ MAX_X = 1 << 40
 # The widest span prime_array lists: 2^30 integers hold at most about 54 M
 # primes, 435 MB as int64; x = 1e8 and the top of expexp:2 (5.3e8) fit.
 MAX_SPAN = 1 << 30
+# The (p, v) pairs of one batched Legendre step: the primes above x^(1/3)
+# are applied this many pairs at a time, which bounds the step's temporaries.
+_PAIR_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=1)
-def _prime_table() -> bytes:
-    return np.concatenate([flags for _, flags in _sieve(-1, _TABLE_LIMIT - 1)]).tobytes()
+def _prime_table() -> np.ndarray:
+    """The byte table below 2^21, read-only: 1 at each prime, 0 elsewhere."""
+    table = np.zeros(_TABLE_LIMIT, dtype=np.uint8)
+    table[2] = 1
+    for seg_lo, flags in _sieve(-1, _TABLE_LIMIT - 1):
+        table[seg_lo : seg_lo + 2 * flags.size : 2] = flags
+    table.flags.writeable = False
+    return table
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality check (table lookup, then Miller-Rabin); n at
     or above the certified bound _MR_LIMIT is a domain error."""
     if n < _TABLE_LIMIT:
-        return n >= 0 and _prime_table()[n] == 1
+        return n >= 0 and bool(_prime_table()[n])
     if n >= _MR_LIMIT:
         raise DomainError(f"{n} is at or above the certified primality bound {_MR_LIMIT}")
     if n % 2 == 0:
@@ -91,7 +101,7 @@ def _check_members(arr: np.ndarray) -> None:
         raise DomainError(f"{arr[-1]} is at or above the certified primality bound {_MR_LIMIT}")
     split = int(np.searchsorted(arr, _TABLE_LIMIT))
     small = arr[:split].astype(np.int64, copy=False)
-    bad = small[np.frombuffer(_prime_table(), dtype=np.uint8)[small.clip(0)] == 0]
+    bad = small[_prime_table()[small.clip(0)] == 0]
     if bad.size:
         raise DomainError(f"{bad[0]} is not prime")
     for p in arr[split:].tolist():
@@ -189,15 +199,20 @@ def check_x_cap(x: int) -> None:
 
 
 def _sieve(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The segmented sieve of Eratosthenes over (lo, hi], lo >= -1, SEGMENT_SIZE
-    at a time: yields (seg_lo, flags) with flags[i] true iff seg_lo + i is prime."""
-    base = prime_array(1, math.isqrt(hi)).tolist() if hi >= 4 else []
-    for seg_lo in range(lo + 1, hi + 1, SEGMENT_SIZE):
-        flags = np.ones(min(SEGMENT_SIZE, hi + 1 - seg_lo), dtype=bool)
-        flags[: max(0, 2 - seg_lo)] = False  # 0 and 1 are not prime
+    """The odd-only segmented sieve of Eratosthenes over the odd integers in
+    (lo, hi], lo >= -1, SEGMENT_SIZE flags at a time: yields (seg_lo, flags),
+    seg_lo odd, with flags[i] true iff seg_lo + 2i is prime.  2, the one even
+    prime, is the caller's to add."""
+    base = prime_array(1, math.isqrt(hi))[1:].tolist() if hi >= 9 else []  # odd primes
+    for seg_lo in range((lo + 1) | 1, hi + 1, 2 * SEGMENT_SIZE):
+        flags = np.ones(min(SEGMENT_SIZE, (hi - seg_lo) // 2 + 1), dtype=bool)
+        if seg_lo == 1:
+            flags[0] = False  # 1 is not prime
         for p in base:
             start = max(p * p, -(-seg_lo // p) * p)
-            flags[start - seg_lo :: p] = False
+            if start % 2 == 0:
+                start += p  # the first odd multiple
+            flags[(start - seg_lo) // 2 :: p] = False
         yield seg_lo, flags
 
 
@@ -217,8 +232,14 @@ def prime_array(lo: int, hi: int) -> np.ndarray:
     """Primes in (lo, hi] as an ascending int64 array (raw sieve output),
     after check_prime_list(lo, hi)."""
     check_prime_list(lo, hi)
-    chunks = [np.flatnonzero(flags) + seg_lo for seg_lo, flags in _sieve(lo, hi)]
-    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    chunks = [np.array([2] if lo < 2 <= hi else [], dtype=np.int64)]
+    for seg_lo, flags in _sieve(lo, hi):
+        idx = np.flatnonzero(flags)
+        idx *= 2
+        idx += seg_lo
+        chunks.append(idx)
+        del flags  # else it lives on while _sieve makes the next segment's
+    return np.concatenate(chunks)
 
 
 def sieve_primes(limit: int) -> PrimeSet:
@@ -237,20 +258,56 @@ def primes_in_interval(lo: int, hi: int) -> PrimeSet:
     return PrimeSet._of_sieve(prime_array(int(lo), int(hi)))
 
 
+def _legendre_step(s: np.ndarray, v: np.ndarray, x: int, ps: np.ndarray, first: np.ndarray) -> None:
+    """S(v) -= S(v // p) - S(p - 1) for every p in ps and every v >= p^2 in V
+    (the pairs of p and v[first_p:]), in place, every delta read before any
+    write: the updates of ps one after another, when no p reads an entry that
+    another p writes.  The deltas at one v are summed by np.subtract.at."""
+    r = v.size // 2
+    counts = v.size - first
+
+    def per_pair(a):  # np.repeat(a, counts), but a lone prime's values broadcast
+        return a if a.size == 1 else np.repeat(a, counts)
+
+    j = np.arange(int(counts.sum()))
+    j += per_pair(first - np.cumsum(counts) + counts)  # the index of v in each pair
+    p = per_pair(ps)
+    w = v[j]
+    w //= p  # v // p: in V at index w if w <= r, else at 2r + 1 - x // w
+    up = w > r
+    w[up] = 2 * r + 1 - x // w[up]
+    delta = s[w]
+    delta -= s[p - 1]
+    np.subtract.at(s, j, delta)
+
+
 def legendre_table(x: int, primes: np.ndarray) -> np.ndarray:
     """R(v) = #{m <= v : no prime factor of m is in primes} (all primes up to
     the last) over V = [0, r] and {x // d : d <= r}, r = isqrt(x), ascending:
     R(v) at v <= r, R(x // d) at 2r + 1 - d.  Lucy's form of Legendre's
     recursion: S(v) = #[2, v] takes S(v) -= S(v // p) - S(p - 1) for v >= p^2,
-    prime p <= r by prime; R(v) = 1 + S(v) - #{p <= v}.  O(x^(3/4)) work."""
+    prime p <= r by prime; R(v) = 1 + S(v) - #{p <= v}.  One numpy step per
+    prime p with p^3 <= x (25 at x = 1e6, 47 at 1e7), then one step for all
+    the primes in (x^(1/3), r], cut into chunks of about _PAIR_CHUNK (p, v)
+    pairs: such a p reads at v // p <= x / p < q^2 and at p - 1, below every
+    entry that another such prime q writes, so their order does not matter."""
     r = math.isqrt(x)
     v = np.concatenate((np.arange(r + 1), x // np.arange(r, 0, -1)))
     s = v - 1  # S(0) = -1 is never read
-    for p in primes[: np.searchsorted(primes, r, "right")].tolist():
-        start = int(np.searchsorted(v, p * p))
-        w = v[start:] // p  # in V, at index w or 2r + 1 - x // w
-        s[start:] -= s[np.where(w <= r, w, 2 * r + 1 - x // w)] - s[p - 1]
-    return s + 1 - np.searchsorted(primes, v, "right")
+    base = primes[: np.searchsorted(primes, r, "right")]
+    first = np.searchsorted(v, base * base)  # where each prime's v >= p^2 start
+    k = 0
+    while k < base.size and int(base[k]) ** 3 <= x:  # exact: Python ints
+        _legendre_step(s, v, x, base[k : k + 1], first[k : k + 1])
+        k += 1
+    before = np.concatenate(([0], np.cumsum(v.size - first)))  # pairs before each prime
+    while k < base.size:
+        stop = max(k + 1, int(np.searchsorted(before, before[k] + _PAIR_CHUNK, "right")) - 1)
+        _legendre_step(s, v, x, base[k:stop], first[k:stop])
+        k = stop
+    s += 1
+    s -= np.searchsorted(primes, v, "right")
+    return s
 
 
 def count_primes(limit: int) -> int:

@@ -18,6 +18,7 @@ from primepoisson import (
 )
 from primepoisson.dist import exact_sum
 from primepoisson.factorstats import _validate_request
+from primepoisson.primesets import legendre_table, prime_array
 
 
 def traced_peak(fn) -> int:
@@ -78,3 +79,13 @@ def test_node_enumeration_works_block_by_block():
     joint_factor_counts(10**4, (spec,))  # a first call fills lazy caches
     peak = traced_peak(lambda: joint_factor_counts(10**8, (spec,)))
     assert peak < 5 << 20, peak
+
+
+def test_legendre_table_takes_the_primes_above_the_cube_root_in_chunks():
+    # V holds 200,001 values at 1e10, 1.5 MiB per int64 column: the table and
+    # one lone prime's step peak at about 7.9 MiB, and the 9,267 primes in
+    # (x^(1/3), sqrt(x)] in one unchunked step at about 15.7
+    base = prime_array(1, 10**5)
+    legendre_table(1000, base)
+    peak = traced_peak(lambda: legendre_table(10**10, base))
+    assert peak < 10 << 20, peak

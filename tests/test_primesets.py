@@ -1,11 +1,12 @@
 """Prime enumeration, harmonic sums, and doubly exponential cutoffs."""
 
+import hashlib
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primepoisson import (
@@ -243,19 +244,97 @@ def test_count_primes_across_segment_sizes(monkeypatch):
 
     for seg in (1, 7, 64):
         monkeypatch.setattr(primesets, "SEGMENT_SIZE", seg)
-        assert len(list(primesets._sieve(1, 1000))) == -(-999 // seg)  # 2..1000
+        assert len(list(primesets._sieve(1, 1000))) == -(-499 // seg)  # the odd 3..999
         assert sieve_primes(1000).primes == tuple(naive_primes(1000))
+        for lo in range(-1, 5):  # ends around 1, which is not prime, and 2, which no segment holds
+            for hi in range(lo, 61):
+                got = primesets.prime_array(lo, hi)
+                assert got.dtype == np.int64, (seg, lo, hi)
+                assert got.tolist() == [p for p in naive_primes(hi) if p > lo], (seg, lo, hi)
     assert count_primes(1000) == 168
     assert count_primes(1) == count_primes(0) == count_primes(-7) == 0
 
 
+# sha256 of the byte table below 2^21; a sieve over every integer gave these bytes too
+PRIME_TABLE_SHA256 = "f70b83240417cca1ce717ab62764a7cc2c5f63a98accd6ef7c7f2da2f980749a"
+
+
+def test_the_byte_table_is_pinned():
+    from primepoisson import primesets
+
+    assert hashlib.sha256(primesets._prime_table()).hexdigest() == PRIME_TABLE_SHA256
+
+
 PRIME_SQUARES = [p * p + d for p in (2, 3, 5, 7, 11, 31, 997, 1009) for d in (-1, 0, 1)]
+# x = c^3 is where the Legendre table's last lone prime step meets its batch
+CUBES = [c**3 + d for c in (2, 3, 4, 5, 7, 10, 12, 101, 113, 125) for d in (-1, 0, 1)]
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(st.integers(0, 4), st.sampled_from(PRIME_SQUARES), st.integers(0, 2 * 10**6)))
+@given(
+    st.one_of(
+        st.integers(0, 4),
+        st.sampled_from(PRIME_SQUARES),
+        st.sampled_from(CUBES),
+        st.integers(0, 2 * 10**6),
+    )
+)
 def test_count_primes_is_the_length_of_the_sieve(n):
     assert count_primes(n) == (len(sieve_primes(n)) if n >= 2 else 0)
+
+
+def rough_counts(x, primes):
+    """R(v) for v = 0..x off a sieve by the listed primes: the oracle of
+    legendre_table, with no recursion."""
+    rough = np.ones(x + 1, dtype=bool)
+    rough[0] = False
+    for p in primes:
+        rough[p::p] = False
+    return np.cumsum(rough)
+
+
+def icbrt(x):
+    c = round(x ** (1 / 3))
+    while c**3 > x:
+        c -= 1
+    while (c + 1) ** 3 <= x:
+        c += 1
+    return c
+
+
+def prime_list_ends(x):
+    """Prime lists ending just below, at (if prime) and just above the
+    integer cube root and square root of x."""
+    primes = naive_primes(1000)
+    for a in (icbrt(x), math.isqrt(x)):
+        yield [p for p in primes if p < a]
+        yield [p for p in primes if p <= a]
+        yield [p for p in primes if p <= a] + [min(p for p in primes if p > a)]
+
+
+# cubes of primes and of composites, prime squares, each with its neighbours
+LEGENDRE_X = sorted(
+    {c**3 + d for c in range(2, 59) for d in (-1, 0, 1)}
+    | {p * p + d for p in naive_primes(447) for d in (-1, 0, 1)}
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(LEGENDRE_X), st.integers(0, 5))
+@example(26, 4)  # 3^3 - 1, the list ending at sqrt(x): 3 and 5 in one step
+@example(27, 4)  # 3^3: 3 alone, then 5
+@example(1331, 1)  # 11^3
+@example(1728, 2)  # 12^3, a composite cube
+@example(12167, 4)  # 23^3, the list ending at sqrt(x)
+@example(195112, 0)  # 58^3
+def test_legendre_table_matches_a_brute_count(x, which):
+    from primepoisson.primesets import legendre_table
+
+    primes = list(prime_list_ends(x))[which]
+    r = math.isqrt(x)
+    values = [*range(r + 1), *(x // d for d in range(r, 0, -1))]
+    table = legendre_table(x, np.array(primes, dtype=np.int64))
+    assert table.tolist() == rough_counts(x, primes)[values].tolist()
 
 
 def test_count_primes_reads_the_legendre_table(monkeypatch):
