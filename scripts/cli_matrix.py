@@ -169,6 +169,12 @@ MATRIX = [
     ["model-tv", "--x", "1030301", "--y", "101"],
     ["sieve", "--lo", "2097140", "--hi", "2097200"],
     ["sieve", "--limit", "2097152"],
+    # the model-vs-truth TV where most parts have count 1: y below sqrt(x), y above
+    # it (the k-major branch), y = x, and a part s with x // s = 1009, the largest prime <= y
+    ["model-tv", "--x", "1e7", "--y", "1000"],
+    ["model-tv", "--x", "1e6", "--y", "5000"],
+    ["model-tv", "--x", "1e6", "--y", "1e6"],
+    ["model-tv", "--x", "1019090", "--y", "1009"],
 ]
 
 

@@ -29,9 +29,10 @@ DEFAULT_TAIL_EPS = 1e-12
 
 def _check_mass(probs: np.ndarray, tail_bound: float, what: str, mass: float | None) -> None:
     """The invariant of a pmf: tail_bound and every entry finite and
-    >= 0 (NaN and infinities are refused before exact_sum, whose bit
-    arithmetic needs finite values), and the exact sum in the mass window.
-    mass, when not None, is exact_sum([probs]) as the caller computed it."""
+    >= 0 (NaN and infinities are refused here as a DomainError, before
+    exact_sum would refuse them as a ValueError), and the exact sum in the
+    mass window.  mass, when not None, is exact_sum([probs]) as the caller
+    computed it."""
     if not 0.0 <= tail_bound < math.inf:
         raise DomainError(f"tail_bound must be finite and >= 0, got {tail_bound}")
     if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) < math.inf):
@@ -167,51 +168,87 @@ def check_grid(shape: Sequence[int], what: str) -> None:
         raise CapError(f"{what} of {cells} entries is too large")
 
 
-def _bin_block(bits: np.ndarray, bins: np.ndarray) -> None:
-    """Add the 53-bit mantissas of a block of float64 bit patterns to bins:
-    the low 26 bits at the biased exponent e (1 for subnormals), the high 27
-    at e + 26.  The sign bit is dropped, so -0.0 is a zero."""
-    e = np.maximum((bits >> 52) & 2047, 1)
-    bins += np.bincount(e, bits & (2**26 - 1), minlength=bins.size)
-    high = ((bits >> 26) - ((e - 1) << 26)) & (2**27 - 1)  # implicit bit on, exponent off
-    e += 26
-    bins += np.bincount(e, high, minlength=bins.size)
+# exact_sum's block: 2^15 values of magnitude below 2^(e + 1), rounded to
+# multiples of 2^(e - 36), sum to at most 2^(e + 16) in any order, which
+# float64 holds exactly.  Levels run while _SUM_SHORT values are nonzero.
+_SUM_BLOCK = 1 << 15
+_SUM_SHORT = 1 << 11
+# A block whose top is 2^_SUM_SPLIT or more puts its multiples of 2^990 in an
+# int: the rest, each below 2^990, makes level sums below 2^1007, and fewer
+# than 2^16 of those cannot overflow math.fsum.
+_SUM_SPLIT = 992
 
 
-def _fold(bins: np.ndarray) -> int:
-    """sum bins[e] 2^e as one Python int; eight bins (< 2^53) make one uint64."""
-    words = np.pad(bins, (0, -bins.size % 8)).astype(np.uint64).reshape(-1, 8)
-    words = (words << np.arange(8, dtype=np.uint64)).sum(axis=1)
-    nz = np.flatnonzero(words)
-    return sum(int(w) << 8 * g for g, w in zip(nz.tolist(), words[nz].tolist()))
+def _split(v: np.ndarray) -> tuple[int, np.ndarray]:
+    """v = h 2^990 + low exactly: low = fmod(v, 2^990), each below 2^990, and
+    h the sum of the integers (v - low) 2^-990, each below 2^34."""
+    low = np.fmod(v, 2.0**990)  # exact, so v - low is an exact multiple of 2^990
+    multiples = v - low
+    multiples *= 2.0**-990
+    return int(multiples.sum()), low  # 2^15 of them sum exactly
+
+
+def _extract(v: np.ndarray) -> tuple[int, np.ndarray]:
+    """Split a block of at most _SUM_BLOCK finite values into an int h and
+    fewer than _SUM_SHORT + 60 floats whose exact sum plus h 2^990 is the
+    block's: the exact sum of each level and the values left after the last.
+
+    A level (Rump, Ogita and Oishi, "Accurate floating-point summation part
+    I", SIAM J. Sci. Comput. 31, 2008) takes sigma = 2^(e + 17), 2^e <= top
+    < 2^(e + 1) the largest magnitude: q = (v + sigma) - sigma is v rounded
+    to a multiple of 2^(e - 36), exactly, v - q is exact, and so is q.sum().
+    Each level leaves residuals at most 2^(e - 36).  They are cut to their
+    nonzeros once half are zero or fewer than _SUM_SHORT are not."""
+    top = np.abs(v).max()
+    if not top < math.inf:
+        raise ValueError(f"exact_sum needs finite values, got {v[~np.isfinite(v)][0]}")
+    high = 0
+    if top >= 2.0**_SUM_SPLIT:
+        high, v = _split(v)
+        top = np.abs(v).max()
+    sums = []
+    while v.size >= _SUM_SHORT:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + 16)
+        q = v + sigma
+        q -= sigma
+        sums.append(q.sum())
+        v = np.subtract(v, q, out=q)
+        left = np.count_nonzero(v)
+        if left < _SUM_SHORT or 2 * left <= v.size:
+            v = v[v != 0.0]
+        top = np.abs(v).max(initial=0.0)
+    return high, np.append(v, sums)
 
 
 def exact_sum(arrays: Iterable[np.ndarray]) -> float:
-    """The correctly rounded sum of the finite, nonnegative float64 values of
-    a stream of arrays, equal to math.fsum of them all.
+    """The correctly rounded sum of the finite float64 values of a stream of
+    arrays, any sign, equal to math.fsum of them all; a NaN or infinity is
+    refused with ValueError, a sum past the float max with OverflowError.
 
-    A value is m 2^(e - 1075), e its biased exponent (1 for subnormals) and m
-    its 53-bit mantissa.  Blocks of 2^15 values are binned by e (np.bincount,
-    m in 26 low and 27 high bits), so every bin is an exact float64 integer;
-    the bins fold into one Python int, sum m 2^e, and int true division by
-    2^1075 rounds correctly.  Memory is O(block), the size unlimited.  Fewer
-    than 2^11 values in all go to math.fsum, which is faster there.  A NaN or
-    infinity on the binned path raises ValueError: its bin is past the last.
+    Blocks of _SUM_BLOCK values are extracted level by level (_extract).  The
+    values each leaves go into one carry, itself extracted once it holds half
+    a block, so memory is O(block) and the size unlimited.  The result is
+    math.fsum of the carry; when some value reached 2^_SUM_SPLIT, the carry
+    and the int multiple of 2^990 are added as integers in units of 2^-1074.
+    math.fsum itself raises OverflowError whenever a partial sum in its order
+    overflows; exact_sum only when the sum does.
     """
-    arrays, head, size = iter(arrays), [], 0
+    high, carry, size = 0, [], 0
     for a in arrays:
-        head.append(a.ravel())
-        if (size := size + a.size) >= 1 << 11:
-            break
-    else:
-        return math.fsum(chain.from_iterable(map(np.ndarray.tolist, head)))
-    total, bins = 0, np.zeros(2047 + 26)
-    for flat in chain(head, (a.ravel() for a in arrays)):
-        for start in range(0, flat.size, 1 << 15):
-            _bin_block(flat[start : start + (1 << 15)].view(np.int64), bins)
-            if bins.max() >= 2.0**52:  # a block adds < 2^43: fold before 2^53
-                total, bins[:] = total + _fold(bins), 0.0
-    return (total + _fold(bins)) / (1 << 1075)
+        flat = a.ravel()
+        for start in range(0, flat.size, _SUM_BLOCK):
+            h, rest = _extract(flat[start : start + _SUM_BLOCK])
+            high, size = high + h, size + rest.size
+            carry.append(rest)
+            if size >= _SUM_BLOCK // 2:  # still under one block: extracted whole
+                held, carry = np.concatenate(carry), []
+                h, rest = _extract(held)
+                high, size, carry = high + h, rest.size, [rest]
+    values = chain.from_iterable(map(np.ndarray.tolist, carry))
+    if high:
+        units = sum((n << 1074) // d for n, d in map(float.as_integer_ratio, values))
+        return ((high << 2064) + units) / (1 << 1074)
+    return math.fsum(values)
 
 
 def _clamped_tv(value: float, radius: float) -> TvResult:

@@ -375,10 +375,14 @@ def smooth_parts(x: int, primes: np.ndarray) -> Iterator[tuple[np.ndarray, np.nd
     """The y-smooth parts s of n <= x, given the primes <= y, and their counts
     R(x // s) (Hildebrand and Tenenbaum, 1993), as int64 blocks.  A part whose
     largest prime p is <= sqrt(x) is p^a times an earlier part; the rest are
-    p*m with p > sqrt(x), m <= x // p.  The counts must total x."""
+    p*m with p > sqrt(x), m <= x // p.  R(t) = 1 for 1 <= t <= primes[-1]: the
+    only m <= t free of the primes <= y is 1.  So the table is read only for
+    s <= x // (primes[-1] + 1): at (1e7, 1000) the 7,609 parts up to 10,020
+    of 2,028,358.  The counts must total x."""
     root = math.isqrt(x)
     table = legendre_table(x, primes)
     cut = int(np.searchsorted(primes, root, "right"))
+    read = x // (int(primes[-1]) + 1)  # a part above it has x // s <= primes[-1]
 
     def parts() -> Iterator[np.ndarray]:
         base = np.ones(1, dtype=np.int64)  # the parts met so far, pruned to x // p
@@ -386,8 +390,10 @@ def smooth_parts(x: int, primes: np.ndarray) -> Iterator[tuple[np.ndarray, np.nd
         for p in primes[:cut].tolist():
             base = piece = base[base <= x // p]
             grown = [base]
-            while (piece := p * piece[piece <= x // p]).size:  # p^a times the base
+            while piece.size:  # p^a times the base
+                piece = p * piece
                 yield piece
+                piece = piece[piece <= x // p]
                 grown.append(piece[piece <= x // (p + 1)])  # the next prime's bound at most
             base = np.concatenate(grown)
         if cut < primes.size:  # p*k, p > sqrt(x), k-major: for each k the p are one slice
@@ -397,7 +403,10 @@ def smooth_parts(x: int, primes: np.ndarray) -> Iterator[tuple[np.ndarray, np.nd
 
     total = 0
     for s in _regroup(parts()):
-        counts = table[np.where(s <= root, 2 * root + 1 - s, x // s)]  # R(x // s)
+        counts = np.ones_like(s)
+        at = np.flatnonzero(s <= read)
+        low = s[at]
+        counts[at] = table[np.where(low <= root, 2 * root + 1 - low, x // low)]  # R(x // s)
         total += int(counts.sum())
         yield s, counts
     if total != x:

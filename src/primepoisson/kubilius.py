@@ -74,7 +74,7 @@ def _panjer(fp: np.ndarray, tail_eps: float) -> tuple[np.ndarray, float]:
     concave function of r, so unimodal: golden-section search finds it.
     """
     inv = 1.0 / fp
-    log_g0 = -exact_sum([-np.log1p(-inv)])  # exact_sum takes nonnegative terms
+    log_g0 = exact_sum([np.log1p(-inv)])
 
     def log_g(r: float) -> float:
         return log_g0 - float(np.log1p(-r * inv).sum())
@@ -138,16 +138,27 @@ def model_tv_exact(x: int, y: int) -> TvResult:
 
     Exponent vectors over primes <= y correspond bijectively to y-smooth
     parts s, with model probability (1/s) * prod_{p <= y} (1 - 1/p).  The TV
-    sums max(0, P_true(s) - P_model(s)) over the observed parts, fed to
-    dist.exact_sum one block at a time, after the Psi guard (smooth_primes).
-    The value is the correctly rounded sum of these float terms, but
-    uncertainty 0.0 does not bound their rounding ("Honest rounding", ROADMAP.md).
+    sums max(0, P_true(s) - P_model(s)) over the observed parts, after the
+    Psi guard (smooth_primes).  Each block of parts (smooth_parts, most with
+    count 1) gives its terms in place, clamped at 0 (the zeros add nothing),
+    to dist.exact_sum.  The value is the correctly rounded sum of these float
+    terms, but uncertainty 0.0 does not bound their rounding ("Honest
+    rounding", ROADMAP.md).
     """
     primes = smooth_primes(x, y)  # every check of x and y, then the one sieve
     # math.fsum of the log1p(-1/p), 2^15 primes at a time: no list of every prime
     blocks = (primes[i : i + (1 << 15)].tolist() for i in range(0, primes.size, 1 << 15))
-    log_c = -exact_sum(np.fromiter((-math.log1p(-1.0 / p) for p in b), float) for b in blocks)
-    runs = smooth_parts(x, primes)
-    gaps = (c / float(x) - np.exp(log_c - np.log(s.astype(float))) for s, c in runs)
-    value = exact_sum(gap[gap > 0.0] for gap in gaps)
+    log_c = exact_sum(np.fromiter((math.log1p(-1.0 / p) for p in b), float) for b in blocks)
+
+    def gap(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """max(0, c / x - exp(log_c - log s)), each step in place."""
+        model = s.astype(float)
+        np.log(model, out=model)
+        np.subtract(log_c, model, out=model)
+        np.exp(model, out=model)
+        out = c / float(x)
+        out -= model
+        return np.maximum(out, 0.0, out=out)
+
+    value = exact_sum(gap(s, c) for s, c in smooth_parts(x, primes))
     return TvResult(value=min(value, 1.0), uncertainty=0.0)

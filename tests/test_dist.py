@@ -164,7 +164,7 @@ def dict_tv(p: JointPmf, q: JointPmf) -> TvResult:
 def joint_pmf_pairs(draw):
     """Two random joint pmfs of the same dimension (1-3) whose boxes differ.
 
-    Boxes reach 15^3 cells, past exact_sum's math.fsum crossover.  Cells of
+    Boxes reach 15^3 cells, past the 2^11 values of an exact_sum level.  Cells of
     weight 0 get tiny values down to 5e-324, as the model grids have."""
     dims = draw(st.integers(min_value=1, max_value=3))
     tiny = st.one_of(st.floats(0.0, 1e-17), st.sampled_from([0.0, 5e-324, 2.0**-1022]))
@@ -436,32 +436,84 @@ def test_tail_chain_whole_domain(k, alpha, beta):
 
 # ------------------------------------------------------------ exact sums
 
-finite_nonnegative = st.one_of(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1e-300),  # subnormals, down to 2^-1074
+FLOAT_MAX = 1.7976931348623157e308
+
+finite_values = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals, down to 2^-1074
     st.floats(min_value=1.0, max_value=1e300),
-    st.sampled_from([-0.0, 5e-324, 2.0**-1022, np.nextafter(1.0, 0.0)]),
+    st.floats(min_value=-FLOAT_MAX, max_value=FLOAT_MAX),
+    st.sampled_from(
+        [-0.0, 5e-324, 2.0**-1022, np.nextafter(1.0, 0.0), 2.0**992, -(2.0**1000), FLOAT_MAX]
+    ),
 )
 
 
 @st.composite
 def array_streams(draw):
     """A list of arrays, tiled up to 120,000 values, so blocks of 2^15 run
-    over array ends and the math.fsum crossover is crossed both ways."""
-    values = np.array(draw(st.lists(finite_nonnegative, max_size=40)), dtype=float)
-    data = np.tile(values, draw(st.sampled_from([1, 1, 30, 900, 3000])))
+    over array ends and a level's 2^11 values are crossed both ways, and
+    their exact sum: the tile count times the drawn values'."""
+    values = draw(st.lists(finite_values, max_size=40))
+    reps = draw(st.sampled_from([1, 1, 30, 900, 3000]))
+    data = np.tile(np.array(values, dtype=float), reps)
     cuts = sorted(draw(st.lists(st.integers(0, data.size), max_size=4)))
-    return np.split(data, cuts)
+    return np.split(data, cuts), reps * sum(map(Fraction, values))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or OverflowError if it raises that."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return OverflowError
 
 
 @settings(max_examples=300, deadline=None)
 @given(array_streams())
-@example([])
-@example([np.full(3000, -0.0), np.array([5e-324])])
-def test_exact_sum_is_fsum(arrays):
-    values = [v for a in arrays for v in a.tolist()]
-    assert exact_sum(arrays) == math.fsum(values)
-    assert exact_sum(iter(arrays)) == math.fsum(values)
+@example(([], Fraction(0)))
+@example(([np.full(3000, -0.0), np.array([5e-324])], Fraction(5e-324)))
+@example(([np.r_[np.ones(3000), -1.0]], Fraction(2999)))  # a negative value past 2^11 values
+@example(([np.full(3000, FLOAT_MAX)], 3000 * Fraction(FLOAT_MAX)))
+def test_exact_sum_is_fsum(stream):
+    # float(Fraction) rounds correctly and raises OverflowError past the max;
+    # math.fsum agrees, but also raises where a partial sum in its order
+    # overflows though the sum does not, and exact_sum then returns the sum
+    arrays, exact = stream
+    want = _outcome(float, exact)
+    fsum = _outcome(math.fsum, [v for a in arrays for v in a.tolist()])
+    assert _outcome(exact_sum, arrays) == want
+    assert _outcome(exact_sum, iter(arrays)) == want
+    assert fsum == want or fsum is OverflowError
+
+
+@pytest.mark.parametrize("size", [1, 3000, 100_000])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_sum_refuses_a_value_that_is_not_finite_at_every_size(bad, size):
+    values = np.ones(size)
+    values[size // 2] = bad
+    with pytest.raises(ValueError, match=f"finite values, got {bad}"):
+        exact_sum([values])
+
+
+@pytest.mark.parametrize("low", [0.0, 0.5, -1.0])
+def test_exact_sum_of_dense_random_blocks(low):
+    # every q of a level has up to 37 bits, so its sum is exact only within
+    # the bound: 2^15 values below 2^(e + 1) at sigma = 2^(e + 17)
+    rng = np.random.default_rng(3)
+    terms = rng.uniform(low, 1.0, 1 << 17)
+    assert exact_sum([terms]) == math.fsum(terms.tolist())
+    # a rounded level sum would likely round to the same total, but not cancel
+    assert exact_sum([terms, -rng.permutation(terms), np.array([5e-324])]) == 5e-324
+
+
+@pytest.mark.parametrize("e", [991, 992, 1006, 1010, 1012])
+def test_exact_sum_at_tops_around_the_split(e):
+    # below 2^992 a block forms sigma = 2^(e + 17) itself; at and above it the
+    # multiples of 2^990 go to an int, sigma would not fit at e = 1007 and up
+    rng = np.random.default_rng(e)
+    block = np.ldexp(rng.uniform(-1.0, 1.0, 1 << 15), e + 1 - rng.integers(0, 60, 1 << 15))
+    assert exact_sum([block]) == float(sum(map(Fraction, block.tolist())))
 
 
 def test_exact_sum_many_terms_near_one():
@@ -470,8 +522,47 @@ def test_exact_sum_many_terms_near_one():
     assert exact_sum([terms]) == math.fsum(terms.tolist())
 
 
+@pytest.mark.parametrize(
+    "value", [np.nextafter(1.0, 0.0), -np.nextafter(2.0**-40, 0.0), 1.0, -(2.0**600)]
+)
+def test_exact_sum_at_the_edge_of_the_level_bound(value):
+    # 2^15 equal values: each just below a power of two rounds up to it, so a
+    # level's q-sum is 2^15 times it, the most its bound allows; at an exact
+    # power of two the q are the values and no residual is left
+    block = np.full(1 << 15, value)
+    assert exact_sum([block]) == float((1 << 15) * Fraction(value))
+    assert exact_sum([block] * 5) == float(5 * (1 << 15) * Fraction(value))
+
+
+def huge_block() -> np.ndarray:
+    """2^15 values: +-2^1000 to 2^1024, each next to the negation of itself
+    times 1 - 2^-40, among subnormals and values in [0, 1)."""
+    rng = np.random.default_rng(5)
+    block = np.ldexp(rng.random(1 << 15), rng.integers(-1074, -1021, 1 << 15))
+    magnitudes = np.ldexp(1.0 + rng.random(1 << 13), rng.integers(1000, 1024, 1 << 13))
+    big = rng.choice([-1.0, 1.0], 1 << 13) * magnitudes
+    block[::4], block[2::4] = big, -big * (1 - 2.0**-40)
+    block[1::8] = rng.random(1 << 12)
+    return block
+
+
+def test_exact_sum_splits_a_top_past_2_1000_next_to_subnormals():
+    block = huge_block()
+    exact = sum(map(Fraction, block.tolist()))
+    assert exact_sum([block]) == float(exact)
+    assert exact_sum([block, np.array([5e-324]), -block]) == 5e-324
+    assert exact_sum(itertools.repeat(block, 40)) == float(40 * exact)
+    # a sum past the float max, and ones whose partial sums pass it though they do not
+    with pytest.raises(OverflowError):
+        exact_sum([np.full(2, FLOAT_MAX)])
+    assert exact_sum([np.array([FLOAT_MAX, FLOAT_MAX, -FLOAT_MAX, 5e-324])]) == FLOAT_MAX
+    cancelling = np.r_[np.full(3000, FLOAT_MAX), np.full(3000, -FLOAT_MAX), 5e-324]
+    assert exact_sum([cancelling]) == 5e-324
+
+
 def test_exact_sum_folds_a_long_stream():
-    # one block repeated: its top bin passes 2^52 after 1025 blocks and folds
+    # one block repeated, 36 M values near one: each block leaves a few level
+    # sums and residuals in the carry, rounded once at the end
     block = np.full((1 << 15) - 1, np.nextafter(1.0, 0.0))
     block[:2] = 0.3, 5e-324
     exact = sum(map(Fraction, block.tolist())) * 1100

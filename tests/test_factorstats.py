@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from primepoisson import (
@@ -24,6 +24,7 @@ from primepoisson import (
     tv_distance_keys,
 )
 from primepoisson import factorstats
+from primepoisson.primesets import legendre_table
 
 
 def dspec(*primes):
@@ -437,6 +438,61 @@ def test_smooth_parts_above_sqrt_x_match_factorization():
     assert smooth_part_distribution(x, y) == direct
     with mock.patch.object(factorstats, "_BLOCK", 3):
         assert smooth_part_distribution(x, y) == direct
+
+
+def _table_values(x):
+    """V, the values legendre_table's entries are at: [0, r], then x // d for d = r..1."""
+    r = math.isqrt(x)
+    return np.concatenate((np.arange(r + 1), x // np.arange(r, 0, -1)))
+
+
+def _counts_off_the_table(x, primes):
+    """{s: count} from smooth_parts, and R as a dict over V off legendre_table."""
+    parts, counts = map(np.concatenate, zip(*factorstats.smooth_parts(x, primes)))
+    table = dict(zip(_table_values(x).tolist(), legendre_table(x, primes).tolist()))
+    return dict(zip(parts.tolist(), counts.tolist())), table
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(2, 3000),
+    st.integers(0, 12),
+    st.sampled_from(["last", "next", "free"]),
+    st.integers(0, 2 * 10**5),
+)
+def test_smooth_part_counts_are_read_off_the_legendre_table(y, a, target, x):
+    # the parts with x // s <= primes[-1] get count 1 without the table; each
+    # count must still be R(x // s).  "last" and "next" put x // s = primes[-1]
+    # and the next prime on the part 2^a; y prime or composite, below or
+    # above sqrt(x) (the k-major branch)
+    primes = sieve_primes(2 * y + 10).array
+    last, nxt = primes[primes <= y][-1], primes[primes > y][0]
+    if target != "free":
+        x = (1 << a) * int(last if target == "last" else nxt) + x % (1 << a)
+    assume(y <= x <= 2 * 10**5)
+    counts, table = _counts_off_the_table(x, factorstats.smooth_primes(x, y))
+    assert counts == {s: table[x // s] for s in counts}
+    if target != "free":
+        assert counts[1 << a] == (1 if target == "last" else 2)
+
+
+def test_a_count_of_1_from_one_prime_too_early_fails_the_total():
+    # the fault: every part with x // s <= 1013, the least prime above y, read
+    # as count 1, as if the table were read only for s <= x // (1013 + 1).  The
+    # part 1010 has x // s = 1013, whose count is 2, so the total falls short
+    x, y = 1013 * 1010, 1009
+    primes = factorstats.smooth_primes(x, y)
+    counts, _ = _counts_off_the_table(x, primes)
+    assert counts[1010] == 2
+
+    def faulty(x, primes):
+        table, v = legendre_table(x, primes), _table_values(x)
+        table[(v > primes[-1]) & (v <= 1013)] = 1
+        return table
+
+    with mock.patch.object(factorstats, "legendre_table", faulty):
+        with pytest.raises(RuntimeError, match="total"):
+            list(factorstats.smooth_parts(x, primes))
 
 
 # ----------------------------------------------------------- segment_size

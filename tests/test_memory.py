@@ -4,6 +4,7 @@ numpy reports its buffers to tracemalloc, so a traced peak covers both the
 arrays and the Python objects a call allocates.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -57,6 +58,18 @@ def test_single_spec_validation_allocates_nothing_per_prime():
 def test_exact_sum_works_block_by_block():
     terms = np.random.default_rng(0).random(1 << 20)  # 8 MiB
     peak = traced_peak(lambda: exact_sum([terms]))
+    assert peak < 1 << 20, peak
+
+
+def test_exact_sum_of_huge_values_among_subnormals_works_block_by_block():
+    # each block's top is 2^1000 or more and it leaves its 2047 subnormals:
+    # 200 blocks (50 MiB) put 3.2 MiB of them through a carry of one block
+    rng = np.random.default_rng(1)
+    block = np.ones(1 << 15)
+    big = rng.choice([-1.0, 1.0], 1 << 13) * np.ldexp(1.0 + rng.random(1 << 13), 1000)
+    block[::4], block[2::4] = big, -big * (1 - 2.0**-40)
+    block[1:4094:2] = np.ldexp(rng.random(2047), -1022)
+    peak = traced_peak(lambda: exact_sum(itertools.repeat(block, 200)))
     assert peak < 1 << 20, peak
 
 
