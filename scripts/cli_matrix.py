@@ -175,6 +175,11 @@ MATRIX = [
     ["model-tv", "--x", "1e6", "--y", "5000"],
     ["model-tv", "--x", "1e6", "--y", "1e6"],
     ["model-tv", "--x", "1019090", "--y", "1009"],
+    # cor1 ranges past the last fitting block: one past t_10 (refused), one wholly
+    # above it (refused), and one that starts above the blocks that fit at 1e5
+    ["cor1", "--x", "1e5", "--lo", "0", "--hi", "11"],
+    ["cor1", "--x", "1e5", "--lo", "12", "--hi", "12"],
+    ["cor1", "--x", "1e5", "--lo", "4", "--hi", "10"],
 ]
 
 

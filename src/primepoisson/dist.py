@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import CapError, DomainError
@@ -332,31 +332,30 @@ def product_joint(components: Sequence[Pmf]) -> JointPmf:
 
 
 def binomial_pmf(k: int, alpha: float) -> Pmf:
-    """Binomial(k, alpha) pmf, exact support [0, k], tail_bound 0.
-
-    Up to k = 1000 the entries are float products of comb(k, m) and powers
-    built one factor a step.  Beyond that they run the ratio recurrence
-    p(m+1) = p(m) (k-m)/(m+1) alpha/(1-alpha) in mpmath with 64 + 2 log2(k)
-    guard bits, so each entry is rounded to float64 once."""
+    """Binomial(k, alpha) pmf, exact support [0, k], tail_bound 0; each entry,
+    subnormals included, is its exact value rounded to float64 once.  The ratio
+    recurrence p(m+1) = p(m) (k-m)/(m+1) alpha/(1-alpha) runs in decimal from
+    alpha's exact value (64 + 2 log2(k) guard bits, unbounded exponents); an
+    entry whose error interval holds a rounding tie is redone in exact integers."""
     if k < 0:
         raise DomainError(f"trial count must be >= 0, got {k}")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"success probability must be in [0, 1], got {alpha}")
     if alpha in (0.0, 1.0):  # a point mass at alpha * k
-        probs = np.zeros(k + 1)
-        probs[round(alpha * k)] = 1.0
-    elif k <= 1000:
-        comb = np.array([float(math.comb(k, m)) for m in range(k + 1)])
-        pa = np.multiply.accumulate(np.r_[1.0, np.full(k, alpha)])  # alpha^m, one factor a step
-        pb = np.multiply.accumulate(np.r_[1.0, np.full(k, 1.0 - alpha)])
-        probs = comb * pa * pb[::-1]
-    else:
-        with mpmath.workprec(53 + 64 + 2 * k.bit_length()):
-            a = mpmath.mpf(alpha)
-            ratio, v = a / (1 - a), (1 - a) ** k
-            probs = np.empty(k + 1)
+        probs = np.arange(k + 1) == round(alpha * k)
+    else:  # 36 digits hold 53 + 64 bits, 0.61 digits 2 bits; (1-alpha)^k must not underflow
+        prec = 36 + math.ceil(0.61 * k.bit_length())
+        n, d = alpha.as_integer_ratio()  # d is a power of two
+        with localcontext(Context(prec, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+            a = Decimal(alpha)
+            ratio, v, probs = a / (1 - a), (1 - a) ** k, []
+            err = Decimal(8 * k + 8).scaleb(1 - prec)  # > v's error: k+3 roundings, 5 a step
+            below, above = 1 - err, 1 + err
             for m in range(k + 1):
-                probs[m] = float(v)
+                down, up = float(v * below), float(v * above)  # float(Decimal) rounds correctly
+                if down != up:  # a tie within err of v: int / int rounds the exact value once
+                    down = math.comb(k, m) * n**m * (d - n) ** (k - m) / d**k
+                probs.append(down)
                 v = v * ratio * (k - m) / (m + 1)
     return Pmf(probs, 0.0)
 

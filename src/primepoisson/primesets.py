@@ -337,7 +337,7 @@ def harmonic_sums(ps: PrimeSet) -> HarmonicSums:
     )
 
 
-_EXPEXP_MAX_K = 10
+EXPEXP_MAX_K = 10
 
 
 @lru_cache(maxsize=None)
@@ -348,8 +348,8 @@ def expexp_cutoff(k: int) -> int:
     value is computed with mpmath at a working precision sized to the result
     and re-checked at double that precision to certify the floor.
     """
-    if not 0 <= k <= _EXPEXP_MAX_K:
-        raise DomainError(f"cutoff index must be in [0, {_EXPEXP_MAX_K}], got {k}")
+    if not 0 <= k <= EXPEXP_MAX_K:
+        raise DomainError(f"cutoff index must be in [0, {EXPEXP_MAX_K}], got {k}")
     prec = 64 + int(1.5 * math.exp(k))
     with mpmath.workprec(prec):
         val = int(mpmath.floor(mpmath.exp(mpmath.exp(k))))

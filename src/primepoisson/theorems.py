@@ -30,7 +30,8 @@ from .errors import CapError, DomainError, EmptyConditionError
 from .factorstats import CountMode, JointCounts, SetSpec, joint_factor_counts
 from .factorstats import check_disjoint, check_x_cap
 from .kubilius import model_exact_pmf, model_tv_exact
-from .primesets import PrimeSet, expexp_block, expexp_cutoff, harmonic_sums, sieve_primes
+from .primesets import EXPEXP_MAX_K, PrimeSet, expexp_block, expexp_cutoff, harmonic_sums
+from .primesets import sieve_primes
 
 # halasz and thm4 build one report per k; 10^5 of them take 0.7-0.9 s and
 # 50-60 MiB (2-vCPU VM), so a k range with more values than this is refused
@@ -189,23 +190,23 @@ def check_corollary1(
     (t_k, t_{k+1}], t_k = floor(exp(exp(k))).
 
     A requested block k is usable when t_k^3 <= x (its lower cutoff sits
-    below the cube root, keeping u away from 1) and t_{k+1} <= x; unusable
-    blocks are dropped and recorded.  rhs is exp(-e^(xi/2)) at the effective
-    smallest block index — an order-of-magnitude reference whose absolute
-    constant is unknown.
+    below the cube root, keeping u away from 1) and t_{k+1} <= x.  The t_k
+    grow, so the usable blocks run from xi_lo to the first that is not; the
+    rest are dropped and recorded.  rhs is exp(-e^(xi_lo/2)), an
+    order-of-magnitude reference whose absolute constant is unknown.
     """
     if xi_hi < xi_lo:
         raise DomainError(f"empty block range [{xi_lo}, {xi_hi}]")
     if xi_lo < 0:
         raise DomainError(f"block index must be >= 0, got {xi_lo}")
 
-    used, skipped = [], []
+    if xi_hi > EXPEXP_MAX_K:  # refused whole: the first index past the last cutoff raises
+        expexp_cutoff(max(xi_lo, EXPEXP_MAX_K + 1))
+    used = []
     for k in range(xi_lo, xi_hi + 1):
-        # t_{k+1} is read only when t_k^3 <= x: block 10 never fits, and t_11 does not exist
-        if expexp_cutoff(k) ** 3 <= x and expexp_cutoff(k + 1) <= x:
-            used.append(k)
-        else:
-            skipped.append(k)
+        if expexp_cutoff(k) ** 3 > x or expexp_cutoff(k + 1) > x:
+            break
+        used.append(k)
     if not used:
         raise DomainError(
             f"infeasible cutoffs: no block in [{xi_lo}, {xi_hi}] fits below x^(1/3) for x={x}"
@@ -218,8 +219,7 @@ def check_corollary1(
     counts = joint_factor_counts(x, specs)
     tv = tv_distance_keys(counts.keys, counts.tallies / x, [unit] * len(specs))
 
-    xi_eff = min(used)
-    rhs = math.exp(-math.exp(xi_eff / 2.0))
+    rhs = math.exp(-math.exp(xi_lo / 2.0))
     block_stats = []
     for k, b in zip(used, blocks):
         hs = harmonic_sums(b)
@@ -238,8 +238,8 @@ def check_corollary1(
         "x": x,
         "requested": [xi_lo, xi_hi],
         "used_blocks": used,
-        "skipped_blocks": skipped,
-        "xi_effective": xi_eff,
+        "skipped_blocks": list(range(xi_lo + len(used), xi_hi + 1)),
+        "xi_effective": xi_lo,
         "blocks": block_stats,
         "y_effective": y_eff,
         "u_effective": math.log(x) / math.log(y_eff),

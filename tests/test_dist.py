@@ -286,11 +286,25 @@ def test_product_joint_entries():
     assert points.entries == {(0, 0): 1.0}
 
 
+def binomial_exact(k, alpha):
+    """Every C(k, m) alpha^m (1 - alpha)^(k - m) from alpha's exact value:
+    with alpha = a / d, d a power of two, the numerators C(k, m) a^m (d - a)^(k - m)
+    are integers, each divided by d^k once (int / int rounds correctly)."""
+    a, d = alpha.as_integer_ratio()
+    num, whole, out = (d - a) ** k, d**k, []
+    for m in range(k + 1):
+        out.append(num / whole)
+        num = num * (k - m) * a // ((m + 1) * (d - a))
+    return out
+
+
+unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
 def test_binomial_hand_cases():
     assert binomial_pmf(0, 0.3).probs.tolist() == [1.0]
     assert binomial_pmf(2, 0.5).probs.tolist() == [0.25, 0.5, 0.25]
-    expected = math.comb(10, 3) * 0.3**3 * 0.7**7
-    assert binomial_pmf(10, 0.3).prob(3) == pytest.approx(expected, abs=1e-16)
+    assert binomial_pmf(10, 0.3).prob(3) == binomial_exact(10, 0.3)[3] == 0.266827932
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -298,12 +312,41 @@ def test_binomial_hand_cases():
 def test_binomial_point_masses(monkeypatch, k, alpha):
     from primepoisson import dist
 
-    monkeypatch.setattr(dist, "mpmath", None)  # k > 1000 must not reach the ratio a / (1 - a)
+    monkeypatch.setattr(dist, "Decimal", None)  # the recurrence's ratio a / (1 - a) is never built
     pmf = binomial_pmf(k, alpha)
     unit = np.zeros(k + 1)
     unit[round(alpha * k)] = 1.0
     assert pmf.probs.tolist() == unit.tolist()
     assert pmf.tail_bound == 0.0
+
+
+# (91, 1e-12): P(X = 0) came out 18 ulps high; (1000, 0.01): alpha^m underflowed
+# before comb(k, m) multiplied it, so entries from m = 162 on came out 0.0;
+# (10000, 0.5): the subnormal entries m = 3146 and 6854 were rounded twice;
+# (57, 0.5): m = 25 and 32 are exact ties between two floats, and
+# (3, 1.0662801976527762e-97): m = 1 lies a relative 2e-97 below one; the
+# recurrence's own rounding cannot tell which way these go
+BINOMIAL_EXACT = [
+    (91, 1e-12), (1000, 0.01), (200, 0.37), (10000, 0.5), (57, 0.5), (3, 1.0662801976527762e-97)
+]
+
+
+@pytest.mark.parametrize("k, alpha", BINOMIAL_EXACT)
+def test_binomial_entries_are_exact_floats(k, alpha):
+    assert binomial_pmf(k, alpha).probs.tolist() == binomial_exact(k, alpha)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=300), unit_open)
+def test_binomial_entries_are_exact_floats_drawn(k, alpha):
+    assert binomial_pmf(k, alpha).probs.tolist() == binomial_exact(k, alpha)
+
+
+def test_binomial_mass_survives_a_tiny_one_minus_alpha():
+    # (1 - alpha)^k = 2^-3,400,000 is below the default decimal context's 10^-999999,
+    # where the recurrence would start from 0 and the mass would be lost
+    pmf = binomial_pmf(170_000, 1.0 - 2.0**-20)
+    assert 1.0 - MASS_SLACK <= exact_sum([pmf.probs]) <= 1.0 + MASS_SLACK
 
 
 def test_product_joint_sums_its_grid_once(monkeypatch):
@@ -414,9 +457,6 @@ def exact_tail(k, alpha, beta):
         ms = range(k + 1)
         ms = [m for m in ms if m <= cut] if b <= a else [m for m in ms if m >= cut]
         return float(mpmath.fsum(mpmath.binomial(k, m) * a**m * (1 - a) ** (k - m) for m in ms))
-
-
-unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
 @settings(max_examples=300, deadline=None)

@@ -404,11 +404,32 @@ def test_cor1_infeasible_and_empty_ranges():
 
 
 def test_cor1_last_block_is_skipped_not_an_error():
-    # block 10 never fits (t_10^3 > x), so its t_11, which does not exist, is never asked for
+    # blocks 2..10 do not fit (t_k^3 > x), so t_11, which does not exist, is never asked for
     rep = check_corollary1(10**5, 0, 10, 1e-12)
     assert rep.params["used_blocks"] == [0, 1]
     assert rep.params["skipped_blocks"] == list(range(2, 11))
     assert rep.lhs == check_corollary1(10**5, 0, 9, 1e-12).lhs
+
+
+def test_cor1_reads_no_cutoff_past_the_first_block_that_does_not_fit(monkeypatch):
+    from primepoisson import primesets, theorems
+
+    read = []
+    real = primesets.expexp_cutoff
+
+    def spy(k):
+        read.append(k)
+        return real(k)
+
+    monkeypatch.setattr(theorems, "expexp_cutoff", spy)
+    monkeypatch.setattr(primesets, "expexp_cutoff", spy)
+    check_corollary1(10**5, 0, 10)
+    assert read and max(read) == 2  # block 2 does not fit: t_2^3 > 1e5
+    # a range past t_10 is still refused whole: index 11 is asked for first, and refused
+    read.clear()
+    with pytest.raises(DomainError, match=r"must be in \[0, 10\], got 11"):
+        check_corollary1(10**5, 0, 11)
+    assert read == [11]
 
 
 # ------------------------------------------------------------- thm4/cor32
