@@ -180,6 +180,8 @@ MATRIX = [
     ["cor1", "--x", "1e5", "--lo", "0", "--hi", "11"],
     ["cor1", "--x", "1e5", "--lo", "12", "--hi", "12"],
     ["cor1", "--x", "1e5", "--lo", "4", "--hi", "10"],
+    # a sweep over more processes than a 2-CPU machine has
+    ["sweep", "--grid", "GRID", "--workers", "3"],
 ]
 
 

@@ -44,17 +44,19 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import reprlib
+import signal
 import sys
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .dist import DEFAULT_TAIL_EPS
@@ -444,11 +446,16 @@ _ROW_FIELDS = ["name", "band_value", "lhs", "rhs", "ratio", "value", "uncertaint
 _SWEEP_COLUMNS = ["row", "command", *_ROW_FIELDS[:5], "status", "error"]
 
 
+def _row_record(index: int, row) -> dict:
+    """The fields every record of a sweep row has, whatever its status."""
+    command = row.get("command", "") if isinstance(row, dict) else ""
+    return {"row": index, "command": command, "config": row}
+
+
 def _run_sweep_row(indexed_row: tuple[int, dict]) -> dict:
     """Execute one sweep row; never raises, and writes no files."""
     index, row = indexed_row
-    command = row.get("command", "") if isinstance(row, dict) else ""
-    record: dict = {"row": index, "command": command, "config": row}
+    record = _row_record(index, row)
     try:
         argv = _row_to_argv(row)
         with contextlib.redirect_stderr(io.StringIO()) as captured:
@@ -476,7 +483,107 @@ def _run_sweep_row(indexed_row: tuple[int, dict]) -> dict:
     return record
 
 
+# a sweep runs on at most this many processes, its own included
+MAX_WORKERS = 64
+# the row queue holds one token per chunk of rows, at most _MAX_TOKENS of
+# _TOKEN bytes: 4,096 bytes, PIPE_BUF, so the whole queue is one write that
+# fits the pipe before any worker starts
+_MAX_TOKENS = 1024
+_TOKEN = 4
+
+
+def _pull(queue: int, rows: list, chunk: int) -> list[dict]:
+    """Run rows, one chunk for each token read from the queue, until it is empty."""
+    records = []
+    while token := os.read(queue, _TOKEN):
+        start = int.from_bytes(token, "little") * chunk
+        records += map(_run_sweep_row, enumerate(rows[start : start + chunk], start))
+    return records
+
+
+def _worker(queue: int, reply: int, inherited: list[int], rows: list, chunk: int) -> NoReturn:
+    """A forked worker's whole life: pull rows, send their records as one
+    pickle, and leave without running any of the parent's exit code."""
+    code = 1
+    try:
+        for fd in inherited:  # the reply pipes' read ends belong to the parent
+            os.close(fd)
+        records = _pull(queue, rows, chunk)
+        with open(reply, "wb") as fh:
+            fh.write(pickle.dumps(records))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, reply: int) -> tuple[int, bytes]:
+    """A worker's wait status and its reply, once it has exited."""
+    with open(reply, "rb") as fh:
+        data = fh.read()
+    return os.waitpid(pid, 0)[1], data
+
+
+def _death(status: int) -> str:
+    """How a worker with this wait status ended."""
+    code = os.waitstatus_to_exitcode(status)
+    return f"exit status {code}" if code >= 0 else f"killed by signal {-code}"
+
+
+def _run_forked(rows: list, workers: int) -> list[dict]:
+    """Run the rows on ``workers`` processes, this one included, each pulling
+    chunks of rows from one queue until it is empty; the records come back in
+    row order.  A worker that dies before its reply loses the rows it took:
+    they become ``crashed`` records that name how it died."""
+    chunk = -(-len(rows) // _MAX_TOKENS)
+    tokens = range(-(-len(rows) // chunk))
+    queue, fill = os.pipe()
+    os.write(fill, b"".join(i.to_bytes(_TOKEN, "little") for i in tokens))
+    os.close(fill)
+    replies: dict[int, int] = {}  # worker pid -> read end of its reply pipe
+    try:
+        for _ in range(workers - 1):
+            reply, send = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the ones running share the rows
+                os.close(reply)
+                os.close(send)
+                break
+            if pid == 0:
+                _worker(queue, send, [reply, *replies.values()], rows, chunk)
+            os.close(send)
+            replies[pid] = reply
+        records = _pull(queue, rows, chunk)
+    except BaseException:  # the sweep is lost: its workers' rows are not wanted
+        for pid in replies:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        done = [_reap(pid, reply) for pid, reply in replies.items()]
+
+    for status, data in done:
+        if status == 0:  # a worker exits 0 only once its whole reply is written
+            records += pickle.loads(data)
+    died = ", ".join(sorted({_death(status) for status, _ in done if status}))
+    ran = {r["row"] for r in records}
+    records += (
+        {**_row_record(i, row), "status": "crashed", "error": f"sweep worker died ({died})"}
+        for i, row in enumerate(rows)
+        if i not in ran
+    )
+    return sorted(records, key=lambda r: r["row"])
+
+
 def _cmd_sweep(ns) -> CommandResult:
+    if ns.workers is None:
+        workers = min(os.cpu_count() or 1, MAX_WORKERS)
+    else:
+        workers = parse_count(ns.workers)
+        if workers < 1:
+            raise DomainError(f"workers must be >= 1, got {workers}")
+        if workers > MAX_WORKERS:
+            raise CapError(f"{workers} workers exceed the cap of {MAX_WORKERS}")
     grid_path = Path(ns.grid)
     try:
         grid = json.loads(grid_path.read_text())
@@ -486,17 +593,11 @@ def _cmd_sweep(ns) -> CommandResult:
         raise DomainError("grid file must be an object with a 'rows' list")
     name = str(grid.get("name") or grid_path.stem)
     rows = grid.get("rows", [])
-    workers = parse_count(ns.workers) if ns.workers is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-
-    # under the fork start method the pool starts all its workers at once
     workers = min(workers, len(rows))
-    if workers <= 1:
-        records = [_run_sweep_row(item) for item in enumerate(rows)]
+    if workers > 1 and hasattr(os, "fork"):
+        records = _run_forked(rows, workers)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_sweep_row, enumerate(rows)))
+        records = [_run_sweep_row(item) for item in enumerate(rows)]
 
     ok = [r for r in records if r["status"] == "ok"]
     band_values = [r["band_value"] for r in ok if r.get("band_value") is not None]
@@ -613,7 +714,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a grid of sub-configs with band checks")
     p.add_argument("--grid", required=True, help="JSON grid file with a 'rows' list")
-    p.add_argument("--workers", default=None, help="worker processes (default: cpu count)")
+    p.add_argument(
+        "--workers",
+        default=None,
+        help=f"processes that run rows, this one included (default: cpu count; at most "
+        f"{MAX_WORKERS})",
+    )
 
     for command, p in sub.choices.items():
         p.add_argument("--out-dir", default=None, help="write the report, tables and manifest here")
@@ -626,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser, shared by main and every sweep row (forked
-    pool workers inherit it); parsing leaves no state in it."""
+    sweep workers inherit it); parsing leaves no state in it."""
     return build_parser()
 
 

@@ -336,7 +336,7 @@ def binomial_pmf(k: int, alpha: float) -> Pmf:
     subnormals included, is its exact value rounded to float64 once.  The ratio
     recurrence p(m+1) = p(m) (k-m)/(m+1) alpha/(1-alpha) runs in decimal from
     alpha's exact value (64 + 2 log2(k) guard bits, unbounded exponents); an
-    entry whose error interval holds a rounding tie is redone in exact integers."""
+    entry whose error interval holds a rounding tie is computed again alone."""
     if k < 0:
         raise DomainError(f"trial count must be >= 0, got {k}")
     if not 0.0 <= alpha <= 1.0:
@@ -345,7 +345,6 @@ def binomial_pmf(k: int, alpha: float) -> Pmf:
         probs = np.arange(k + 1) == round(alpha * k)
     else:  # 36 digits hold 53 + 64 bits, 0.61 digits 2 bits; (1-alpha)^k must not underflow
         prec = 36 + math.ceil(0.61 * k.bit_length())
-        n, d = alpha.as_integer_ratio()  # d is a power of two
         with localcontext(Context(prec, Emin=MIN_EMIN, Emax=MAX_EMAX)):
             a = Decimal(alpha)
             ratio, v, probs = a / (1 - a), (1 - a) ** k, []
@@ -353,11 +352,29 @@ def binomial_pmf(k: int, alpha: float) -> Pmf:
             below, above = 1 - err, 1 + err
             for m in range(k + 1):
                 down, up = float(v * below), float(v * above)  # float(Decimal) rounds correctly
-                if down != up:  # a tie within err of v: int / int rounds the exact value once
-                    down = math.comb(k, m) * n**m * (d - n) ** (k - m) / d**k
-                probs.append(down)
+                probs.append(down if down == up else _binomial_entry(k, m, alpha, prec))
                 v = v * ratio * (k - m) / (m + 1)
     return Pmf(probs, 0.0)
+
+
+def _binomial_entry(k: int, m: int, alpha: float, prec: int) -> float:
+    """C(k, m) alpha^m (1-alpha)^(k-m) rounded to float64 once, for an entry
+    whose error interval at ``prec`` digits held a rounding tie.  It is computed
+    directly at twice that precision, plus the digits of 1/alpha, since at a
+    tiny alpha a near tie lies about (k - m) alpha from the tie; only if that
+    interval still holds one is it redone as an exact integer ratio."""
+    a = Decimal(alpha)
+    prec = 2 * prec - min(0, a.adjusted())
+    with localcontext(Context(prec, Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        v = math.comb(k, m) * a**m * (1 - a) ** (k - m)
+        err = Decimal(4 * k + 8).scaleb(1 - prec)  # > v's error: 2k+5 roundings
+        down, up = float(v * (1 - err)), float(v * (1 + err))
+    return down if down == up else _binomial_entry_exact(k, m, *alpha.as_integer_ratio())
+
+
+def _binomial_entry_exact(k: int, m: int, n: int, d: int) -> float:
+    """C(k, m) (n/d)^m (1 - n/d)^(k-m) as int / int, which rounds the exact value once."""
+    return math.comb(k, m) * n**m * (d - n) ** (k - m) / d**k
 
 
 def _log_ratio(num: float, den: float, diff: float) -> float:

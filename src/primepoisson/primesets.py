@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-import mpmath
 import numpy as np
 
 from .dist import exact_sum
@@ -348,6 +347,8 @@ def expexp_cutoff(k: int) -> int:
     value is computed with mpmath at a working precision sized to the result
     and re-checked at double that precision to certify the floor.
     """
+    import mpmath  # here, not at the top: no other code needs it, and it costs every import
+
     if not 0 <= k <= EXPEXP_MAX_K:
         raise DomainError(f"cutoff index must be in [0, {EXPEXP_MAX_K}], got {k}")
     prec = 64 + int(1.5 * math.exp(k))

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -836,35 +840,148 @@ def test_sweep_non_object_row_isolated(tmp_path, bad_row):
     assert (rows[0]["command"], rows[0]["config"]) == ("", bad_row)
 
 
+@pytest.fixture
+def reaped():
+    """After the test, no child of this process is left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the sweep workers this process forks."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def harmonic_grid(tmp_path, n_rows):
+    """A grid of n_rows harmonic rows, one prime each, so a row is known by its set."""
+    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))][:n_rows]
+    grid = tmp_path / "grid.json"
+    rows = [{"command": "harmonic", "set": f"list:{p}"} for p in primes]
+    grid.write_text(json.dumps({"rows": rows}))
+    return grid
+
+
 @pytest.mark.parametrize(
-    "n_rows, expected", [(1, []), (2, [2]), (3, [3])], ids=["1-row", "2-rows", "3-rows"]
+    "workers, n_rows, n_forks",
+    [("8", 1, 0), ("8", 2, 1), ("8", 3, 2), ("3", 8, 2), ("64", 2, 1), ("1", 5, 0)],
+    ids=["1-row", "2-rows", "3-rows", "3-workers", "64-workers", "1-worker"],
 )
-def test_sweep_pool_no_larger_than_grid(tmp_path, monkeypatch, n_rows, expected):
+def test_sweep_forks_one_worker_less_than_it_runs(
+    tmp_path, forks, reaped, workers, n_rows, n_forks
+):
+    # this process runs rows too, and no process is started that would find no row
+    grid = harmonic_grid(tmp_path, n_rows)
+    code, out = run(["sweep", "--grid", str(grid), "--workers", workers], tmp_path)
+    assert code == 0
+    assert len(forks) == n_forks
+    assert json.loads((out / "sweep_report.json").read_text())["summary"]["ok"] == n_rows
+
+
+@pytest.mark.parametrize("workers", ["65", "1e5"])
+def test_sweep_workers_over_the_cap_refused_before_any_work(
+    tmp_path, monkeypatch, capsys, workers
+):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a sweep worker was forked"))
+    # the grid does not exist: reading it first would exit 2
+    assert main(["sweep", "--grid", str(tmp_path / "grid.json"), "--workers", workers]) == 3
+    err = capsys.readouterr().err
+    assert err == f"refused: {parse_count(workers)} workers exceed the cap of 64\n"
+
+
+def test_sweep_default_workers_clamped_to_the_cap(tmp_path, monkeypatch):
     sizes = []
 
-    class PoolRecorder:
-        """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+    def serial(rows, workers):
+        sizes.append(workers)
+        return [cli._run_sweep_row(item) for item in enumerate(rows)]
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(cli, "_run_forked", serial)
+    code, _ = run(["sweep", "--grid", str(harmonic_grid(tmp_path, 70))], tmp_path)
+    assert code == 0 and sizes == [cli.MAX_WORKERS]
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def test_sweep_rows_of_a_killed_worker_are_crashed(tmp_path, monkeypatch, forks, reaped):
+    parent, ran, harmonic = os.getpid(), [], cli._HANDLERS["harmonic"]
 
-        def map(self, fn, items):
-            return map(fn, items)
+    def handler(ns):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if not ran:  # hold this process's first row until a worker has died
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        ran.append(ns.set)
+        return harmonic(ns)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", PoolRecorder)
+    monkeypatch.setitem(cli._HANDLERS, "harmonic", handler)
+    grid = harmonic_grid(tmp_path, 8)
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "3"], tmp_path)
+    assert code == 0 and len(forks) == 2
+    rows = json.loads((out / "sweep_report.json").read_text())["rows"]
+    assert [r["row"] for r in rows] == list(range(8))
+    assert sorted(r["config"]["set"] for r in rows if r["status"] == "ok") == sorted(ran)
+    crashed = [r for r in rows if r["status"] != "ok"]
+    assert 1 <= len(crashed) <= 2  # a worker dies on the first row it takes
+    for r in crashed:
+        assert (r["status"], r["error"]) == ("crashed", "sweep worker died (killed by signal 9)")
+        assert r["command"] == "harmonic" and r.get("name") is None
+
+
+def test_sweep_reaps_its_workers_when_its_own_row_raises(tmp_path, monkeypatch, forks, reaped):
+    parent, harmonic = os.getpid(), cli._HANDLERS["harmonic"]
+
+    def handler(ns):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a worker still busy: it is killed, not waited for
+        return harmonic(ns)
+
+    monkeypatch.setitem(cli._HANDLERS, "harmonic", handler)
+    grid = harmonic_grid(tmp_path, 8)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run(["sweep", "--grid", str(grid), "--workers", "3"], tmp_path)
+    assert len(forks) == 2
+    assert time.perf_counter() - started < 30
+
+
+def test_sweep_goes_on_when_a_fork_fails(tmp_path, monkeypatch, reaped):
+    calls, fork = [], os.fork
+
+    def second_fails():
+        calls.append(1)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    grid = harmonic_grid(tmp_path, 6)
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "4"], tmp_path)
+    assert code == 0 and len(calls) == 2  # no fork is tried after one fails
+    assert json.loads((out / "sweep_report.json").read_text())["summary"]["ok"] == 6
+
+
+def test_sweep_of_more_rows_than_tokens_runs_each_row_once(tmp_path, forks, reaped):
+    # 2,500 rows go out in chunks of 3: 834 tokens, shared by more processes than CPUs
+    rows = [{"command": "harmonic", "set": f"list:{p}"} for p in (2, 3, 5, 7, 11)] * 500
     grid = tmp_path / "grid.json"
-    rows = [{"command": "harmonic", "set": "list:2,3,5"}] * n_rows
-    grid.write_text(json.dumps({"name": "pool", "rows": rows}))
-    code, out = run(["sweep", "--grid", str(grid), "--workers", "8"], tmp_path)
-    assert code == 0
-    assert sizes == expected
-    assert json.loads((out / "sweep_report.json").read_text())["summary"]["ok"] == n_rows
+    grid.write_text(json.dumps({"rows": rows}))
+    _, serial = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path, "w1")
+    code, out = run(["sweep", "--grid", str(grid), "--workers", "8"], tmp_path, "w8")
+    assert code == 0 and len(forks) == 7
+    assert json.loads((out / "sweep_report.json").read_text())["summary"]["ok"] == 2500
+    for name in ("sweep_report.json", "sweep_table.csv"):
+        assert (serial / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_sweep_identical_across_worker_counts(tmp_path):
@@ -882,13 +999,10 @@ def test_sweep_identical_across_worker_counts(tmp_path):
         )
     )
     _, out1 = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path, "w1")
-    _, out2 = run(["sweep", "--grid", str(grid), "--workers", "2"], tmp_path, "w2")
-    assert (out1 / "sweep_report.json").read_bytes() == (
-        out2 / "sweep_report.json"
-    ).read_bytes()
-    assert (out1 / "sweep_table.csv").read_bytes() == (
-        out2 / "sweep_table.csv"
-    ).read_bytes()
+    for workers in ("2", "3"):
+        _, out = run(["sweep", "--grid", str(grid), "--workers", workers], tmp_path, workers)
+        for name in ("sweep_report.json", "sweep_table.csv"):
+            assert (out1 / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_sweep_band_check_on_summary(tmp_path):
@@ -963,6 +1077,20 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "primepoisson" in proc.stdout
+
+
+def test_cli_import_loads_no_mpmath_or_process_pool():
+    # mpmath is imported by its one user, expexp_cutoff; sweeps fork their own workers
+    code = "import sys, primepoisson.cli; print(sorted(set(sys.modules) & set(sys.argv[1:])))"
+    banned = ["mpmath", "concurrent.futures", "multiprocessing"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *banned],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sieve_writes_prime_file(tmp_path):

@@ -336,6 +336,25 @@ def test_binomial_entries_are_exact_floats(k, alpha):
     assert binomial_pmf(k, alpha).probs.tolist() == binomial_exact(k, alpha)
 
 
+def test_binomial_near_tie_resolves_without_integers(monkeypatch):
+    # the integers of an exact ratio grow as k log2(1/alpha): about 37 M bits at
+    # (98304, 1.0662801976527762e-97), whose m = 1 entry took 11 s that way
+    from primepoisson import dist
+
+    retried, exact = [], []
+    retry, integers = dist._binomial_entry, dist._binomial_entry_exact
+    monkeypatch.setattr(
+        dist, "_binomial_entry", lambda k, m, *a: retried.append((k, m)) or retry(k, m, *a)
+    )
+    monkeypatch.setattr(
+        dist, "_binomial_entry_exact", lambda k, m, *a: exact.append((k, m)) or integers(k, m, *a)
+    )
+    binomial_pmf(3, 1.0662801976527762e-97)
+    assert (retried, exact) == ([(3, 1)], [])
+    binomial_pmf(57, 0.5)  # exact ties: no precision resolves them
+    assert exact == [(57, 25), (57, 32)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=300), unit_open)
 def test_binomial_entries_are_exact_floats_drawn(k, alpha):
