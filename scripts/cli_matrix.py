@@ -182,6 +182,9 @@ MATRIX = [
     ["cor1", "--x", "1e5", "--lo", "4", "--hi", "10"],
     # a sweep over more processes than a 2-CPU machine has
     ["sweep", "--grid", "GRID", "--workers", "3"],
+    # doubly exponential blocks whose ends have thousands of digits
+    ["harmonic", "--set", "expexp:8"],
+    ["harmonic", "--set", "expexp:9"],
 ]
 
 

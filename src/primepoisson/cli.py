@@ -534,7 +534,7 @@ def _run_forked(rows: list, workers: int) -> list[dict]:
     chunks of rows from one queue until it is empty; the records come back in
     row order.  A worker that dies before its reply loses the rows it took:
     they become ``crashed`` records that name how it died."""
-    chunk = -(-len(rows) // _MAX_TOKENS)
+    chunk = max(1, -(-len(rows) // _MAX_TOKENS))
     tokens = range(-(-len(rows) // chunk))
     queue, fill = os.pipe()
     os.write(fill, b"".join(i.to_bytes(_TOKEN, "little") for i in tokens))
@@ -593,11 +593,7 @@ def _cmd_sweep(ns) -> CommandResult:
         raise DomainError("grid file must be an object with a 'rows' list")
     name = str(grid.get("name") or grid_path.stem)
     rows = grid.get("rows", [])
-    workers = min(workers, len(rows))
-    if workers > 1 and hasattr(os, "fork"):
-        records = _run_forked(rows, workers)
-    else:
-        records = [_run_sweep_row(item) for item in enumerate(rows)]
+    records = _run_forked(rows, min(workers, len(rows)) if hasattr(os, "fork") else 1)
 
     ok = [r for r in records if r["status"] == "ok"]
     band_values = [r["band_value"] for r in ok if r.get("band_value") is not None]

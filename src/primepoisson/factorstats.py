@@ -11,18 +11,18 @@ m*q^2 <= x and m*q^e <= x; each node tallies itself at key(m).  Every other
 n is m*q for a node m and one prime q in (max(P(m), isqrt(x // m)), x // m],
 and its key is key(m) + d_G, where the group G holds the primes in exactly
 the same sets as q.  So each node also tallies, per group, pi_G(x // m) -
-pi_G(lo) at key(m) + d_G, read off one table per group over V = [0, r] and
-{x // d}, r = isqrt(x): a listed group's by searchsorted in its primes, the
-primes in no set's as legendre_table's pi less the listed groups.  Only the
-primes <= sqrt(x) are enumerated: about x^0.72 nodes (85,582 at 1e7), not x
-integers.  The nodes are expanded depth first in blocks, so memory follows
-the block and the tables.  Each set's first moment is checked against its
-closed form.  A trial-division oracle is an independent slow route for
-cross-checking.
+pi_G(lo) at key(m) + d_G, read off one table per group over legendre_table's
+V = [0, r] and {x // d}, r = isqrt(x): a listed group's by searchsorted in
+its primes, the primes in no set's as the table's pi less the listed groups.
+Only the primes <= sqrt(x) are enumerated: about x^0.72 nodes (85,582 at
+1e7), not x integers.  The nodes are expanded depth first in blocks, so
+memory follows the block and the tables.  Each set's first moment is checked
+against its closed form.  A trial-division oracle is an independent slow
+route for cross-checking.
 
 The y-smooth parts of n <= x are enumerated, not found by a pass over every
 n: count(s) = R(x // s), R(t) being the number of m <= t without a prime
-factor <= y, read off one Legendre table over {x // d}.
+factor <= y, S(t) + 1 - pi(y) off the Legendre table's S at every t read.
 """
 
 from __future__ import annotations
@@ -153,10 +153,10 @@ def _pairs(first: np.ndarray, lengths: np.ndarray, block: int) -> Iterator[tuple
 
 def _plan(x: int, specs: tuple[SetSpec, ...]) -> tuple[np.ndarray, ...]:
     """The enumeration's inputs: the primes <= r = isqrt(x); pi[i, g], the
-    number of group g's primes <= v_i over V = [0, r] and {x // d : d <= r}
-    in legendre_table's order; each group's key increment d_G; and those of
-    each p <= r and of its further powers.  A group holds the primes of one
-    mask of sets; d_G adds 1 to the byte of each set in the mask."""
+    number of group g's primes <= v_i over V = [0, r] and {x // d : d <= r},
+    the V and pi of one legendre_table; each group's key increment d_G; and
+    those of each p <= r and of its further powers.  A group holds the primes
+    of one mask of sets; d_G adds 1 to the byte of each set in the mask."""
     first, *rest = sorted(range(len(specs)), key=lambda i: -specs[i].primes.array.size)
     union = specs[first].primes.array  # grown from the largest set: a set inside it is looked up
     mask = np.full(union.size, 1 << first, dtype=np.uint8)  # bit i: set i holds the prime
@@ -168,9 +168,8 @@ def _plan(x: int, specs: tuple[SetSpec, ...]) -> tuple[np.ndarray, ...]:
         if not held.all():
             at = np.searchsorted(union, ps[~held])
             union, mask = np.insert(union, at, ps[~held]), np.insert(mask, at, 1 << i)
-    r = math.isqrt(x)
-    small = prime_array(1, r)
-    v = np.concatenate((np.arange(r + 1), x // np.arange(r, 0, -1)))
+    small = prime_array(1, math.isqrt(x))
+    v, pi_all = legendre_table(x, small)
     top = 1 << first  # the primes of the largest set alone, read off the union
     others = np.flatnonzero(mask != top)
     others = others[np.argsort(mask[others], kind="stable")]  # by group, each ascending
@@ -181,8 +180,7 @@ def _plan(x: int, specs: tuple[SetSpec, ...]) -> tuple[np.ndarray, ...]:
     }
     listed = np.searchsorted(union, v, "right")
     pis[top] = listed - sum(pis.values())  # the union less the other groups
-    pis[0] = np.searchsorted(small, v, "right") - listed  # the primes in no set: every prime
-    pis[0][r + 1 :] += legendre_table(x, small)[r + 1 :] - 1  # less the union; pi(v) for v > r
+    pis[0] = pi_all - listed  # the primes in no set: every prime less the union
     kept = [g for g, pi in pis.items() if pi[-1]] or [0]
     pi, steps = np.stack([pis[g] for g in kept], axis=1), _STEPS[kept]
     one = steps[np.argmax(pi[small] - pi[small - 1], axis=1)]  # the group whose pi steps at p
@@ -380,7 +378,7 @@ def smooth_parts(x: int, primes: np.ndarray) -> Iterator[tuple[np.ndarray, np.nd
     s <= x // (primes[-1] + 1): at (1e7, 1000) the 7,609 parts up to 10,020
     of 2,028,358.  The counts must total x."""
     root = math.isqrt(x)
-    table = legendre_table(x, primes)
+    table = legendre_table(x, primes)[1] + (1 - primes.size)  # R(t) at every t > primes[-1]
     cut = int(np.searchsorted(primes, root, "right"))
     read = x // (int(primes[-1]) + 1)  # a part above it has x // s <= primes[-1]
 

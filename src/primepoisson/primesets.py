@@ -1,9 +1,10 @@
 """Prime enumeration, validated prime-set containers, and harmonic sums over primes.
 
 One odd-only segmented sieve of Eratosthenes serves enumeration and the
-primality table; pi(x) and the smooth-part counts read one Legendre table over
-the at most 2 sqrt(x) values {x // d} instead, built in one numpy step per
-prime up to x^(1/3) and in chunked batches for the primes above it.  A
+primality table; pi(x), the count's prime tables and the smooth-part counts
+read one Legendre table instead: V, the at most 2 sqrt(x) values {x // d},
+and Lucy's S over V, which is pi when sieved to sqrt(x), built in one loop of
+numpy steps (a prime up to x^(1/3) alone, the primes above it in chunks).  A
 PrimeSet stores its members once, as one read-only int64 array (object for a
 member at or above 2^63); its primes tuple is a view built on demand, which no
 count path reads.  A set given from outside is validated member by member,
@@ -215,13 +216,21 @@ def _sieve(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
         yield seg_lo, flags
 
 
+def _name(n: int) -> str:
+    """n in full up to 30 digits, else its digit count (t_10 has 9,566: too many for str)."""
+    if n < 10**30:
+        return str(n)
+    e = int(math.log10(n))  # floor(log10(n)), or one off next to a power of 10
+    return f"of {e + 1 + (n >= 10 ** (e + 1)) - (n < 10**e)} digits"
+
+
 def check_prime_list(lo: int, hi: int) -> None:
     """prime_array's gates for (lo, hi], without a sieve: an upper end whose
     primes PrimeSet could not certify (DomainError), then a span of more than
     MAX_SPAN integers (CapError)."""
     if hi >= _MR_LIMIT:
         raise DomainError(
-            f"sieve upper end {hi} is at or above the certified primality bound {_MR_LIMIT}"
+            f"sieve upper end {_name(hi)} is at or above the certified primality bound {_MR_LIMIT}"
         )
     if hi - lo > MAX_SPAN:
         raise CapError(f"prime list ({lo}, {hi}] spans {hi - lo} integers, over the cap of 2^30")
@@ -280,41 +289,37 @@ def _legendre_step(s: np.ndarray, v: np.ndarray, x: int, ps: np.ndarray, first: 
     np.subtract.at(s, j, delta)
 
 
-def legendre_table(x: int, primes: np.ndarray) -> np.ndarray:
-    """R(v) = #{m <= v : no prime factor of m is in primes} (all primes up to
-    the last) over V = [0, r] and {x // d : d <= r}, r = isqrt(x), ascending:
-    R(v) at v <= r, R(x // d) at 2r + 1 - d.  Lucy's form of Legendre's
-    recursion: S(v) = #[2, v] takes S(v) -= S(v // p) - S(p - 1) for v >= p^2,
-    prime p <= r by prime; R(v) = 1 + S(v) - #{p <= v}.  One numpy step per
-    prime p with p^3 <= x (25 at x = 1e6, 47 at 1e7), then one step for all
-    the primes in (x^(1/3), r], cut into chunks of about _PAIR_CHUNK (p, v)
-    pairs: such a p reads at v // p <= x / p < q^2 and at p - 1, below every
-    entry that another such prime q writes, so their order does not matter."""
+def legendre_table(x: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V = [0, r] and {x // d : d <= r}, r = isqrt(x), ascending (v at v <= r,
+    x // d at 2r + 1 - d), and S(v) = #{2 <= m <= v : m is prime or has no
+    factor in primes} (all primes up to the last) over V, S(0) = 0: pi when
+    primes holds every prime <= r.  Lucy's form of Legendre's recursion: from
+    v - 1, S(v) -= S(v // p) - S(p - 1) for v >= p^2, prime p <= r by prime,
+    in one loop of numpy steps.  A p with p^3 <= x is a step alone (25 at
+    x = 1e6, 47 at 1e7); the primes in (x^(1/3), r] go in chunks of about
+    _PAIR_CHUNK (p, v) pairs: such a p reads at v // p <= x / p < q^2 and at
+    p - 1, below every entry that another such q writes, so order is free."""
     r = math.isqrt(x)
     v = np.concatenate((np.arange(r + 1), x // np.arange(r, 0, -1)))
-    s = v - 1  # S(0) = -1 is never read
+    s = np.maximum(v - 1, 0)
     base = primes[: np.searchsorted(primes, r, "right")]
     first = np.searchsorted(v, base * base)  # where each prime's v >= p^2 start
-    k = 0
-    while k < base.size and int(base[k]) ** 3 <= x:  # exact: Python ints
-        _legendre_step(s, v, x, base[k : k + 1], first[k : k + 1])
-        k += 1
     before = np.concatenate(([0], np.cumsum(v.size - first)))  # pairs before each prime
-    while k < base.size:
-        stop = max(k + 1, int(np.searchsorted(before, before[k] + _PAIR_CHUNK, "right")) - 1)
+    chunk_end = np.searchsorted(before, before + _PAIR_CHUNK, "right") - 1
+    k = 0
+    while k < base.size:  # p alone if p^3 <= x (exact in Python ints), else a chunk from p
+        stop = k + 1 if int(base[k]) ** 3 <= x else max(k + 1, int(chunk_end[k]))
         _legendre_step(s, v, x, base[k:stop], first[k:stop])
         k = stop
-    s += 1
-    s -= np.searchsorted(primes, v, "right")
-    return s
+    return v, s
 
 
 def count_primes(limit: int) -> int:
-    """pi(limit) off the Legendre table over the primes <= sqrt(limit); a
-    limit over 2^40 is refused before any sieve or table."""
+    """pi(limit), S(limit) off the Legendre table over the primes <= sqrt(limit);
+    a limit over 2^40 is refused before any sieve or table."""
     check_x_cap(limit)
-    base = prime_array(1, math.isqrt(max(limit, 0)))
-    return int(legendre_table(limit, base)[-1]) - 1 + base.size if limit >= 2 else 0
+    limit = max(limit, 0)
+    return int(legendre_table(limit, prime_array(1, math.isqrt(limit)))[1][-1])
 
 
 def harmonic_sums(ps: PrimeSet) -> HarmonicSums:

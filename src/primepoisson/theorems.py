@@ -222,15 +222,15 @@ def check_corollary1(
     rhs = math.exp(-math.exp(xi_lo / 2.0))
     block_stats = []
     for k, b in zip(used, blocks):
-        hs = harmonic_sums(b)
+        h = exact_sum([1.0 / b.array])  # harmonic_sums' h: each p <= x <= 2^40 is an exact float
         block_stats.append(
             {
                 "k": k,
                 "lo": expexp_cutoff(k),
                 "hi": expexp_cutoff(k + 1),
                 "size": len(b),
-                "h": hs.h,
-                "h_minus_1": hs.h - 1.0,
+                "h": h,
+                "h_minus_1": h - 1.0,
             }
         )
     y_eff = expexp_cutoff(max(used) + 1)

@@ -458,6 +458,23 @@ def test_expexp_block_past_the_bound_exits_2_before_sieving(monkeypatch, capsys)
     assert err.startswith("error: sieve upper end 514843556263457213182265 is at or above")
 
 
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (["harmonic", "--set", "expexp:8"], 3520),
+        (["harmonic", "--set", "expexp:9"], 9566),
+        (["thm2", "--x", "1e6", "--set", "expexp:9", "--k", "1"], 9566),
+    ],
+    ids=["harmonic-8", "harmonic-9", "thm2-9"],
+)
+def test_a_block_end_of_thousands_of_digits_is_named_by_its_length(tmp_path, capsys, argv, digits):
+    # t_10 has more digits than str() converts; t_9 in full made a 3,614-byte line
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err.startswith(f"error: sieve upper end of {digits} digits is at or above")
+
+
 @pytest.fixture
 def no_segments(monkeypatch):
     """Fail the test if a sieve segment is built; the cached byte table is
@@ -761,13 +778,15 @@ def test_pmf_floats_reach_files_and_stdout_as_python_floats(tmp_path, capsys, ca
 # -------------------------------------------------------------------- sweep
 
 
-def test_sweep_empty_grid(tmp_path):
+def test_sweep_empty_grid(tmp_path, forks, reaped):
+    # the runner's chunk is at least one row, else the token count divides by 0
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"name": "empty", "rows": []}))
-    code, out = run(["sweep", "--grid", str(grid), "--workers", "1"], tmp_path)
-    assert code == 0
-    rows = (out / "sweep_table.csv").read_text().strip().splitlines()
-    assert len(rows) == 1  # header only
+    for workers in ("1", "2", "3"):
+        code, out = run(["sweep", "--grid", str(grid), "--workers", workers], tmp_path, workers)
+        assert code == 0 and forks == []
+        rows = (out / "sweep_table.csv").read_text().strip().splitlines()
+        assert len(rows) == 1  # header only
 
 
 def test_sweep_cap_row_isolated(tmp_path):
@@ -886,6 +905,20 @@ def test_sweep_forks_one_worker_less_than_it_runs(
     assert code == 0
     assert len(forks) == n_forks
     assert json.loads((out / "sweep_report.json").read_text())["summary"]["ok"] == n_rows
+
+
+def test_sweep_without_fork_runs_the_queue_in_this_process(tmp_path, monkeypatch):
+    sizes, runner = [], cli._run_forked
+
+    def spy(rows, workers):
+        sizes.append(workers)
+        return runner(rows, workers)
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_run_forked", spy)
+    code, out = run(["sweep", "--grid", str(harmonic_grid(tmp_path, 5)), "--workers", "4"], tmp_path)
+    assert code == 0 and sizes == [1]
+    assert json.loads((out / "sweep_report.json").read_text())["summary"]["ok"] == 5
 
 
 @pytest.mark.parametrize("workers", ["65", "1e5"])

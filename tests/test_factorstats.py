@@ -440,17 +440,13 @@ def test_smooth_parts_above_sqrt_x_match_factorization():
         assert smooth_part_distribution(x, y) == direct
 
 
-def _table_values(x):
-    """V, the values legendre_table's entries are at: [0, r], then x // d for d = r..1."""
-    r = math.isqrt(x)
-    return np.concatenate((np.arange(r + 1), x // np.arange(r, 0, -1)))
-
-
 def _counts_off_the_table(x, primes):
-    """{s: count} from smooth_parts, and R as a dict over V off legendre_table."""
+    """{s: count} from smooth_parts, and R as a dict over V off legendre_table:
+    R(v) = 1 + S(v) - #{p in primes : p <= v}, exact at every v."""
     parts, counts = map(np.concatenate, zip(*factorstats.smooth_parts(x, primes)))
-    table = dict(zip(_table_values(x).tolist(), legendre_table(x, primes).tolist()))
-    return dict(zip(parts.tolist(), counts.tolist())), table
+    v, s = legendre_table(x, primes)
+    rough = 1 + s - np.searchsorted(primes, v, "right")
+    return dict(zip(parts.tolist(), counts.tolist())), dict(zip(v.tolist(), rough.tolist()))
 
 
 @settings(max_examples=120, deadline=None)
@@ -485,10 +481,10 @@ def test_a_count_of_1_from_one_prime_too_early_fails_the_total():
     counts, _ = _counts_off_the_table(x, primes)
     assert counts[1010] == 2
 
-    def faulty(x, primes):
-        table, v = legendre_table(x, primes), _table_values(x)
-        table[(v > primes[-1]) & (v <= 1013)] = 1
-        return table
+    def faulty(x, primes):  # S = pi(y), so that R(t) = S(t) + 1 - pi(y) reads 1
+        v, s = legendre_table(x, primes)
+        s[(v > primes[-1]) & (v <= 1013)] = primes.size
+        return v, s
 
     with mock.patch.object(factorstats, "legendre_table", faulty):
         with pytest.raises(RuntimeError, match="total"):

@@ -283,14 +283,21 @@ def test_count_primes_is_the_length_of_the_sieve(n):
     assert count_primes(n) == (len(sieve_primes(n)) if n >= 2 else 0)
 
 
-def rough_counts(x, primes):
-    """R(v) for v = 0..x off a sieve by the listed primes: the oracle of
-    legendre_table, with no recursion."""
-    rough = np.ones(x + 1, dtype=bool)
-    rough[0] = False
+def lucy_counts(x, primes):
+    """S(v) for v = 0..x, the m in [2, v] that are prime or have no listed
+    factor, off a sieve that strikes the listed primes' multiples but not the
+    primes: the oracle of legendre_table, with no recursion."""
+    kept = np.ones(x + 1, dtype=bool)
+    kept[:2] = False
     for p in primes:
-        rough[p::p] = False
-    return np.cumsum(rough)
+        kept[2 * p :: p] = False
+    return np.cumsum(kept)
+
+
+def table_values(x):
+    """V: [0, r], then x // d for d = r..1."""
+    r = math.isqrt(x)
+    return [*range(r + 1), *(x // d for d in range(r, 0, -1))]
 
 
 def icbrt(x):
@@ -331,10 +338,24 @@ def test_legendre_table_matches_a_brute_count(x, which):
     from primepoisson.primesets import legendre_table
 
     primes = list(prime_list_ends(x))[which]
-    r = math.isqrt(x)
-    values = [*range(r + 1), *(x // d for d in range(r, 0, -1))]
-    table = legendre_table(x, np.array(primes, dtype=np.int64))
-    assert table.tolist() == rough_counts(x, primes)[values].tolist()
+    v, s = legendre_table(x, np.array(primes, dtype=np.int64))
+    assert v.tolist() == table_values(x)
+    assert s.tolist() == lucy_counts(x, primes)[v].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 20000))
+@example(0)
+@example(1)
+@example(2)
+@example(3)
+def test_legendre_table_is_pi_over_v_when_sieved_to_the_root(x):
+    from primepoisson.primesets import legendre_table, prime_array
+
+    v, s = legendre_table(x, prime_array(1, math.isqrt(x)))
+    pi = np.cumsum(np.isin(np.arange(x + 1), naive_primes(x)))  # S(0) = pi(0) = 0
+    assert v.tolist() == table_values(x)
+    assert s.tolist() == pi[v].tolist()
 
 
 def test_count_primes_reads_the_legendre_table(monkeypatch):
@@ -350,6 +371,14 @@ def test_count_primes_reads_the_legendre_table(monkeypatch):
     assert count_primes(10**9) == 50_847_534
     assert count_primes(10**10) == 455_052_511
     assert max(sieved) == 10**5  # only the base primes <= sqrt(limit) are sieved
+
+
+def test_a_sieve_end_over_30_digits_is_named_by_its_digit_count():
+    from primepoisson.primesets import _name
+
+    assert _name(10**30 - 1) == "9" * 30
+    for k in (31, 100, 4301, 9566):  # next to a power of ten, where log10 may round
+        assert (_name(10 ** (k - 1)), _name(10**k - 1)) == (f"of {k} digits",) * 2
 
 
 def test_count_primes_over_the_x_cap_is_refused_before_any_work(monkeypatch):
